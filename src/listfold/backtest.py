@@ -26,6 +26,7 @@ from .data import (
     decile_labels,
     fit_norm_params,
     minmax_normalize,
+    ranked_train_weeks,
     rolling_windows,
 )
 from .losses import LossSpec, make_transform
@@ -47,6 +48,8 @@ __all__ = [
     "week_pnl",
     "compute_stats",
     "run_backtest",
+    "model_train_config",
+    "train_window",
     "cutoff_heatmap",
     "batch_size_grid",
     "write_stats_csv",
@@ -323,11 +326,11 @@ def _model_seed(base_seed: int, model: str, window_index: int) -> int:
     return int(np.random.SeedSequence((base_seed, h, window_index)).generate_state(1)[0])
 
 
-def _train_one(panel: FactorPanel, plan: WindowPlan, model: str,
-               config: BacktestConfig, window_index: int) -> tuple[str, ScoringNet, FactorPanel]:
+def model_train_config(config: BacktestConfig, model: str, window_index: int) -> TrainConfig:
+    """The TrainConfig of one (model, window): MODEL_SPECS' loss, label
+    direction and final ReLU, seeded per (config.seed, model, window)."""
     spec, reverse, final_relu = MODEL_SPECS[model]
-    wpanel = minmax_normalize(panel, plan)
-    tc = TrainConfig(
+    return TrainConfig(
         loss=spec,
         batch_size=config.batch_size,
         total_batches=config.total_batches,
@@ -339,8 +342,53 @@ def _train_one(panel: FactorPanel, plan: WindowPlan, model: str,
         levels=config.levels,
         patience=config.patience,
     )
-    net = train(wpanel, plan.localized(), tc)
-    return model, net, wpanel
+
+
+def train_window(panel: FactorPanel, plan: WindowPlan, models, config: BacktestConfig,
+                 window_index: int) -> tuple[FactorPanel, dict[str, ScoringNet]]:
+    """Train every model of one rolling window.
+
+    The window is normalized once and its training lists are built once per
+    median-drop setting, then shared by all models. Returns the normalized
+    window panel (train and test weeks) and the networks by model. A
+    model's network does not depend on which other models train beside it,
+    so `listfold train` and `run_backtest` produce the same network.
+    """
+    wpanel = minmax_normalize(panel, plan)
+    local = plan.localized()
+    configs = {m: model_train_config(config, m, window_index) for m in models}
+    # dropping the median stock changes nothing on an even universe
+    odd = wpanel.n_stocks % 2 == 1
+    drop = {m: odd and tc.loss.even_length for m, tc in configs.items()}
+    lists = {d: ranked_train_weeks(wpanel, local, config.levels, require_even=d)
+             for d in sorted(set(drop.values()))}
+
+    def fit(model: str) -> ScoringNet:
+        return train(wpanel, local, configs[model], lists=lists[drop[model]])
+
+    if config.threads > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=config.threads) as pool:
+            nets = list(pool.map(fit, models))
+    else:
+        nets = [fit(m) for m in models]
+    return wpanel, dict(zip(models, nets))
+
+
+def _score_window(panel: FactorPanel, plan: WindowPlan, models, config: BacktestConfig,
+                  window_index: int) -> tuple[list[str], dict[str, dict[str, np.ndarray]]]:
+    """Test dates and return-oriented scores of one window; the window's
+    normalized panel and training lists are freed on return."""
+    wpanel, nets = train_window(panel, plan, models, config, window_index)
+    local = plan.localized()
+    dates = list(wpanel.dates[local.test_range[0]:local.test_range[1]])
+    scores: dict[str, dict[str, np.ndarray]] = {}
+    for model in models:
+        reverse = MODEL_SPECS[model][1]
+        scores[model] = {}
+        for date in dates:
+            raw = score_week(nets[model], wpanel, date)
+            scores[model][date] = -raw if reverse else raw
+    return dates, scores
 
 
 def run_backtest(panel: FactorPanel, strategies: list[StrategySpec],
@@ -350,44 +398,19 @@ def run_backtest(panel: FactorPanel, strategies: list[StrategySpec],
 
     Scoring models are deduplicated across strategies and seeded per
     (model, window), so results do not depend on the strategy list's
-    composition or on the thread count.
+    composition or on the thread count. Windows are trained and scored one
+    at a time, so only one normalized window is held in memory.
     """
     plans = [fit_norm_params(panel, p)
              for p in rolling_windows(panel.n_weeks, config.train_len, config.test_len)]
     models = sorted({m for s in strategies for m in s.required_models()})
     scores: dict[str, dict[str, np.ndarray]] = {m: {} for m in models}
     test_dates: list[str] = []
-
-    jobs = [(wi, plan, model) for wi, plan in enumerate(plans) for model in models]
-    results: dict[tuple[int, str], tuple[ScoringNet, FactorPanel]] = {}
-    if config.threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=config.threads) as pool:
-            futures = {
-                pool.submit(_train_one, panel, plan, model, config, wi): (wi, model)
-                for wi, plan, model in jobs
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                wi, model = futures[fut]
-                _, net, wpanel = fut.result()
-                results[(wi, model)] = (net, wpanel)
-    else:
-        for wi, plan, model in jobs:
-            _, net, wpanel = _train_one(panel, plan, model, config, wi)
-            results[(wi, model)] = (net, wpanel)
-
     for wi, plan in enumerate(plans):
-        local = plan.localized()
-        first = True
+        dates, window_scores = _score_window(panel, plan, models, config, wi)
+        test_dates += dates
         for model in models:
-            reverse = MODEL_SPECS[model][1]
-            net, wpanel = results[(wi, model)]
-            for t in range(*local.test_range):
-                date = wpanel.dates[t]
-                if first:
-                    test_dates.append(date)
-                raw = score_week(net, wpanel, date)
-                scores[model][date] = -raw if reverse else raw
-            first = False
+            scores[model].update(window_scores[model])
 
     pnl: dict[str, PnlSeries] = {}
     stats: dict[str, StrategyStats] = {}

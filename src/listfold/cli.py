@@ -23,7 +23,9 @@ from .backtest import (
     MODEL_SPECS,
     StrategySpec,
     cutoff_heatmap,
+    model_train_config,
     run_backtest,
+    train_window,
     write_batchgrid_csv,
     write_heatmap_csv,
     write_pnl_csv,
@@ -37,20 +39,17 @@ from .data import (
     fit_norm_params,
     generate_synthetic_panel,
     load_panel,
-    minmax_normalize,
     rolling_windows,
     save_panel,
 )
 from .losses import LossSpec, Transform, listfold_loss
 from .neural import (
     TrainingDivergenceError,
-    TrainConfig,
     config_digest,
     forward,
     load_checkpoint,
     load_checkpoint_norm,
     save_checkpoint,
-    train,
 )
 
 __all__ = ["main", "RunConfig", "ConfigError", "parse_config_file"]
@@ -414,15 +413,10 @@ def cmd_train(args) -> int:
                   file=sys.stderr)
             return EXIT_DATA
         plan = fit_norm_params(panel, plans[args.window])
-        wpanel = minmax_normalize(panel, plan)
-        loss, reverse, final_relu = MODEL_SPECS[model]
-        tc = TrainConfig(
-            loss=loss, batch_size=cfg.batch_size, total_batches=cfg.total_batches,
-            learning_rate=cfg.learning_rate, optimizer=cfg.optimizer,
-            final_relu=final_relu, seed=cfg.seed, reverse_labels=reverse,
-            levels=cfg.levels,
-        )
-        net = train(wpanel, plan.localized(), tc)
+        # the same per-window training, seed and data the backtest uses
+        config = _backtest_config(cfg)
+        _, nets = train_window(panel, plan, [model], config, args.window)
+        net = nets[model]
     except TrainingDivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
@@ -431,6 +425,7 @@ def cmd_train(args) -> int:
         return EXIT_DATA
     out = Path(args.checkpoint)
     out.parent.mkdir(parents=True, exist_ok=True)
+    tc = model_train_config(config, model, args.window)
     save_checkpoint(net, out, config_digest(tc), norm_params=plan.norm_params)
     print(f"checkpoint written to {out}")
     return EXIT_OK

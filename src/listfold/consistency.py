@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import LossSpec, Transform, evaluate_loss, listfold_loss
+from .losses import LossSpec, Transform, evaluate_loss
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -83,6 +83,19 @@ class EnumerationReport:
         )
 
 
+# Rows per evaluate_loss call on a permutation table: blocks of 4096 keep the
+# evaluator's temporaries small and in cache for the 40320-row tables.
+_TABLE_BLOCK = 4096
+
+
+def _table_losses(spec: LossSpec, table: np.ndarray, targets=None) -> np.ndarray:
+    """Loss of every row of a permutation table (value only)."""
+    return np.concatenate([
+        evaluate_loss(spec, table[i : i + _TABLE_BLOCK], targets, with_gradient=False).value
+        for i in range(0, len(table), _TABLE_BLOCK)
+    ])
+
+
 def _classify(scores: np.ndarray, minimizers: frozenset) -> str:
     descending = tuple(np.sort(scores)[::-1])
     if minimizers == frozenset({descending}):
@@ -103,18 +116,14 @@ def enumerate_losses(scores, spec: LossSpec) -> EnumerationReport:
     collapse to one entry with a multiplicity.
     """
     f = _as_scores(scores)
-    if spec.family in ("listfold", "naive_pt") and f.size % 2 != 0:
+    if spec.even_length and f.size % 2 != 0:
         raise ValueError(f"{spec.family} requires an even list length")
     targets = np.sort(f)[::-1]
     seen: dict[tuple[float, ...], int] = {}
     for perm in itertools.permutations(f.tolist()):
         seen[perm] = seen.get(perm, 0) + 1
     perms = tuple(sorted(seen))
-    losses = []
-    for perm in perms:
-        arr = np.asarray(perm)
-        losses.append(evaluate_loss(spec, arr, targets).value)
-    losses_arr = np.asarray(losses)
+    losses_arr = _table_losses(spec, np.array(perms), targets)
     min_value = float(losses_arr.min())
     minimizers = frozenset(
         perm for perm, v in zip(perms, losses_arr) if v <= min_value + MINIMIZER_TOL
@@ -217,13 +226,23 @@ def verify_theorem1(trials: int, n_range, seed: int) -> TheoremReport:
     return report
 
 
-def _half_respecting_permutations(scores: np.ndarray):
-    s = np.sort(scores)[::-1]
-    n = s.size // 2
-    top, bottom = s[:n], s[n:]
-    for pt in itertools.permutations(top.tolist()):
-        for pb in itertools.permutations(bottom.tolist()):
-            yield pt + pb
+_PERM_CACHE: dict[int, np.ndarray] = {}
+
+
+def _perm_table(m: int) -> np.ndarray:
+    """All permutations of range(m) in lexicographic order, one per row."""
+    if m not in _PERM_CACHE:
+        _PERM_CACHE[m] = np.array(list(itertools.permutations(range(m))), dtype=np.intp)
+    return _PERM_CACHE[m]
+
+
+def _half_respecting_table(n: int) -> np.ndarray:
+    """Index rows that permute the top n positions among themselves and the
+    bottom n among themselves, top permutation varying slowest. Row 0 is
+    the identity."""
+    p = _perm_table(n)
+    k = p.shape[0]
+    return np.hstack([np.repeat(p, k, axis=0), np.tile(p + n, (k, 1))])
 
 
 def verify_theorem2(trials: int, n_range, seed: int, restricted: bool = True) -> TheoremReport:
@@ -237,7 +256,7 @@ def verify_theorem2(trials: int, n_range, seed: int, restricted: bool = True) ->
     n_range = tuple(int(n) for n in n_range)
     if max(n_range) * 2 > ENUMERATION_CAP:
         raise ValueError(f"n values must satisfy 2n <= {ENUMERATION_CAP}")
-    transform = Transform("exponential")
+    spec = LossSpec("listfold", Transform("exponential"))
     mode = "restricted" if restricted else "unrestricted"
     report = TheoremReport(f"theorem2-exponential-{mode}", seed, trials, n_range)
     rng = np.random.default_rng(seed)
@@ -248,75 +267,24 @@ def verify_theorem2(trials: int, n_range, seed: int, restricted: bool = True) ->
             if np.unique(f).size < f.size:
                 report.degenerate += 1
                 continue
-            descending = np.sort(f)[::-1]
-            base = listfold_loss(descending, transform).value
+            # row 0 of either table is the descending sequence itself
+            index = _half_respecting_table(n) if restricted else _perm_table(2 * n)
+            table = np.sort(f)[::-1][index]
+            losses = _table_losses(spec, table)
+            base = float(losses[0])
             if restricted:
-                worst = None
-                for perm in _half_respecting_permutations(f):
-                    if perm == tuple(descending):
-                        continue
-                    v = listfold_loss(np.asarray(perm), transform).value
-                    if v <= base + MINIMIZER_TOL:
-                        worst = (perm, v)
-                        break
-                if worst is not None:
-                    report.violations.append(
-                        {"scores": tuple(f.tolist()), "permutation": worst[0],
-                         "loss": worst[1], "descending_loss": base}
-                    )
+                # uniqueness: no other half-respecting order may tie or beat it
+                ties = np.flatnonzero(losses[1:] <= base + MINIMIZER_TOL)
+                j = int(ties[0]) + 1 if ties.size else None
             else:
-                perms, losses = _listfold_exp_losses_all_perms(f)
-                best = losses.min()
-                if best < base - MINIMIZER_TOL:
-                    j = int(np.argmin(losses))
-                    report.violations.append(
-                        {"scores": tuple(f.tolist()),
-                         "permutation": tuple(perms[j].tolist()),
-                         "loss": float(best), "descending_loss": base}
-                    )
+                j = int(np.argmin(losses))
+                j = j if losses[j] < base - MINIMIZER_TOL else None
+            if j is not None:
+                report.violations.append(
+                    {"scores": tuple(f.tolist()), "permutation": tuple(table[j].tolist()),
+                     "loss": float(losses[j]), "descending_loss": base}
+                )
     return report
-
-
-_PERM_CACHE: dict[int, np.ndarray] = {}
-
-
-def _perm_table(m: int) -> np.ndarray:
-    if m not in _PERM_CACHE:
-        _PERM_CACHE[m] = np.array(list(itertools.permutations(range(m))), dtype=np.intp)
-    return _PERM_CACHE[m]
-
-
-def _listfold_exp_losses_all_perms(scores: np.ndarray):
-    """Exponential listfold loss of every permutation at once.
-
-    Peels the stage windows from both ends with running exp sums, so the
-    whole table costs O(m! * m). Scores are centered first (the loss is
-    shift invariant) and must span less than ~600 to stay inside float64;
-    the sampling distributions used here stay far below that.
-    """
-    f = np.asarray(scores, dtype=float).ravel()
-    f = f - f.mean()
-    if f.size % 2 != 0:
-        raise ValueError("even list length required")
-    if np.ptp(f) > 600:
-        raise ValueError("score spread too large for the vectorized evaluator")
-    m = f.size
-    n = m // 2
-    table = _perm_table(m)
-    vals = f[table]  # (m!, m)
-    e_pos = np.exp(vals)
-    e_neg = np.exp(-vals)
-    sum_pos = e_pos.sum(axis=1)
-    sum_neg = e_neg.sum(axis=1)
-    loss = np.zeros(table.shape[0])
-    remaining = float(m)
-    for s in range(n):
-        denom = sum_pos * sum_neg - remaining
-        loss += np.log(denom) - (vals[:, s] - vals[:, m - 1 - s])
-        sum_pos = sum_pos - e_pos[:, s] - e_pos[:, m - 1 - s]
-        sum_neg = sum_neg - e_neg[:, s] - e_neg[:, m - 1 - s]
-        remaining -= 2.0
-    return vals, loss
 
 
 @dataclass(frozen=True)
@@ -362,23 +330,18 @@ def counterexample_search(budget: int, size: int, distribution: str = "uniform",
     if size % 2 != 0 or size > ENUMERATION_CAP:
         raise ValueError(f"size must be even and <= {ENUMERATION_CAP}")
     rng = np.random.default_rng(seed)
-    transform = Transform("exponential")
+    spec = LossSpec("listfold", Transform("exponential"))
     witnesses: list[Witness] = []
     for _ in range(budget):
         f = _sample_scores(rng, size, distribution)
         descending = np.sort(f)[::-1]
         if loss_fn is None:
-            base = listfold_loss(descending, transform).value
-            perms, losses = _listfold_exp_losses_all_perms(f)
+            table = descending[_perm_table(size)]  # row 0 is descending
+            losses = _table_losses(spec, table)
             j = int(np.argmin(losses))
-            if losses[j] < base - MINIMIZER_TOL:
-                # confirm through the reference implementation before reporting
-                confirmed = listfold_loss(perms[j], transform).value
-                if confirmed < base - MINIMIZER_TOL:
-                    witnesses.append(
-                        Witness(tuple(f.tolist()), tuple(perms[j].tolist()),
-                                float(confirmed), float(base))
-                    )
+            if losses[j] < losses[0] - MINIMIZER_TOL:
+                witnesses.append(Witness(tuple(f.tolist()), tuple(table[j].tolist()),
+                                         float(losses[j]), float(losses[0])))
         else:
             base = float(loss_fn(descending))
             for perm in itertools.permutations(f.tolist()):
@@ -413,25 +376,23 @@ def order_sensitivity_probe(scores, spec: LossSpec) -> list[SwapRecord]:
     loss deliberately does not.
     """
     f = _as_scores(scores)
-    if spec.family in ("listfold", "naive_pt") and f.size % 2 != 0:
+    if spec.even_length and f.size % 2 != 0:
         raise ValueError(f"{spec.family} requires an even list length")
-    targets = np.sort(f)[::-1]
+    perms = list(dict.fromkeys(itertools.permutations(f.tolist())))
+    losses = _table_losses(spec, np.array(perms), np.sort(f)[::-1])
+    # every transposition of a permutation is another permutation of the multiset
+    loss_of = dict(zip(perms, losses.tolist()))
     records: list[SwapRecord] = []
-    seen = set()
-    for perm in itertools.permutations(f.tolist()):
-        if perm in seen:
-            continue
-        seen.add(perm)
+    for perm in perms:
         base_disc = _discordant_pairs(perm)
-        base_loss = evaluate_loss(spec, np.asarray(perm), targets).value
         for i in range(len(perm)):
             for j in range(i + 1, len(perm)):
                 swapped = list(perm)
                 swapped[i], swapped[j] = swapped[j], swapped[i]
-                if _discordant_pairs(tuple(swapped)) >= base_disc:
+                swapped = tuple(swapped)
+                if _discordant_pairs(swapped) >= base_disc:
                     continue
-                v = evaluate_loss(spec, np.asarray(swapped), targets).value
-                delta = v - base_loss
+                delta = loss_of[swapped] - loss_of[perm]
                 if delta > MINIMIZER_TOL:
                     records.append(SwapRecord(perm, (i, j), float(delta)))
     return records

@@ -33,6 +33,7 @@ __all__ = [
     "decile_labels",
     "rolling_windows",
     "build_ranked_batch",
+    "ranked_train_weeks",
     "generate_synthetic_panel",
     "planted_coefficients",
 ]
@@ -402,6 +403,24 @@ def build_ranked_batch(panel: FactorPanel, date: str, levels: int = 10,
     order = np.argsort(-rets, kind="stable")
     labels = decile_labels(rets, levels=min(levels, rets.size))
     return RankedBatch(features=feats, truth_order=order, returns=rets, labels=labels)
+
+
+def ranked_train_weeks(panel: FactorPanel, window: WindowPlan, levels: int = 10,
+                       require_even: bool = False,
+                       access_log: list | None = None) -> list[RankedBatch]:
+    """One RankedBatch per week of window.train_range, in week order.
+
+    The batches hold views of the panel's arrays unless a median stock is
+    dropped, so models trained on one window can share them. Pass
+    access_log to record every week index read.
+    """
+    lo, hi = window.train_range
+    if hi <= lo:
+        raise DataError("empty train range")
+    if access_log is not None:
+        access_log.extend(range(lo, hi))
+    return [build_ranked_batch(panel, panel.dates[idx], levels=levels, require_even=require_even)
+            for idx in range(lo, hi)]
 
 
 def planted_coefficients(seed: int, n_factors: int):

@@ -5,6 +5,11 @@ score of the item with the highest realized return, position 1 the next,
 and so on. Values and gradients are returned together because training
 evaluates both on every mini batch and they share intermediates.
 
+One evaluator, ``evaluate_loss``, serves every family on a single list or
+a (lists, length) batch. ListFold and ListMLE run in O(length) per list
+through running log-sum-exps, so they stay finite at any score spread; the
+single-list functions below are thin wrappers around it.
+
 Families
 --------
 listfold   stepwise long-short pair selection; even list length required.
@@ -16,6 +21,7 @@ mse        plain mean squared error against realized returns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,15 +79,22 @@ class Transform:
             return _stable_sigmoid(x)
         return np.maximum(x, LINEAR_GUARD)
 
-    def deriv(self, x):
+    def log_terms(self, x):
+        """(log psi(x), log psi'(x)), finite wherever psi' > 0.
+
+        Sigmoid uses log sigma(x) = min(x, 0) - log(1 + e^-|x|), which stays
+        finite where sigma(x) itself underflows. The linear transform's clamped branch
+        has psi' = 0, so its log is -inf there.
+        """
         x = np.asarray(x, dtype=float)
         if self.kind == "exponential":
-            return np.exp(x)
+            return x, x
         if self.kind == "sigmoid":
-            s = _stable_sigmoid(x)
-            return s * (1.0 - s)
-        # Subgradient 0 on the clamped branch.
-        return np.where(x > LINEAR_GUARD, 1.0, 0.0)
+            log_psi = np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
+            # sigma' = sigma(x) sigma(-x) and sigma(-x) = e^-x sigma(x)
+            return log_psi, 2.0 * log_psi - x
+        above = x > LINEAR_GUARD
+        return np.log(np.maximum(x, LINEAR_GUARD)), np.where(above, 0.0, -np.inf)
 
 
 def exponential() -> Transform:
@@ -131,59 +144,240 @@ class LossSpec:
         if self.family != "mse" and self.transform is None:
             object.__setattr__(self, "transform", exponential())
 
+    @property
+    def even_length(self) -> bool:
+        """Whether the family needs an even list length."""
+        return self.family in ("listfold", "naive_pt")
+
 
 @dataclass(frozen=True)
 class LossResult:
-    value: float
-    gradient: np.ndarray
+    """value is a float and gradient an (n,) array for one list; for a batch
+    of B lists they are (B,) and (B, n) arrays. gradient is None when it was
+    not requested."""
+
+    value: float | np.ndarray
+    gradient: np.ndarray | None
 
 
-def _check_scores(scores, even: bool = False, min_len: int = 1) -> np.ndarray:
-    f = np.asarray(scores, dtype=float).ravel()
-    if f.size < min_len:
-        raise ValueError(f"score vector too short: {f.size} < {min_len}")
+def _check_scores(scores, spec: LossSpec) -> np.ndarray:
+    """Scores as a C-contiguous (B, n) float array, validated for spec."""
+    f = np.ascontiguousarray(scores, dtype=float)
+    if f.ndim != 2:
+        raise ValueError(f"scores must be one list or a (lists, length) array, got {f.shape}")
+    even = spec.even_length
+    min_len = 2 if even else 1
+    if f.shape[1] < min_len:
+        raise ValueError(f"score vector too short: {f.shape[1]} < {min_len}")
     if not np.all(np.isfinite(f)):
         raise ValueError("scores must be finite")
-    if even and f.size % 2 != 0:
-        raise ValueError(f"even list length required, got {f.size}")
+    if even and f.shape[1] % 2 != 0:
+        raise ValueError(f"even list length required, got {f.shape[1]}")
     return f
 
 
-def _listmle_prefix(f: np.ndarray, transform: Transform, stages: int):
-    """Value and gradient of the first `stages` top-down selection terms."""
-    n = f.size
-    stages = min(stages, n)
-    grad = np.zeros(n)
-    if transform.kind == "exponential":
-        # Suffix log-sum-exps, accumulated from the tail for stability.
-        lse = np.logaddexp.accumulate(f[::-1])[::-1]
-        value = float(np.sum(lse[:stages] - f[:stages]))
-        for i in range(stages):
-            grad[i:] += np.exp(f[i:] - lse[i])
-        grad[:stages] -= 1.0
-        return value, grad
-    psi = transform(f)
-    dpsi = transform.deriv(f)
-    suffix = np.cumsum(psi[::-1])[::-1]
-    value = float(np.sum(np.log(suffix[:stages]) - np.log(psi[:stages])))
-    inv = 1.0 / suffix[:stages]
-    cum = np.cumsum(inv)
-    # position j accumulates 1/S_i for every stage i <= j that it appears in
-    upto = np.minimum(np.arange(n), stages - 1)
-    grad = dpsi * cum[upto]
-    grad[:stages] -= dpsi[:stages] / psi[:stages]
+# The rank-loss internals below hold a batch as (positions, lists): every
+# running sum then steps down axis 0 across all lists at once, which is
+# what makes large batches such as m! permutation tables fast.
+
+# Smallest first running sum of shifted exponentials trusted at full precision.
+_TINY = 1e-300
+
+
+def _sum_down(x):
+    """Sum over axis 0, strictly in order, so a list's value does not depend
+    on the batch it came in."""
+    return np.cumsum(x, axis=0)[-1]
+
+
+def _cum_logsumexp(x, reverse: bool = False):
+    """Running log-sum-exp down axis 0: out[k] = log sum_{t<=k} e^x[t], or
+    over t >= k with reverse.
+
+    Exponentials are shifted by each list's maximum and summed. A shifted
+    term that underflows is off by at most 5e-324, under 1e-23 of the
+    running sum it joins as long as the first running sum is at least
+    1e-300. Lists where it is not (a spread above ~690) are redone with
+    np.logaddexp.accumulate.
+    """
+    if reverse:
+        return _cum_logsumexp(x[::-1])[::-1]
+    top = np.max(x, axis=0)
+    out = np.exp(x - top)
+    np.cumsum(out, axis=0, out=out)
+    low = out[0] < _TINY
+    np.log(np.maximum(out, _TINY, out=out), out=out)
+    out += top
+    if low.any():
+        out[:, low] = np.logaddexp.accumulate(x[:, low], axis=0)
+    return out
+
+
+def _plackett_luce(log_psi, log_dpsi, stages: int, with_gradient: bool):
+    """The first `stages` top-down selection terms.
+
+    value = sum_{i<stages} log S_i - log psi_i with S_i = sum_{k>=i} psi_k,
+    a running log-sum-exp from the tail. Position j sits in the
+    denominators of stages 0..min(j, stages-1), so its gradient is
+    psi'_j * sum_{i<=min(j, stages-1)} 1/S_i, again a running log-sum-exp.
+    """
+    log_s = _cum_logsumexp(log_psi, reverse=True)
+    value = _sum_down(log_s[:stages] - log_psi[:stages])
+    if not with_gradient:
+        return value, None
+    inv_cum = _cum_logsumexp(-log_s[:stages])
+    upto = np.minimum(np.arange(log_psi.shape[0]), stages - 1)
+    grad = np.exp(log_dpsi + inv_cum[upto])
+    grad[:stages] -= np.exp(log_dpsi[:stages] - log_psi[:stages])
     return value, grad
 
 
-def listmle_loss(scores_in_truth_order, transform: Transform) -> LossResult:
-    """Negative log Plackett-Luce likelihood of the truth ordering.
+def _inner_first(size: int):
+    """Position order that puts the innermost pair first and the outermost
+    last, so window W_s = [s, size-1-s] becomes the leading m_s = size - 2s
+    positions; plus the last reordered index inside each W_s."""
+    n = size // 2
+    order = np.ravel(np.column_stack([np.arange(n - 1, -1, -1), np.arange(n, size)]))
+    return order, size - 1 - 2 * np.arange(n)
 
-    value = -sum_i [log psi(f_i) - log sum_{k>=i} psi(f_k)], evaluated with
-    a log-sum-exp path when the transform is exponential.
+
+def _listfold_exp_denominators(f, with_gradient: bool):
+    """log D_s for the exponential transform, plus the two gradient sums.
+
+    D_s = sum_{u != v in W_s} e^{f_u - f_v} = A_s B_s - m_s, where A_s and
+    B_s are the window sums of e^f and e^-f: running log-sum-exps from the
+    innermost pair outwards. A_s B_s >= m_s^2 keeps the log1p argument in
+    [-1/2, 0]. Returns (log D, LSE_{s<=k}(log B_s - log D_s),
+    LSE_{s<=k}(log A_s - log D_s)).
     """
-    f = _check_scores(scores_in_truth_order)
-    value, grad = _listmle_prefix(f, transform, f.size)
+    order, last = _inner_first(f.shape[0])
+    g = f[order]
+    log_a = _cum_logsumexp(g)[last]
+    log_b = _cum_logsumexp(-g)[last]
+    log_ab = log_a + log_b
+    log_d = log_ab + np.log1p(-(last + 1.0)[:, None] * np.exp(-log_ab))
+    if not with_gradient:
+        return log_d, None, None
+    return log_d, _cum_logsumexp(log_b - log_d), _cum_logsumexp(log_a - log_d)
+
+
+def _listfold_linear_denominators(f, with_gradient: bool):
+    """log D_s and d log D_s / d f for the clamped linear transform.
+
+    In inner-first order window W_s is the leading m_s x m_s block of the
+    pair matrix, so D_s is read off its 2-D prefix sum (all terms positive:
+    no cancellation).
+    """
+    size = f.shape[0]
+    order, last = _inner_first(size)
+    g = f[order]
+    diffs = g[:, None] - g[None, :]  # (u, v, lists)
+    off_diag = ~np.eye(size, dtype=bool)[:, :, None]
+    pair = np.where(off_diag, np.maximum(diffs, LINEAR_GUARD), 0.0)
+    denom = pair.cumsum(axis=0).cumsum(axis=1)[last, last]
+    if not with_gradient:
+        return np.log(denom), None
+    slope = (off_diag & (diffs > LINEAR_GUARD)).astype(float)
+    # (s, r, lists): sums of psi'(g_r - g_v) and psi'(g_v - g_r) over v in W_s
+    rows = slope.cumsum(axis=1)[:, last].transpose(1, 0, 2)
+    cols = slope.cumsum(axis=0)[last]
+    inside = (np.arange(size)[None, :] <= last[:, None])[:, :, None]
+    grad = np.empty_like(f)
+    grad[order] = _sum_down(np.where(inside, (rows - cols) / denom[:, None, :], 0.0))
+    return np.log(denom), grad
+
+
+def _listfold(f, transform: Transform, with_gradient: bool):
+    """Stage s selects the pair (s, 2n-1-s) out of the ordered pairs in the
+    window W_s = [s, 2n-1-s]: value = sum_s log D_s - log psi(f_s - f_{2n-1-s})."""
+    size = f.shape[0]
+    n = size // 2
+    log_num, log_dnum = transform.log_terms(f[:n] - f[: n - 1 : -1])
+    value = -_sum_down(log_num)
+    grad = np.zeros_like(f) if with_gradient else None
+    if transform.kind == "exponential":
+        log_d, with_b, with_a = _listfold_exp_denominators(f, with_gradient)
+        value += _sum_down(log_d)
+        if with_gradient:
+            stage = np.minimum(np.arange(size), np.arange(size)[::-1])  # innermost stage of j
+            grad += np.exp(f + with_b[stage]) - np.exp(-f + with_a[stage])
+    elif transform.kind == "sigmoid":
+        # sigma(x) + sigma(-x) = 1: D_s counts the m_s (m_s - 1) / 2 unordered
+        # pairs, and prod_s m_s (m_s - 1) / 2 = (2n)! / 2^n
+        value += math.lgamma(size + 1.0) - n * math.log(2.0)
+    else:
+        log_d, grad_d = _listfold_linear_denominators(f, with_gradient)
+        value += _sum_down(log_d)
+        if with_gradient:
+            grad += grad_d
+    if with_gradient:
+        pull = np.exp(log_dnum - log_num)  # d log psi(d) / dd
+        grad[:n] -= pull
+        grad[n:] += pull[::-1]
+    return value, grad
+
+
+def _rank_loss(spec: LossSpec, f, with_gradient: bool):
+    """Value (lists,) and gradient (positions, lists) of a rank family."""
+    if spec.family == "listfold":
+        return _listfold(f, spec.transform, with_gradient)
+    log_psi, log_dpsi = spec.transform.log_terms(f)
+    if spec.family == "listmle":
+        return _plackett_luce(log_psi, log_dpsi, f.shape[0], with_gradient)
+    # naive_pt: n stages on the scores plus n on the negated reversed scores
+    n = f.shape[0] // 2
+    v1, g1 = _plackett_luce(log_psi, log_dpsi, n, with_gradient)
+    rev_psi, rev_dpsi = spec.transform.log_terms(-f[::-1])
+    v2, g2 = _plackett_luce(rev_psi, rev_dpsi, n, with_gradient)
+    # d(rev_neg_u)/d(f_j) = -1 at u = 2n-1-j
+    return v1 + v2, g1 - g2[::-1] if with_gradient else None
+
+
+def _evaluate(spec: LossSpec, f, returns, with_gradient: bool):
+    """Value (B,) and gradient (B, n) of a validated (B, n) batch."""
+    if spec.family != "mse":
+        value, grad = _rank_loss(spec, np.ascontiguousarray(f.T), with_gradient)
+        return value, None if grad is None else grad.T
+    if returns is None:
+        raise ValueError("mse loss needs realized returns")
+    r = np.asarray(returns, dtype=float)
+    if r.shape[-1] != f.shape[1]:
+        raise ValueError(f"length mismatch: {f.shape[1]} scores vs {r.shape[-1]} returns")
+    diff = f - r
+    value = np.mean(diff * diff, axis=1)
+    return value, (2.0 / f.shape[1]) * diff if with_gradient else None
+
+
+def evaluate_loss(spec: LossSpec, scores_in_truth_order, returns_in_truth_order=None,
+                  with_gradient: bool = True) -> LossResult:
+    """Loss value and score gradient of one list (n,) or a batch (B, n).
+
+    Every family is evaluated for the whole batch at once in O(B n) (the
+    guarded linear ListFold needs the O(n^2) pair matrix), in the log
+    domain, so values and gradients stay finite at any finite score
+    spread. mse needs the aligned returns, (n,) or (B, n).
+    with_gradient=False skips the gradient (gradient is None).
+    """
+    f = np.asarray(scores_in_truth_order, dtype=float)
+    single = f.ndim == 1
+    f = _check_scores(f[None] if single else f, spec)
+    value, grad = _evaluate(spec, f, returns_in_truth_order, with_gradient)
+    if single:
+        return LossResult(float(value[0]), None if grad is None else grad[0])
     return LossResult(value, grad)
+
+
+def _single(spec: LossSpec, scores, returns=None) -> LossResult:
+    return evaluate_loss(spec, np.ravel(np.asarray(scores, dtype=float)),
+                         None if returns is None else np.ravel(np.asarray(returns, dtype=float)))
+
+
+def listmle_loss(scores_in_truth_order, transform: Transform) -> LossResult:
+    """Negative log Plackett-Luce likelihood of the truth ordering:
+
+        value = -sum_i [log psi(f_i) - log sum_{k>=i} psi(f_k)]
+    """
+    return _single(LossSpec("listmle", transform), scores_in_truth_order)
 
 
 def listfold_loss(scores_in_truth_order, transform: Transform) -> LossResult:
@@ -199,43 +393,7 @@ def listfold_loss(scores_in_truth_order, transform: Transform) -> LossResult:
     Depends on score differences only, hence shift invariant for any
     transform.
     """
-    f = _check_scores(scores_in_truth_order, even=True, min_len=2)
-    n2 = f.size
-    n = n2 // 2
-    value = 0.0
-    grad = np.zeros(n2)
-    for s in range(n):
-        lo, hi = s, n2 - 1 - s
-        w = f[lo : hi + 1]
-        m = w.size
-        diffs = w[:, None] - w[None, :]
-        diag = np.eye(m, dtype=bool)
-        d = w[0] - w[-1]
-        if transform.kind == "exponential":
-            mx = float(np.abs(diffs).max())
-            q = np.exp(diffs - mx)
-            q[diag] = 0.0
-            denom = q.sum()
-            log_d = mx + np.log(denom)
-            q /= denom
-            value += log_d - d
-            gw = q.sum(axis=1) - q.sum(axis=0)
-            # numerator term: d log psi(d) / df = +1 at the pair head, -1 at the tail
-            gw[0] -= 1.0
-            gw[-1] += 1.0
-        else:
-            p = transform(diffs)
-            dp = transform.deriv(diffs)
-            p[diag] = 0.0
-            dp[diag] = 0.0
-            denom = p.sum()
-            value += float(np.log(denom) - np.log(transform(d)))
-            gw = (dp.sum(axis=1) - dp.sum(axis=0)) / denom
-            r = float(transform.deriv(d) / transform(d))
-            gw[0] -= r
-            gw[-1] += r
-        grad[lo : hi + 1] += gw
-    return LossResult(float(value), grad)
+    return _single(LossSpec("listfold", transform), scores_in_truth_order)
 
 
 def naive_pt_loss(scores_in_truth_order, transform: Transform) -> LossResult:
@@ -245,38 +403,12 @@ def naive_pt_loss(scores_in_truth_order, transform: Transform) -> LossResult:
     Unlike listfold this product does not define a probability on the
     permutation space; it is kept as the naive point of comparison.
     """
-    f = _check_scores(scores_in_truth_order, even=True, min_len=2)
-    n = f.size // 2
-    v1, g1 = _listmle_prefix(f, transform, n)
-    rev_neg = -f[::-1]
-    v2, g2 = _listmle_prefix(rev_neg, transform, n)
-    # d(rev_neg_u)/d(f_j) = -1 at u = 2n-1-j
-    grad = g1 - g2[::-1]
-    return LossResult(v1 + v2, grad)
+    return _single(LossSpec("naive_pt", transform), scores_in_truth_order)
 
 
 def mse_loss(scores, returns) -> LossResult:
-    f = np.asarray(scores, dtype=float).ravel()
-    r = np.asarray(returns, dtype=float).ravel()
-    if f.size != r.size:
-        raise ValueError(f"length mismatch: {f.size} scores vs {r.size} returns")
-    diff = f - r
-    value = float(np.mean(diff * diff))
-    grad = (2.0 / f.size) * diff
-    return LossResult(value, grad)
-
-
-def evaluate_loss(spec: LossSpec, scores_in_truth_order, returns_in_truth_order=None) -> LossResult:
-    """Dispatch on spec.family. mse needs the aligned returns vector."""
-    if spec.family == "listfold":
-        return listfold_loss(scores_in_truth_order, spec.transform)
-    if spec.family == "listmle":
-        return listmle_loss(scores_in_truth_order, spec.transform)
-    if spec.family == "naive_pt":
-        return naive_pt_loss(scores_in_truth_order, spec.transform)
-    if returns_in_truth_order is None:
-        raise ValueError("mse loss needs realized returns")
-    return mse_loss(scores_in_truth_order, returns_in_truth_order)
+    """Plain mean squared error against realized returns."""
+    return _single(LossSpec("mse"), scores, returns)
 
 
 def loss_gradient_check(spec: LossSpec, scores, step: float = 1e-5, returns=None) -> float:

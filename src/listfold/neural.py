@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataError, FactorPanel, RankedBatch, WindowPlan, build_ranked_batch
+from .data import FactorPanel, RankedBatch, WindowPlan, ranked_train_weeks
 from .losses import LossSpec, evaluate_loss
 
 __all__ = [
@@ -167,6 +167,25 @@ def backward(net: ScoringNet, cache, dscores: np.ndarray):
     return grad_w, grad_b
 
 
+def _batch_loss_and_grad(scores: np.ndarray, batch: list[RankedBatch], spec: LossSpec,
+                         reverse_labels: bool):
+    """Per-list losses (B,) and dLoss/dscore in *row* order, from one
+    evaluate_loss call on the (B, n) scores gathered into truth order."""
+    if len({b.list_length for b in batch}) != 1:
+        raise ValueError("every list in a batch must have the same length")
+    order = np.stack([b.truth_order for b in batch])
+    if reverse_labels:
+        order = order[:, ::-1]
+    rows = scores.reshape(order.shape)
+    returns = None
+    if spec.family == "mse":
+        returns = np.take_along_axis(np.stack([b.returns for b in batch]), order, axis=1)
+    res = evaluate_loss(spec, np.take_along_axis(rows, order, axis=1), returns)
+    dscores = np.empty_like(rows)
+    np.put_along_axis(dscores, order, res.gradient, axis=1)
+    return res.value, dscores.ravel()
+
+
 def list_loss_and_grad(net: ScoringNet, scores: np.ndarray, batch: RankedBatch,
                        spec: LossSpec, reverse_labels: bool = False):
     """Per-list loss and dLoss/dscore in *row* order.
@@ -175,15 +194,8 @@ def list_loss_and_grad(net: ScoringNet, scores: np.ndarray, batch: RankedBatch,
     bottom-up model); the returned gradient is scattered back to the rows
     the network produced.
     """
-    order = batch.truth_order[::-1] if reverse_labels else batch.truth_order
-    sorted_scores = scores[order]
-    if spec.family == "mse":
-        res = evaluate_loss(spec, sorted_scores, batch.returns[order])
-    else:
-        res = evaluate_loss(spec, sorted_scores)
-    dscores = np.zeros_like(scores)
-    dscores[order] = res.gradient
-    return res.value, dscores
+    values, dscores = _batch_loss_and_grad(scores, [batch], spec, reverse_labels)
+    return float(values[0]), dscores
 
 
 @dataclass
@@ -230,7 +242,8 @@ def train_step(net: ScoringNet, batch: list[RankedBatch], spec: LossSpec,
                optimizer, reverse_labels: bool = False) -> float:
     """One optimizer update from a batch of ranked lists.
 
-    Lists are stacked into a single forward/backward pass; losses and
+    Lists must share one length. They are stacked into a single
+    forward/backward pass and one batched loss evaluation; losses and
     parameter gradients are averaged over the batch. Raises
     NonFiniteLossError (before touching the parameters) when the averaged
     loss is not finite.
@@ -239,16 +252,8 @@ def train_step(net: ScoringNet, batch: list[RankedBatch], spec: LossSpec,
         raise ValueError("empty batch")
     feats = np.vstack([b.features for b in batch])
     scores, cache = forward_cached(net, feats)
-    total = 0.0
-    dscores = np.empty_like(scores)
-    pos = 0
-    for b in batch:
-        n = b.list_length
-        value, ds = list_loss_and_grad(net, scores[pos : pos + n], b, spec, reverse_labels)
-        total += value
-        dscores[pos : pos + n] = ds
-        pos += n
-    mean_loss = total / len(batch)
+    values, dscores = _batch_loss_and_grad(scores, batch, spec, reverse_labels)
+    mean_loss = float(np.mean(values))
     if not np.isfinite(mean_loss):
         raise NonFiniteLossError(f"batch loss is not finite: {mean_loss}")
     grad_w, grad_b = backward(net, cache, dscores / len(batch))
@@ -261,25 +266,21 @@ def train_step(net: ScoringNet, batch: list[RankedBatch], spec: LossSpec,
 
 
 def train(panel: FactorPanel, window: WindowPlan, config: TrainConfig,
-          access_log: list | None = None) -> ScoringNet:
+          access_log: list | None = None,
+          lists: list[RankedBatch] | None = None) -> ScoringNet:
     """Train a fresh network on the window's training weeks.
 
     One RankedBatch per training week; week order reshuffles with the
     seeded RNG whenever the pool is exhausted, until exactly total_batches
     batches have been consumed. Training never reads a week outside
-    train_range (pass access_log to record every index touched).
+    train_range (pass access_log to record every index touched). lists
+    takes the window's prebuilt ranked_train_weeks, so models trained on
+    one window share them; the median stock of an odd universe must
+    already be dropped for the listfold and naive_pt families.
     """
-    lo, hi = window.train_range
-    if hi <= lo:
-        raise DataError("empty train range")
-    even = config.loss.family in ("listfold", "naive_pt")
-    lists = []
-    for idx in range(lo, hi):
-        if access_log is not None:
-            access_log.append(idx)
-        lists.append(
-            build_ranked_batch(panel, panel.dates[idx], levels=config.levels, require_even=even)
-        )
+    if lists is None:
+        lists = ranked_train_weeks(panel, window, config.levels,
+                                   require_even=config.loss.even_length, access_log=access_log)
     net = init_network(panel.n_factors, config.seed, final_relu=config.final_relu)
     if config.total_batches == 0:
         return net

@@ -15,11 +15,15 @@ from listfold.backtest import (
     build_short_average,
     compute_stats,
     cutoff_heatmap,
+    model_train_config,
     standard_strategies,
     run_backtest,
+    train_window,
     week_pnl,
 )
-from listfold.data import DataError, generate_synthetic_panel
+from listfold.data import (DataError, fit_norm_params, generate_synthetic_panel,
+                           minmax_normalize, rolling_windows)
+from listfold.neural import train
 
 
 def series_from(returns, turnover=None):
@@ -268,6 +272,36 @@ class TestCutoffHeatmap:
         half = panel.n_stocks // 2
         want = 1e4 * 0.5 * (rets[half:].mean() - rets[:half].mean())
         assert grid[0, 0] == pytest.approx(want, abs=1e-9)
+
+
+class TestTrainWindow:
+    MODELS = ["listfold-exp", "listfold-sgm", "listmle", "listmle-rvs", "mlp"]
+
+    def _setup(self, stocks):
+        panel = generate_synthetic_panel(36, weeks=70, stocks=stocks, factors=5,
+                                         signal_strength=0.9, noise_scale=0.4)
+        cfg = BacktestConfig(train_len=50, test_len=10, batch_size=4, total_batches=6,
+                             seed=2, levels=5)
+        plan = fit_norm_params(panel, rolling_windows(panel.n_weeks, 50, 10)[1])
+        return panel, cfg, plan
+
+    @pytest.mark.parametrize("stocks", [10, 11])
+    def test_shared_lists_train_the_same_nets_as_standalone_training(self, stocks):
+        # on the odd universe the listfold models drop the median, the others do not
+        panel, cfg, plan = self._setup(stocks)
+        wpanel, nets = train_window(panel, plan, self.MODELS, cfg, 1)
+        alone = minmax_normalize(panel, plan)
+        for model in self.MODELS:
+            want = train(alone, plan.localized(), model_train_config(cfg, model, 1))
+            for p, q in zip(nets[model].parameters(), want.parameters()):
+                assert p.tobytes() == q.tobytes()
+
+    def test_model_does_not_depend_on_its_companions(self):
+        panel, cfg, plan = self._setup(11)
+        _, together = train_window(panel, plan, self.MODELS, cfg, 1)
+        _, alone = train_window(panel, plan, ["listmle"], cfg, 1)
+        for p, q in zip(together["listmle"].parameters(), alone["listmle"].parameters()):
+            assert p.tobytes() == q.tobytes()
 
 
 class TestThreads:

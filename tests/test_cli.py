@@ -5,8 +5,11 @@ import csv
 import numpy as np
 import pytest
 
-from listfold.cli import main, parse_config_file, build_run_config, ConfigError
-from listfold.data import load_panel
+from listfold.backtest import StrategySpec, run_backtest
+from listfold.cli import (main, parse_config_file, build_run_config, ConfigError,
+                          _backtest_config)
+from listfold.data import apply_norm_params, load_panel, rolling_windows
+from listfold.neural import forward, load_checkpoint, load_checkpoint_norm
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +201,26 @@ class TestTrainScoreCommands:
         assert len(rows) == panel.n_stocks
         values = np.array([float(r["score"]) for r in rows])
         assert np.std(values) > 0  # normalization params applied, scores not collapsed
+
+    def test_checkpoint_is_the_model_the_backtest_scored(self, base_config, panel_csv,
+                                                         tmp_path):
+        panel = load_panel(panel_csv)
+        config = _backtest_config(build_run_config(parse_config_file(base_config), {}))
+        strategies = [StrategySpec("ListFold-exp", "listfold-exp", "ls", 2),
+                      StrategySpec("List2MLE", "listmle", "list2mle", 2)]
+        result = run_backtest(panel, strategies, config)
+        window = 1
+        plan = rolling_windows(panel.n_weeks, config.train_len, config.test_len)[window]
+        test_dates = panel.dates[plan.test_range[0]:plan.test_range[1]]
+        for model, sign in (("listfold-exp", 1.0), ("listmle-rvs", -1.0)):
+            ck = tmp_path / f"{model}.npz"
+            assert main(["train", "--config", str(base_config), "--model", model,
+                         "--window", str(window), "--checkpoint", str(ck)]) == 0
+            net, norm = load_checkpoint(ck), load_checkpoint_norm(ck)
+            for date in test_dates:
+                scores = forward(net, apply_norm_params(panel.week_features(date), *norm))
+                # reverse-labeled models are stored return oriented, i.e. negated
+                assert (sign * scores).tobytes() == result.scores[model][date].tobytes()
 
     def test_unknown_week_exit_two(self, base_config, panel_csv, tmp_path):
         ck = tmp_path / "model.npz"

@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from loss_oracle import listfold_loss as fold_oracle
+
 from listfold.consistency import (
     SamplerSpec,
-    _listfold_exp_losses_all_perms,
+    _perm_table,
     counterexample_search,
     enumerate_losses,
     frequency_zscores,
@@ -21,7 +23,7 @@ from listfold.consistency import (
     verify_theorem1,
     verify_theorem2,
 )
-from listfold.losses import LossSpec, Transform, listfold_loss, listmle_loss
+from listfold.losses import LossSpec, Transform, evaluate_loss, listfold_loss, listmle_loss
 
 FOLD_EXP = LossSpec("listfold", Transform("exponential"))
 FOLD_SGM = LossSpec("listfold", Transform("sigmoid"))
@@ -112,12 +114,15 @@ class TestTheorem2:
         assert rep.classification != "other"
 
     def test_fast_evaluator_matches_reference_loss(self):
+        # the whole permutation table in one value-only call, against the
+        # former per-list pair-matrix implementation
         rng = np.random.default_rng(5)
-        for m in (2, 4, 6):
+        for m in (2, 4, 6, 8):
             f = rng.uniform(-4, 4, m)
-            vals, losses = _listfold_exp_losses_all_perms(f)
+            vals = f[_perm_table(m)]
+            losses = evaluate_loss(FOLD_EXP, vals, with_gradient=False).value
             for row in rng.integers(0, len(losses), size=8):
-                direct = listfold_loss(vals[row], Transform("exponential")).value
+                direct, _ = fold_oracle(vals[row], "exponential")
                 assert direct == pytest.approx(losses[row], abs=1e-10)
 
 

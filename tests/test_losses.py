@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from loss_oracle import ORACLES
 
 from listfold.losses import (
     LINEAR_GUARD,
@@ -275,3 +276,124 @@ class TestGradients:
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
             loss_gradient_check(LossSpec("mse"), np.zeros(2), step=0.0)
+
+
+# -- the batched evaluator against the former per-list implementation --
+
+KINDS = ("exponential", "sigmoid", "linear")
+RANK_FAMILIES = ("listfold", "listmle", "naive_pt")
+
+
+def _score_batches(max_len=64):
+    """(lists, even length) score arrays, up to max_len, values in [-10, 10]."""
+    return st.tuples(st.integers(1, 4), st.integers(1, max_len // 2)).flatmap(
+        lambda shape: st.lists(st.floats(-10, 10), min_size=shape[0] * 2 * shape[1],
+                               max_size=shape[0] * 2 * shape[1]).map(
+            lambda v: np.asarray(v).reshape(shape[0], 2 * shape[1])))
+
+
+class TestBatchedEvaluator:
+    @settings(max_examples=40, deadline=None)
+    @given(_score_batches(), st.sampled_from(KINDS), st.sampled_from(RANK_FAMILIES))
+    def test_matches_per_list_oracle(self, scores, kind, family):
+        res = evaluate_loss(LossSpec(family, Transform(kind)), scores)
+        for row, value, grad in zip(scores, res.value, res.gradient):
+            want_value, want_grad = ORACLES[family](row, kind)
+            assert value == pytest.approx(want_value, rel=1e-10, abs=1e-10)
+            np.testing.assert_allclose(grad, want_grad, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("length", [2, 3, 8, 80])
+    def test_rows_equal_single_list_calls(self, length):
+        rng = np.random.default_rng(length)
+        scores = rng.uniform(-5, 5, (9, length))
+        returns = rng.uniform(-1, 1, (9, length))
+        specs = [LossSpec("mse")] + [LossSpec(f, Transform(k)) for f in RANK_FAMILIES
+                                     for k in KINDS]
+        for spec in specs:
+            if spec.even_length and length % 2:
+                continue
+            batch = evaluate_loss(spec, scores, returns)
+            for i in range(len(scores)):
+                one = evaluate_loss(spec, scores[i], returns[i])
+                assert one.value == batch.value[i]
+                np.testing.assert_array_equal(one.gradient, batch.gradient[i])
+
+    def test_value_only_call_matches(self):
+        scores = np.random.default_rng(13).uniform(-3, 3, (5, 8))
+        for family in RANK_FAMILIES:
+            for kind in KINDS:
+                spec = LossSpec(family, Transform(kind))
+                full = evaluate_loss(spec, scores)
+                bare = evaluate_loss(spec, scores, with_gradient=False)
+                assert bare.gradient is None
+                np.testing.assert_array_equal(bare.value, full.value)
+
+    # linear is left out: log max(x, 1e-12) is ill-conditioned near the guard,
+    # where the rounding of scores + shift moves it
+    @settings(max_examples=30, deadline=None)
+    @given(_score_batches(max_len=16), st.floats(-100, 100),
+           st.sampled_from(["exponential", "sigmoid"]))
+    def test_shift_invariance(self, scores, shift, kind):
+        specs = [LossSpec("listfold", Transform(kind))]
+        if kind == "exponential":
+            specs += [LossSpec("listmle", EXP), LossSpec("naive_pt", EXP)]
+        for spec in specs:
+            a = evaluate_loss(spec, scores)
+            b = evaluate_loss(spec, scores + shift)
+            np.testing.assert_allclose(b.value, a.value, rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(b.gradient, a.gradient, atol=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_score_batches(max_len=16), st.floats(1.0, 1e4), st.sampled_from(KINDS))
+    def test_finite_at_extreme_spreads(self, scores, scale, kind):
+        for family in RANK_FAMILIES:
+            res = evaluate_loss(LossSpec(family, Transform(kind)), scale * scores)
+            assert np.all(np.isfinite(res.value))
+            assert np.all(np.isfinite(res.gradient))
+
+    @pytest.mark.parametrize("family", ["listfold", "naive_pt"])
+    @pytest.mark.parametrize("length", [1, 3, 7])
+    def test_odd_length_rejected(self, family, length):
+        for kind in KINDS:
+            spec = LossSpec(family, Transform(kind))
+            with pytest.raises(ValueError, match="even list length|too short"):
+                evaluate_loss(spec, np.zeros((2, length)))
+            with pytest.raises(ValueError, match="even list length|too short"):
+                evaluate_loss(spec, np.zeros(length))
+
+    def test_rejects_non_finite_and_bad_rank(self):
+        spec = LossSpec("listfold", EXP)
+        with pytest.raises(ValueError):
+            evaluate_loss(spec, np.array([[0.0, np.inf]]))
+        with pytest.raises(ValueError):
+            evaluate_loss(spec, np.zeros((2, 2, 2)))
+
+
+class TestExtremeSpreads:
+    """Sigmoid losses used to take the log of an underflowed sigma: inf value,
+    NaN gradient at a spread of 1e3."""
+
+    @pytest.mark.parametrize("spread", [1e3, 1e4])
+    @pytest.mark.parametrize("family", RANK_FAMILIES)
+    @pytest.mark.parametrize("kind", ["exponential", "sigmoid"])
+    def test_finite_value_and_gradient(self, spread, family, kind):
+        f = np.array([-spread, 0.0, 0.0, spread])
+        res = evaluate_loss(LossSpec(family, Transform(kind)), f)
+        assert np.isfinite(res.value)
+        assert np.all(np.isfinite(res.gradient))
+
+    @pytest.mark.parametrize("spread", [1e3, 1e4])
+    def test_sigmoid_listfold_closed_form(self, spread):
+        # stage 1: log 6 + softplus(2 spread); stage 2: log 1 + softplus(0)
+        res = listfold_loss(np.array([-spread, 0.0, 0.0, spread]), SGM)
+        assert res.value == pytest.approx(2 * spread + math.log(12), rel=1e-15)
+        np.testing.assert_allclose(res.gradient, [-1.0, -0.5, 0.5, 1.0], atol=1e-15)
+
+    @pytest.mark.parametrize("spread", [1e3, 1e4])
+    def test_sigmoid_listmle_closed_form(self, spread):
+        # stage 1: log(sigma(-spread) + 2) - log sigma(-spread) = log 2 + spread
+        # to double precision; stage 2: log 2 - log(1/2); stage 3: log 3/2 -
+        # log(1/2); stage 4: 0
+        res = listmle_loss(np.array([-spread, 0.0, 0.0, spread]), SGM)
+        assert res.value == pytest.approx(spread + math.log(24), rel=1e-15)
+        assert np.all(np.isfinite(res.gradient))

@@ -198,6 +198,32 @@ class TestTrainStep:
         assert any(not np.array_equal(p, q) for p, q in zip(net.parameters(), before))
 
 
+class TestBatchedLoss:
+    def _batch(self, weeks=4):
+        wp, _ = normalized_window()
+        return wp, [build_ranked_batch(wp, wp.dates[i], levels=6) for i in range(weeks)]
+
+    @pytest.mark.parametrize("spec", [FOLD_EXP, LossSpec("listmle", Transform("sigmoid")),
+                                      LossSpec("mse")])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_step_loss_is_the_mean_of_per_list_losses(self, spec, reverse):
+        wp, batch = self._batch()
+        net = init_network(wp.n_factors, 3)
+        per_list = []
+        for b in batch:
+            scores = forward(net, b.features)
+            per_list.append(list_loss_and_grad(net, scores, b, spec, reverse)[0])
+        got = train_step(net, batch, spec, SgdState(lr=0.0), reverse_labels=reverse)
+        assert got == pytest.approx(np.mean(per_list), rel=1e-12)
+
+    def test_mixed_lengths_rejected(self):
+        wp, batch = self._batch(2)
+        short = build_batch_from_rows(batch[1].features[:-1], batch[1].returns[:-1])
+        net = init_network(wp.n_factors, 3)
+        with pytest.raises(ValueError, match="same length"):
+            train_step(net, [batch[0], short], FOLD_EXP, SgdState(lr=0.0))
+
+
 class TestTrain:
     def test_zero_batches_returns_init(self):
         wp, local = normalized_window()
