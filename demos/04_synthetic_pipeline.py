@@ -3,7 +3,7 @@
 Generates a planted-signal panel, walks the rolling windows (train with
 each loss, score the test weeks, build long-short books, account pnl with
 costs), and prints the stats and rank-metric tables. Output CSVs land in
-./demo_out. Runtime is about a minute.
+./demo_out. Runtime is a few seconds.
 """
 
 from pathlib import Path

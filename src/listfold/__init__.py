@@ -77,11 +77,11 @@ from .consistency import (
 from .backtest import (
     BacktestConfig,
     BacktestResult,
-    Portfolio,
     PnlSeries,
     StrategySpec,
     StrategyStats,
     batch_size_grid,
+    book_pnl,
     build_list2mle,
     build_long_short,
     build_short_average,
@@ -89,7 +89,6 @@ from .backtest import (
     cutoff_heatmap,
     standard_strategies,
     run_backtest,
-    week_pnl,
 )
 
 __version__ = "0.1.0"

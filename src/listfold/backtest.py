@@ -2,6 +2,9 @@
 ranks, pnl accounting with transaction costs, summary statistics, and the
 cutoff / batch-size robustness grids.
 
+A book is a pair of non-negative (weeks, N) long and short weight arrays
+whose columns follow ``panel.stocks``; its signed weights are long - short.
+
 Sizing convention: a fixed nominal of $1 per week, split $0.50 long and
 $0.50 short with equal weights inside each leg (dollar neutral, non
 compounding). Transaction cost is charged on traded notional, the L1
@@ -13,8 +16,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import zlib
-from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,7 +35,6 @@ from .losses import LossSpec, make_transform
 from .neural import ScoringNet, TrainConfig, score_week, train
 
 __all__ = [
-    "Portfolio",
     "PnlSeries",
     "StrategyStats",
     "StrategySpec",
@@ -44,8 +45,7 @@ __all__ = [
     "build_long_short",
     "build_short_average",
     "build_list2mle",
-    "WeekPnl",
-    "week_pnl",
+    "book_pnl",
     "compute_stats",
     "run_backtest",
     "model_train_config",
@@ -59,55 +59,16 @@ __all__ = [
     "write_batchgrid_csv",
 ]
 
-GROSS_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Portfolio:
-    """Dated long and short holdings. Weights are positive and each leg sums
-    to half the gross nominal; a stock held in both legs (list2mle overlap)
-    nets to zero signed exposure."""
-
-    date: str
-    longs: dict[str, float]
-    shorts: dict[str, float]
-    mode: str
-
-    def __post_init__(self):
-        gross = sum(self.longs.values()) + sum(self.shorts.values())
-        if abs(gross - 1.0) > GROSS_TOL:
-            raise ValueError(f"gross nominal must be 1.0, got {gross}")
-
-    def signed_weights(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for s, w in self.longs.items():
-            out[s] = out.get(s, 0.0) + w
-        for s, w in self.shorts.items():
-            out[s] = out.get(s, 0.0) - w
-        return out
-
-    @property
-    def overlap(self) -> int:
-        return len(set(self.longs) & set(self.shorts))
-
-
 @dataclass
 class PnlSeries:
     """Weekly accounting at fixed nominal: cumulative is the running sum of
     net returns, never compounded."""
 
-    dates: list[str] = field(default_factory=list)
-    gross: list[float] = field(default_factory=list)
-    cost_paid: list[float] = field(default_factory=list)
-    weekly_returns: list[float] = field(default_factory=list)
-    turnover: list[float] = field(default_factory=list)
-
-    def append(self, date: str, gross: float, cost: float, net: float, trv: float) -> None:
-        self.dates.append(date)
-        self.gross.append(gross)
-        self.cost_paid.append(cost)
-        self.weekly_returns.append(net)
-        self.turnover.append(trv)
+    dates: list[str]
+    gross: list[float]
+    cost_paid: list[float]
+    weekly_returns: list[float]
+    turnover: list[float]
 
     @property
     def cumulative(self) -> np.ndarray:
@@ -124,103 +85,93 @@ class StrategyStats:
     sharpe_defined: bool = True
 
 
-def _ordered_stocks(scores: dict[str, float], reverse: bool) -> list[str]:
-    # ties resolve to the lexically smaller stock id, deterministically
-    if reverse:
-        return sorted(scores, key=lambda s: (-scores[s], s))
-    return sorted(scores, key=lambda s: (scores[s], s))
+def _rank(scores: np.ndarray, stocks) -> np.ndarray:
+    """Column indices of each row of a (weeks, N) score array, highest score
+    first. Ties go to the lexically smaller stock id, whatever the column
+    order of `stocks`."""
+    by_id = np.argsort(np.asarray(stocks), kind="stable")
+    return by_id[np.argsort(-scores[:, by_id], axis=1, kind="stable")]
 
 
-def build_long_short(date: str, scores: dict[str, float], k: int) -> Portfolio:
-    """Top k long, bottom k short, 0.5/k weight per name."""
+def _held(order: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the first k columns of each row's order."""
+    mask = np.zeros(order.shape, dtype=bool)
+    np.put_along_axis(mask, order[:, :k], True, axis=1)
+    return mask
+
+
+def _check_k(k: int, n: int, sides: int = 2) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
-    if 2 * k > len(scores):
-        raise ValueError(f"universe of {len(scores)} too small for 2k = {2 * k}")
-    best = _ordered_stocks(scores, reverse=True)[:k]
-    worst = _ordered_stocks(scores, reverse=False)[:k]
+    if sides * k > n:
+        raise ValueError(f"universe of {n} too small for {sides} x k = {sides * k}")
+
+
+def _legs(long_scores: np.ndarray, short_scores: np.ndarray, stocks,
+          k: int) -> tuple[np.ndarray, np.ndarray]:
+    if long_scores.shape != short_scores.shape:
+        raise ValueError("long and short score arrays differ in shape")
+    _check_k(k, long_scores.shape[1])
     w = 0.5 / k
-    return Portfolio(date, {s: w for s in sorted(best)}, {s: w for s in sorted(worst)},
-                     "long-short-k")
+    return (w * _held(_rank(long_scores, stocks), k),
+            w * _held(_rank(-short_scores, stocks), k))
 
 
-def build_short_average(date: str, scores: dict[str, float], k: int) -> Portfolio:
+def build_long_short(scores: np.ndarray, stocks, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top k long, bottom k short, 0.5/k weight per name, in every row (week)
+    of a (weeks, N) score array whose columns follow `stocks`. Returns the
+    non-negative (long, short) weight arrays."""
+    return _legs(scores, scores, stocks, k)
+
+
+def build_short_average(scores: np.ndarray, stocks, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top k long at 0.5/k; short every stock at 0.5/N (an index-future
     style approximation of the short leg)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > len(scores):
-        raise ValueError(f"universe of {len(scores)} too small for k = {k}")
-    best = _ordered_stocks(scores, reverse=True)[:k]
-    n = len(scores)
-    return Portfolio(
-        date,
-        {s: 0.5 / k for s in sorted(best)},
-        {s: 0.5 / n for s in sorted(scores)},
-        "short-average",
-    )
+    _check_k(k, scores.shape[1], sides=1)
+    return (0.5 / k * _held(_rank(scores, stocks), k),
+            np.full(scores.shape, 0.5 / scores.shape[1]))
 
 
-def build_list2mle(date: str, scores_fwd: dict[str, float], scores_rev: dict[str, float],
-                   k: int) -> Portfolio:
-    """Long the forward model's top k, short the reverse-labeled model's
-    top k. Overlapping picks stay in both legs so the overlap diagnostic
-    is visible; their signed exposure nets to zero."""
-    if set(scores_fwd) != set(scores_rev):
-        raise ValueError("forward and reverse score universes differ")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if 2 * k > len(scores_fwd):
-        raise ValueError(f"universe of {len(scores_fwd)} too small for 2k = {2 * k}")
-    best = _ordered_stocks(scores_fwd, reverse=True)[:k]
-    to_short = _ordered_stocks(scores_rev, reverse=True)[:k]
-    w = 0.5 / k
-    return Portfolio(date, {s: w for s in sorted(best)}, {s: w for s in sorted(to_short)},
-                     "list2mle")
+def build_list2mle(scores_fwd: np.ndarray, scores_rvs: np.ndarray, stocks,
+                   k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Long the forward model's top k, short the bottom k of the
+    reverse-labeled model's return-oriented scores (its own top k).
+    Overlapping picks stay in both legs so the overlap diagnostic is
+    visible; their signed exposure nets to zero."""
+    return _legs(scores_fwd, scores_rvs, stocks, k)
 
 
-def _leg_turnover(current: dict[str, float], previous: dict[str, float] | None) -> float:
-    if not current:
-        return 0.0
-    if previous is None:
-        return 1.0
-    carried = len(set(current) & set(previous))
-    return 1.0 - carried / len(current)
+def _check_held(held: np.ndarray, returns: np.ndarray, dates, stocks) -> None:
+    bad = np.argwhere(held & ~np.isfinite(returns))
+    if bad.size:
+        week, col = bad[0]
+        raise DataError(f"missing realized return for held stock {stocks[col]} "
+                        f"on {dates[week]}")
 
 
-class WeekPnl(NamedTuple):
-    net: float
-    turnover: float
-    gross: float
-    cost: float
+def book_pnl(long: np.ndarray, short: np.ndarray, returns: np.ndarray, cost_bps: float,
+             dates, stocks) -> PnlSeries:
+    """Weekly pnl of a (weeks, N) book at fixed nominal.
 
-
-def week_pnl(current: Portfolio, previous: Portfolio | None,
-             realized_returns: dict[str, float], cost_bps: float) -> WeekPnl:
-    """Net return and turnover for one week at fixed nominal (gross and cost
-    ride along as extra named fields).
-
-    gross is long exposure times returns minus short exposure times returns;
-    cost is cost_bps * 1e-4 times the L1 change of the signed weight vector
-    (previous taken as flat on the first week); turnover is the per-leg
-    non-carried fraction averaged over the two legs.
+    gross is (long - short) . returns over the held stocks; cost is
+    cost_bps * 1e-4 times the L1 change of the signed weights, from a flat
+    start; turnover is the per-leg fraction of names not carried over from
+    the previous week (all of them on the first week), averaged over the
+    two legs. A held stock without a finite return raises DataError.
     """
-    for s in list(current.longs) + list(current.shorts):
-        if s not in realized_returns or not np.isfinite(realized_returns[s]):
-            raise DataError(f"missing realized return for held stock {s}")
-    gross = sum(w * realized_returns[s] for s, w in current.longs.items())
-    gross -= sum(w * realized_returns[s] for s, w in current.shorts.items())
-    now = current.signed_weights()
-    before = previous.signed_weights() if previous is not None else {}
-    traded = 0.0
-    for s in set(now) | set(before):
-        traded += abs(now.get(s, 0.0) - before.get(s, 0.0))
-    cost = cost_bps * 1e-4 * traded
-    trv = 0.5 * (
-        _leg_turnover(current.longs, previous.longs if previous else None)
-        + _leg_turnover(current.shorts, previous.shorts if previous else None)
-    )
-    return WeekPnl(gross - cost, trv, gross, cost)
+    legs = np.stack([long > 0, short > 0])
+    held = legs[0] | legs[1]
+    _check_held(held, returns, dates, stocks)
+    signed = long - short
+    gross = (signed * np.where(held, returns, 0.0)).sum(axis=1)
+    cost = cost_bps * 1e-4 * np.abs(np.diff(signed, axis=0, prepend=0.0)).sum(axis=1)
+    count = legs.sum(axis=2)
+    carried = np.zeros_like(count)
+    carried[:, 1:] = (legs[:, 1:] & legs[:, :-1]).sum(axis=2)
+    leg_trv = np.where(count > 0, 1.0 - carried / np.maximum(count, 1), 0.0)
+    trv = 0.5 * (leg_trv[0] + leg_trv[1])
+    return PnlSeries(list(dates), gross.tolist(), cost.tolist(), (gross - cost).tolist(),
+                     trv.tolist())
 
 
 def compute_stats(pnl: PnlSeries, rf_annual: float, periods_per_year: int = 52) -> StrategyStats:
@@ -339,7 +290,6 @@ def model_train_config(config: BacktestConfig, model: str, window_index: int) ->
         final_relu=final_relu,
         seed=_model_seed(config.seed, model, window_index),
         reverse_labels=reverse,
-        levels=config.levels,
         patience=config.patience,
     )
 
@@ -360,7 +310,7 @@ def train_window(panel: FactorPanel, plan: WindowPlan, models, config: BacktestC
     # dropping the median stock changes nothing on an even universe
     odd = wpanel.n_stocks % 2 == 1
     drop = {m: odd and tc.loss.even_length for m, tc in configs.items()}
-    lists = {d: ranked_train_weeks(wpanel, local, config.levels, require_even=d)
+    lists = {d: ranked_train_weeks(wpanel, local, require_even=d)
              for d in sorted(set(drop.values()))}
 
     def fit(model: str) -> ScoringNet:
@@ -375,87 +325,73 @@ def train_window(panel: FactorPanel, plan: WindowPlan, models, config: BacktestC
 
 
 def _score_window(panel: FactorPanel, plan: WindowPlan, models, config: BacktestConfig,
-                  window_index: int) -> tuple[list[str], dict[str, dict[str, np.ndarray]]]:
-    """Test dates and return-oriented scores of one window; the window's
-    normalized panel and training lists are freed on return."""
+                  window_index: int) -> tuple[list[str], dict[str, np.ndarray]]:
+    """Test dates and (weeks, N) return-oriented scores of one window; the
+    window's normalized panel and training lists are freed on return."""
     wpanel, nets = train_window(panel, plan, models, config, window_index)
     local = plan.localized()
     dates = list(wpanel.dates[local.test_range[0]:local.test_range[1]])
-    scores: dict[str, dict[str, np.ndarray]] = {}
+    scores = {}
     for model in models:
-        reverse = MODEL_SPECS[model][1]
-        scores[model] = {}
-        for date in dates:
-            raw = score_week(nets[model], wpanel, date)
-            scores[model][date] = -raw if reverse else raw
+        raw = np.stack([score_week(nets[model], wpanel, date) for date in dates])
+        scores[model] = -raw if MODEL_SPECS[model][1] else raw
     return dates, scores
 
 
 def run_backtest(panel: FactorPanel, strategies: list[StrategySpec],
                  config: BacktestConfig) -> BacktestResult:
     """Walk the rolling windows: train each required model per window once,
-    score every test week, build portfolios and account pnl sequentially.
+    score every test week, then build each strategy's (weeks, N) book and
+    account its pnl.
 
     Scoring models are deduplicated across strategies and seeded per
     (model, window), so results do not depend on the strategy list's
     composition or on the thread count. Windows are trained and scored one
-    at a time, so only one normalized window is held in memory.
+    at a time, so only one normalized window is held in memory. A lineup
+    whose strategies carry more than one k raises ValueError, because the
+    rank metrics are reported at a single k.
     """
+    k = _common_k(strategies)
     plans = [fit_norm_params(panel, p)
              for p in rolling_windows(panel.n_weeks, config.train_len, config.test_len)]
     models = sorted({m for s in strategies for m in s.required_models()})
-    scores: dict[str, dict[str, np.ndarray]] = {m: {} for m in models}
-    test_dates: list[str] = []
-    for wi, plan in enumerate(plans):
-        dates, window_scores = _score_window(panel, plan, models, config, wi)
-        test_dates += dates
-        for model in models:
-            scores[model].update(window_scores[model])
+    parts = [_score_window(panel, plan, models, config, wi) for wi, plan in enumerate(plans)]
+    test_dates = [d for dates, _ in parts for d in dates]
+    stacked = {m: np.concatenate([window[m] for _, window in parts]) for m in models}
+    returns = np.stack([panel.week_returns(d) for d in test_dates])
 
     pnl: dict[str, PnlSeries] = {}
     stats: dict[str, StrategyStats] = {}
     overlap: dict[str, float] = {}
     for strat in strategies:
-        series = PnlSeries()
-        previous: Portfolio | None = None
-        overlaps: list[int] = []
-        for date in test_dates:
-            idx = panel.week_index(date)
-            rets = panel.fwd_return[idx]
-            realized = {s: float(r) for s, r in zip(panel.stocks, rets)}
-            if strat.mode == "list2mle":
-                fwd = dict(zip(panel.stocks, scores["listmle"][date]))
-                # the short picker wants the reverse model's own (worst
-                # first) orientation back
-                rev = dict(zip(panel.stocks, -scores["listmle-rvs"][date]))
-                port = build_list2mle(date, fwd, rev, strat.k)
-                overlaps.append(port.overlap)
-            else:
-                sc = dict(zip(panel.stocks, scores[strat.model][date]))
-                if strat.mode == "ls":
-                    port = build_long_short(date, sc, strat.k)
-                elif strat.mode == "sa":
-                    port = build_short_average(date, sc, strat.k)
-                else:
-                    raise ValueError(f"unknown portfolio mode {strat.mode!r}")
-            wk = week_pnl(port, previous, realized, config.cost_bps)
-            series.append(date, wk.gross, wk.cost, wk.net, wk.turnover)
-            previous = port
-        pnl[strat.name] = series
-        stats[strat.name] = compute_stats(series, config.rf_annual)
         if strat.mode == "list2mle":
-            overlap[strat.name] = float(np.mean(overlaps)) if overlaps else 0.0
+            long, short = build_list2mle(stacked["listmle"], stacked["listmle-rvs"],
+                                         panel.stocks, strat.k)
+            overlap[strat.name] = float(np.mean(np.sum((long > 0) & (short > 0), axis=1)))
+        elif strat.mode == "ls":
+            long, short = build_long_short(stacked[strat.model], panel.stocks, strat.k)
+        elif strat.mode == "sa":
+            long, short = build_short_average(stacked[strat.model], panel.stocks, strat.k)
+        else:
+            raise ValueError(f"unknown portfolio mode {strat.mode!r}")
+        pnl[strat.name] = book_pnl(long, short, returns, config.cost_bps, test_dates,
+                                   panel.stocks)
+        stats[strat.name] = compute_stats(pnl[strat.name], config.rf_annual)
 
+    scores = {m: dict(zip(test_dates, stacked[m])) for m in models}
     rank_metrics = {
-        m: _model_rank_metrics(panel, scores[m], test_dates,
-                               k=_common_k(strategies), levels=config.levels)
+        m: _model_rank_metrics(panel, scores[m], test_dates, k=k, levels=config.levels)
         for m in models
     }
     return BacktestResult(strategies, pnl, stats, rank_metrics, scores, test_dates, overlap)
 
 
 def _common_k(strategies: list[StrategySpec]) -> int:
-    return strategies[0].k if strategies else 8
+    """The one cutoff of the lineup, which the NDCG@k family uses."""
+    ks = sorted({s.k for s in strategies})
+    if len(ks) > 1:
+        raise ValueError(f"strategies carry more than one k {ks}; the rank metrics need one")
+    return ks[0] if ks else 8
 
 
 def _model_rank_metrics(panel: FactorPanel, model_scores: dict[str, np.ndarray],
@@ -498,17 +434,20 @@ def cutoff_heatmap(scores_by_model: dict[str, dict[str, np.ndarray]], panel: Fac
     ks = list(k_range)
     if test_dates is None:
         test_dates = sorted(next(iter(scores_by_model.values())))
+    for k in ks:
+        _check_k(k, panel.n_stocks)
+    k_max = max(ks, default=0)
+    rows = np.asarray(ks, dtype=int) - 1
+    returns = np.stack([panel.week_returns(d) for d in test_dates])
     grid = np.zeros((len(ks), len(models)))
     for col, model in enumerate(models):
-        per_week = scores_by_model[model]
-        for row, k in enumerate(ks):
-            vals = []
-            for date in test_dates:
-                sc = dict(zip(panel.stocks, per_week[date]))
-                realized = dict(zip(panel.stocks, panel.week_returns(date)))
-                port = build_long_short(date, sc, k)
-                vals.append(week_pnl(port, None, realized, 0.0).gross)
-            grid[row, col] = 1e4 * float(np.mean(vals))
+        scores = np.stack([scores_by_model[model][d] for d in test_dates])
+        top, bottom = _rank(scores, panel.stocks), _rank(-scores, panel.stocks)
+        _check_held(_held(top, k_max) | _held(bottom, k_max), returns, test_dates,
+                    panel.stocks)
+        spread = (np.take_along_axis(returns, top[:, :k_max], axis=1).cumsum(axis=1)
+                  - np.take_along_axis(returns, bottom[:, :k_max], axis=1).cumsum(axis=1))
+        grid[:, col] = 1e4 * np.mean(0.5 * spread[:, rows] / (rows + 1), axis=0)
     return models, ks, grid
 
 

@@ -44,6 +44,7 @@ from .data import (
 )
 from .losses import LossSpec, Transform, listfold_loss
 from .neural import (
+    CheckpointError,
     TrainingDivergenceError,
     config_digest,
     forward,
@@ -437,6 +438,9 @@ def cmd_score(args) -> int:
         norm = load_checkpoint_norm(args.checkpoint)
     except OSError as exc:
         print(f"data error: cannot read checkpoint: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except CheckpointError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     try:
         panel = load_panel(args.panel)

@@ -68,6 +68,8 @@ class FactorPanel:
     def __post_init__(self):
         if len(self.dates) != len(set(self.dates)):
             raise DataError("duplicate dates in panel")
+        if len(self.stocks) != len(set(self.stocks)):
+            raise DataError("duplicate stock ids in panel")
         if list(self.dates) != sorted(self.dates):
             raise DataError("dates must be strictly increasing")
         d, s, f = len(self.dates), len(self.stocks), len(self.factor_names)
@@ -116,13 +118,12 @@ class RankedBatch:
     """One cross-section ordered by realized return.
 
     truth_order maps rank position -> row index, position 0 being the
-    highest realized return. labels are integer relevance grades in 1..L.
+    highest realized return.
     """
 
     features: np.ndarray  # (list_length, n_factors)
     truth_order: np.ndarray  # (list_length,) int
     returns: np.ndarray  # (list_length,)
-    labels: np.ndarray  # (list_length,) int
 
     def __post_init__(self):
         order = np.asarray(self.truth_order)
@@ -381,8 +382,7 @@ def rolling_windows(total_weeks: int, train_len: int, test_len: int) -> list[Win
     return plans
 
 
-def build_ranked_batch(panel: FactorPanel, date: str, levels: int = 10,
-                       require_even: bool = False) -> RankedBatch:
+def build_ranked_batch(panel: FactorPanel, date: str, require_even: bool = False) -> RankedBatch:
     """Assemble one week's cross-section sorted by realized return.
 
     With require_even set and an odd universe, the median-ranked stock (the
@@ -400,13 +400,13 @@ def build_ranked_batch(panel: FactorPanel, date: str, levels: int = 10,
         keep = np.ones(rets.size, dtype=bool)
         keep[drop] = False
         feats, rets = feats[keep], rets[keep]
+    if rets.size < 2:
+        raise DataError(f"week {date}: a ranked list needs at least 2 stocks, got {rets.size}")
     order = np.argsort(-rets, kind="stable")
-    labels = decile_labels(rets, levels=min(levels, rets.size))
-    return RankedBatch(features=feats, truth_order=order, returns=rets, labels=labels)
+    return RankedBatch(features=feats, truth_order=order, returns=rets)
 
 
-def ranked_train_weeks(panel: FactorPanel, window: WindowPlan, levels: int = 10,
-                       require_even: bool = False,
+def ranked_train_weeks(panel: FactorPanel, window: WindowPlan, require_even: bool = False,
                        access_log: list | None = None) -> list[RankedBatch]:
     """One RankedBatch per week of window.train_range, in week order.
 
@@ -419,7 +419,7 @@ def ranked_train_weeks(panel: FactorPanel, window: WindowPlan, levels: int = 10,
         raise DataError("empty train range")
     if access_log is not None:
         access_log.extend(range(lo, hi))
-    return [build_ranked_batch(panel, panel.dates[idx], levels=levels, require_even=require_even)
+    return [build_ranked_batch(panel, panel.dates[idx], require_even=require_even)
             for idx in range(lo, hi)]
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import FactorPanel, RankedBatch, WindowPlan, ranked_train_weeks
+from .data import DataError, FactorPanel, RankedBatch, WindowPlan, ranked_train_weeks
 from .losses import LossSpec, evaluate_loss
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "SgdState",
     "TrainingDivergenceError",
     "NonFiniteLossError",
+    "CheckpointError",
     "init_network",
     "forward",
     "forward_cached",
@@ -46,6 +47,11 @@ class NonFiniteLossError(RuntimeError):
 
 class TrainingDivergenceError(RuntimeError):
     """Ten consecutive batches produced non-finite losses."""
+
+
+class CheckpointError(DataError):
+    """A checkpoint lacks a required array, or a parameter's shape disagrees
+    with its layer_dims."""
 
 
 @dataclass
@@ -84,7 +90,6 @@ class TrainConfig:
     final_relu: bool = True
     seed: int = 0
     reverse_labels: bool = False
-    levels: int = 10
     patience: int | None = None  # stop after this many batches without improvement
 
     def __post_init__(self):
@@ -279,8 +284,8 @@ def train(panel: FactorPanel, window: WindowPlan, config: TrainConfig,
     already be dropped for the listfold and naive_pt families.
     """
     if lists is None:
-        lists = ranked_train_weeks(panel, window, config.levels,
-                                   require_even=config.loss.even_length, access_log=access_log)
+        lists = ranked_train_weeks(panel, window, require_even=config.loss.even_length,
+                                   access_log=access_log)
     net = init_network(panel.n_factors, config.seed, final_relu=config.final_relu)
     if config.total_batches == 0:
         return net
@@ -334,7 +339,6 @@ def config_digest(config: TrainConfig) -> str:
             config.final_relu,
             config.seed,
             config.reverse_labels,
-            config.levels,
             config.patience,
         )
     )
@@ -362,18 +366,27 @@ def save_checkpoint(net: ScoringNet, path, config_hash: str = "",
 
 
 def load_checkpoint(path) -> ScoringNet:
+    """The network saved by save_checkpoint. A missing array, or a w{i} /
+    b{i} whose shape disagrees with layer_dims, raises CheckpointError."""
     with np.load(path, allow_pickle=False) as blob:
-        dims = blob["layer_dims"].tolist()
-        n_layers = len(dims) - 1
-        weights = [blob[f"w{i}"] for i in range(n_layers)]
-        biases = [blob[f"b{i}"] for i in range(n_layers)]
-        return ScoringNet(
-            layer_dims=dims,
-            weights=weights,
-            biases=biases,
-            final_relu=bool(blob["final_relu"][0]),
-            seed=int(blob["seed"][0]),
-        )
+        arrays = dict(blob)
+    missing = [key for key in ("layer_dims", "final_relu", "seed") if key not in arrays]
+    if missing:
+        raise CheckpointError(f"{path}: missing {', '.join(missing)}")
+    dims = np.ravel(arrays["layer_dims"]).tolist()
+    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+        for key, shape in ((f"w{i}", (fan_in, fan_out)), (f"b{i}", (fan_out,))):
+            got = arrays[key].shape if key in arrays else "missing"
+            if got != shape:
+                raise CheckpointError(f"{path}: {key} is {got}, layer_dims {dims} need {shape}")
+    n_layers = len(dims) - 1
+    return ScoringNet(
+        layer_dims=dims,
+        weights=[arrays[f"w{i}"] for i in range(n_layers)],
+        biases=[arrays[f"b{i}"] for i in range(n_layers)],
+        final_relu=bool(arrays["final_relu"][0]),
+        seed=int(arrays["seed"][0]),
+    )
 
 
 def load_checkpoint_norm(path):

@@ -186,10 +186,9 @@ def test_criterion_7_metrics():
 
 def test_criterion_8_backtest_accounting():
     def series(returns, turnover):
-        s = PnlSeries()
-        for i, (r, t) in enumerate(zip(returns, turnover)):
-            s.append(f"W{i:02d}", r, 0.0, r, t)
-        return s
+        dates = [f"W{i:02d}" for i in range(len(returns))]
+        return PnlSeries(dates, list(returns), [0.0] * len(returns), list(returns),
+                         list(turnover))
 
     # cumulative path (0, 1.0, 0.5, 0.8): drawdown exactly one half
     stats = compute_stats(series([1.0, -0.5, 0.3], [1.0, 0.5, 0.25]), rf_annual=0.0)

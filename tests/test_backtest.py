@@ -10,6 +10,7 @@ from listfold.backtest import (
     PnlSeries,
     StrategySpec,
     batch_size_grid,
+    book_pnl,
     build_list2mle,
     build_long_short,
     build_short_average,
@@ -19,137 +20,265 @@ from listfold.backtest import (
     standard_strategies,
     run_backtest,
     train_window,
-    week_pnl,
 )
-from listfold.data import (DataError, fit_norm_params, generate_synthetic_panel,
+from listfold.data import (DataError, FactorPanel, fit_norm_params, generate_synthetic_panel,
                            minmax_normalize, rolling_windows)
 from listfold.neural import train
 
 
 def series_from(returns, turnover=None):
-    s = PnlSeries()
-    for i, r in enumerate(returns):
-        t = turnover[i] if turnover is not None else 0.0
-        s.append(f"W{i:03d}", r, 0.0, r, t)
-    return s
+    n = len(returns)
+    return PnlSeries([f"W{i:03d}" for i in range(n)], list(returns), [0.0] * n,
+                     list(returns), list(turnover) if turnover is not None else [0.0] * n)
+
+
+def week(scores: dict):
+    """One week's {stock: score} as a (1, N) score array and its stock ids."""
+    return np.array([list(scores.values())], dtype=float), tuple(scores)
+
+
+def held(weights, stocks, row=0):
+    """{stock: weight} of one row of a leg's weight array."""
+    return {s: w for s, w in zip(stocks, weights[row]) if w > 0}
+
+
+def book(builder, scores: dict, k: int):
+    """The (long, short) {stock: weight} dicts of a one-week book."""
+    sc, stocks = week(scores)
+    long, short = builder(sc, stocks, k)
+    return held(long, stocks), held(short, stocks)
+
+
+def price_week(long, short, returns: dict, cost_bps: float, row=0):
+    """(gross, cost, net, turnover) of one row of a book priced by book_pnl."""
+    stocks = tuple(returns)
+    rets = np.tile([returns[s] for s in stocks], (long.shape[0], 1))
+    series = book_pnl(long, short, rets, cost_bps, [f"w{i}" for i in range(len(rets))],
+                      stocks)
+    return (series.gross[row], series.cost_paid[row], series.weekly_returns[row],
+            series.turnover[row])
 
 
 class TestBuildLongShort:
     def test_eighty_stocks_k8(self):
-        scores = {f"S{i:02d}": float(i) for i in range(80)}
-        port = build_long_short("w", scores, 8)
-        assert len(port.longs) == 8 and len(port.shorts) == 8
-        assert all(w == pytest.approx(1 / 16) for w in port.longs.values())
-        assert set(port.longs) == {f"S{i}" for i in range(72, 80)}
-        assert set(port.shorts) == {f"S{i:02d}" for i in range(8)}
+        longs, shorts = book(build_long_short, {f"S{i:02d}": float(i) for i in range(80)}, 8)
+        assert len(longs) == 8 and len(shorts) == 8
+        assert all(w == pytest.approx(1 / 16) for w in longs.values())
+        assert set(longs) == {f"S{i}" for i in range(72, 80)}
+        assert set(shorts) == {f"S{i:02d}" for i in range(8)}
 
     def test_two_stocks(self):
-        port = build_long_short("w", {"A": 0.5, "B": -0.5}, 1)
-        assert port.longs == {"A": 0.5} and port.shorts == {"B": 0.5}
+        longs, shorts = book(build_long_short, {"A": 0.5, "B": -0.5}, 1)
+        assert longs == {"A": 0.5} and shorts == {"B": 0.5}
 
     def test_tie_at_boundary_prefers_lower_stock_id(self):
         scores = {"A": 1.0, "B": 1.0, "C": 0.0, "D": -1.0}
         for _ in range(3):
-            port = build_long_short("w", scores, 1)
-            assert port.longs == {"A": 0.5}
-            assert port.shorts == {"D": 0.5}
-        tied_low = build_long_short("w", {"A": 0.0, "B": -1.0, "C": -1.0, "D": 1.0}, 1)
-        assert tied_low.shorts == {"B": 0.5}
+            longs, shorts = book(build_long_short, scores, 1)
+            assert longs == {"A": 0.5}
+            assert shorts == {"D": 0.5}
+        _, tied_low = book(build_long_short, {"A": 0.0, "B": -1.0, "C": -1.0, "D": 1.0}, 1)
+        assert tied_low == {"B": 0.5}
+
+    def test_tie_rule_holds_when_ids_are_not_in_lexical_order(self):
+        # lexically "S1" < "S10" < "S2", whatever the column order
+        longs, shorts = book(build_long_short, {"S2": 1.0, "S10": 1.0, "S1": 0.0, "S3": 0.0}, 1)
+        assert longs == {"S10": 0.5} and shorts == {"S1": 0.5}
+        longs, shorts = book(build_long_short, {"S2": 1.0, "S10": 1.0, "S1": 1.0}, 1)
+        assert longs == {"S1": 0.5} and shorts == {"S1": 0.5}
 
     def test_universe_too_small(self):
+        sc, stocks = week({"A": 1.0, "B": 0.0})
         with pytest.raises(ValueError):
-            build_long_short("w", {"A": 1.0, "B": 0.0}, 2)
+            build_long_short(sc, stocks, 2)
         with pytest.raises(ValueError):
-            build_long_short("w", {"A": 1.0, "B": 0.0}, 0)
+            build_long_short(sc, stocks, 0)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 6), st.integers(0, 100))
     def test_dollar_neutral(self, k, seed):
         rng = np.random.default_rng(seed)
-        scores = {f"S{i}": float(v) for i, v in enumerate(rng.normal(size=16))}
-        port = build_long_short("w", scores, k)
-        assert abs(sum(port.signed_weights().values())) < 1e-12
+        sc, stocks = week({f"S{i}": float(v) for i, v in enumerate(rng.normal(size=16))})
+        long, short = build_long_short(sc, stocks, k)
+        assert abs(np.sum(long - short)) < 1e-12
+
+    def test_every_week_is_built_alone(self):
+        rng = np.random.default_rng(3)
+        scores = rng.integers(0, 4, size=(6, 10)).astype(float)
+        stocks = tuple(f"S{j}" for j in rng.permutation(10))
+        long, short = build_long_short(scores, stocks, 3)
+        for w in range(6):
+            one_long, one_short = build_long_short(scores[w:w + 1], stocks, 3)
+            np.testing.assert_array_equal(long[w], one_long[0])
+            np.testing.assert_array_equal(short[w], one_short[0])
 
 
 class TestBuildShortAverage:
     def test_four_stocks_k1(self):
-        port = build_short_average("w", {"A": 3.0, "B": 2.0, "C": 1.0, "D": 0.0}, 1)
-        assert port.longs == {"A": 0.5}
-        assert port.shorts == {s: 0.125 for s in "ABCD"}
-        assert abs(sum(port.signed_weights().values())) < 1e-12
+        sc, stocks = week({"A": 3.0, "B": 2.0, "C": 1.0, "D": 0.0})
+        long, short = build_short_average(sc, stocks, 1)
+        assert held(long, stocks) == {"A": 0.5}
+        assert held(short, stocks) == {s: 0.125 for s in "ABCD"}
+        assert abs(np.sum(long - short)) < 1e-12
 
     def test_all_equal_scores_tie_rule(self):
-        port = build_short_average("w", {"C": 1.0, "A": 1.0, "B": 1.0}, 2)
-        assert set(port.longs) == {"A", "B"}
+        longs, _ = book(build_short_average, {"C": 1.0, "A": 1.0, "B": 1.0}, 2)
+        assert set(longs) == {"A", "B"}
+
+    def test_universe_too_small(self):
+        sc, stocks = week({"A": 1.0, "B": 0.0})
+        build_short_average(sc, stocks, 2)
+        with pytest.raises(ValueError):
+            build_short_average(sc, stocks, 3)
+        with pytest.raises(ValueError):
+            build_short_average(sc, stocks, 0)
 
     def test_return_identity(self):
         # portfolio return = 0.5 * (mean of top-k returns - mean of all)
         rng = np.random.default_rng(1)
         rets = {f"S{i}": float(r) for i, r in enumerate(rng.uniform(-0.05, 0.05, 10))}
-        scores = {s: rets[s] for s in rets}
-        port = build_short_average("w", scores, 3)
-        got = week_pnl(port, None, rets, 0.0).gross
+        sc, stocks = week(rets)
+        long, short = build_short_average(sc, stocks, 3)
+        got = price_week(long, short, rets, 0.0)[0]
         top = sorted(rets.values(), reverse=True)[:3]
         want = 0.5 * (np.mean(top) - np.mean(list(rets.values())))
         assert got == pytest.approx(want, abs=1e-15)
 
 
+def overlap(long, short):
+    return int(np.sum((long > 0) & (short > 0)))
+
+
 class TestBuildList2mle:
+    # the reverse-labeled model's scores are stored return oriented, so the
+    # stocks it ranks first (to short) are its lowest stored scores
     def test_disjoint_tops_look_like_long_short(self):
-        fwd = {"A": 3.0, "B": 2.0, "C": 1.0, "D": 0.0}
-        rev = {"A": 0.0, "B": 1.0, "C": 2.0, "D": 3.0}
-        port = build_list2mle("w", fwd, rev, 1)
-        assert port.longs == {"A": 0.5} and port.shorts == {"D": 0.5}
-        assert port.overlap == 0
+        fwd, stocks = week({"A": 3.0, "B": 2.0, "C": 1.0, "D": 0.0})
+        rvs, _ = week({"A": -0.0, "B": -1.0, "C": -2.0, "D": -3.0})
+        long, short = build_list2mle(fwd, rvs, stocks, 1)
+        assert held(long, stocks) == {"A": 0.5} and held(short, stocks) == {"D": 0.5}
+        assert overlap(long, short) == 0
 
     def test_identical_scores_report_overlap(self):
-        sc = {"A": 3.0, "B": 2.0, "C": 1.0, "D": 0.0}
-        port = build_list2mle("w", sc, sc, 1)
-        assert port.overlap == 1
-        assert abs(sum(port.signed_weights().values())) < 1e-12
+        sc, stocks = week({"A": 3.0, "B": 2.0, "C": 1.0, "D": 0.0})
+        long, short = build_list2mle(sc, -sc, stocks, 1)
+        assert overlap(long, short) == 1
+        assert abs(np.sum(long - short)) < 1e-12
 
     def test_universe_mismatch(self):
         with pytest.raises(ValueError):
-            build_list2mle("w", {"A": 1.0, "B": 0.0}, {"A": 1.0, "C": 0.0}, 1)
+            build_list2mle(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0, 2.0]]), ("A", "B"), 1)
 
 
 class TestWeekPnl:
     def test_identical_portfolios_no_turnover_no_cost(self):
-        port = build_long_short("w", {"A": 2.0, "B": 1.0, "C": 0.0, "D": -1.0}, 1)
-        rets = {s: 0.01 for s in "ABCD"}
-        wk = week_pnl(port, port, rets, 30.0)
-        assert wk.turnover == 0.0 and wk.cost == 0.0
+        sc, stocks = week({"A": 2.0, "B": 1.0, "C": 0.0, "D": -1.0})
+        long, short = build_long_short(np.vstack([sc, sc]), stocks, 1)
+        _, cost, _, trv = price_week(long, short, {s: 0.01 for s in "ABCD"}, 30.0, row=1)
+        assert trv == 0.0 and cost == 0.0
 
     def test_disjoint_portfolios_full_turnover(self):
-        a = build_long_short("w1", {"A": 2.0, "B": 1.0, "C": 0.5, "D": 0.0}, 1)
-        b = build_long_short("w2", {"A": 0.0, "B": 2.0, "C": 1.0, "D": 3.0}, 1)
-        wk = week_pnl(b, a, {s: 0.0 for s in "ABCD"}, 30.0)
-        assert wk.turnover == 1.0
+        a, stocks = week({"A": 2.0, "B": 1.0, "C": 0.5, "D": 0.0})
+        b, _ = week({"A": 0.0, "B": 2.0, "C": 1.0, "D": 3.0})
+        long, short = build_long_short(np.vstack([a, b]), stocks, 1)
+        _, cost, _, trv = price_week(long, short, {s: 0.0 for s in "ABCD"}, 30.0, row=1)
+        assert trv == 1.0
         # full rebuild trades 4 half-units: 2 bps at 30 bps/unit -> 0.5*4*30e-4
-        assert wk.cost == pytest.approx(30e-4 * 2.0)
+        assert cost == pytest.approx(30e-4 * 2.0)
+
+    def test_first_week_trades_from_flat(self):
+        sc, stocks = week({"A": 2.0, "B": 1.0, "C": 0.0, "D": -1.0})
+        long, short = build_long_short(sc, stocks, 1)
+        _, cost, _, trv = price_week(long, short, {s: 0.0 for s in "ABCD"}, 30.0)
+        assert trv == 1.0 and cost == pytest.approx(30e-4 * 1.0)
 
     def test_hand_arithmetic(self):
-        port = build_long_short("w", {"A": 1.0, "B": 0.0}, 1)
-        wk = week_pnl(port, None, {"A": 0.02, "B": -0.01}, 0.0)
-        assert wk.net == pytest.approx(0.5 * 0.02 - 0.5 * (-0.01), abs=1e-15)
+        sc, stocks = week({"A": 1.0, "B": 0.0})
+        long, short = build_long_short(sc, stocks, 1)
+        net = price_week(long, short, {"A": 0.02, "B": -0.01}, 0.0)[2]
+        assert net == pytest.approx(0.5 * 0.02 - 0.5 * (-0.01), abs=1e-15)
 
     def test_missing_return_rejected(self):
-        port = build_long_short("w", {"A": 1.0, "B": 0.0}, 1)
-        with pytest.raises(DataError):
-            week_pnl(port, None, {"A": 0.01}, 0.0)
+        sc, stocks = week({"A": 1.0, "B": 0.0})
+        long, short = build_long_short(sc, stocks, 1)
+        with pytest.raises(DataError, match="held stock B on w0"):
+            price_week(long, short, {"A": 0.01, "B": np.nan}, 0.0)
+
+    def test_unheld_missing_return_is_ignored(self):
+        sc, stocks = week({"A": 2.0, "B": 1.0, "C": 0.0})
+        long, short = build_long_short(sc, stocks, 1)
+        gross = price_week(long, short, {"A": 0.02, "B": np.nan, "C": -0.01}, 0.0)[0]
+        assert gross == pytest.approx(0.5 * 0.02 - 0.5 * (-0.01), abs=1e-15)
 
     def test_cost_never_helps(self):
         rng = np.random.default_rng(2)
-        prev = None
-        for i in range(5):
-            scores = {f"S{j}": float(v) for j, v in enumerate(rng.normal(size=8))}
-            rets = {s: float(r) for s, r in zip(scores, rng.uniform(-0.05, 0.05, 8))}
-            port = build_long_short(f"w{i}", scores, 2)
-            wk = week_pnl(port, prev, rets, 30.0)
-            assert wk.net <= wk.gross + 1e-15
-            if wk.turnover == 0:
-                assert wk.cost == 0.0
-            prev = port
+        scores = rng.normal(size=(5, 8))
+        rets = rng.uniform(-0.05, 0.05, size=(5, 8))
+        stocks = tuple(f"S{j}" for j in range(8))
+        long, short = build_long_short(scores, stocks, 2)
+        series = book_pnl(long, short, rets, 30.0, [f"w{i}" for i in range(5)], stocks)
+        for gross, cost, net, trv in zip(series.gross, series.cost_paid,
+                                         series.weekly_returns, series.turnover):
+            assert net <= gross + 1e-15
+            if trv == 0:
+                assert cost == 0.0
+
+
+def reference_legs(mode, fwd, rvs, ids, k):
+    """Leg index sets of one week, by sorting (score, id) keys in Python."""
+    n = len(ids)
+    top = sorted(range(n), key=lambda j: (-fwd[j], ids[j]))[:k]
+    if mode == "sa":
+        return set(top), set(range(n))
+    return set(top), set(sorted(range(n), key=lambda j: (rvs[j], ids[j]))[:k])
+
+
+def reference_pnl(long, short, returns, cost_bps):
+    """(gross, cost, turnover) per week by a loop over the held stocks."""
+    out, before, legs_before = [], np.zeros(long.shape[1]), None
+    for w in range(long.shape[0]):
+        legs = [set(np.flatnonzero(long[w])), set(np.flatnonzero(short[w]))]
+        gross = sum(long[w, j] * returns[w, j] for j in sorted(legs[0]))
+        gross -= sum(short[w, j] * returns[w, j] for j in sorted(legs[1]))
+        now = long[w] - short[w]
+        cost = cost_bps * 1e-4 * sum(abs(now[j] - before[j]) for j in range(len(now)))
+        trv = [1.0 if legs_before is None else 1.0 - len(leg & old) / len(leg)
+               for leg, old in zip(legs, legs_before or [None, None])]
+        out.append((gross, cost, 0.5 * (trv[0] + trv[1])))
+        before, legs_before = now, legs
+    return out
+
+
+class TestBooksAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 12), st.integers(1, 5), st.sampled_from(["ls", "sa", "list2mle"]),
+           st.integers(0, 10**6), st.data())
+    def test_legs_and_pnl_match_a_per_week_loop(self, n, weeks, mode, seed, data):
+        rng = np.random.default_rng(seed)
+        k = data.draw(st.integers(1, n if mode == "sa" else n // 2))
+        # ids out of lexical order ("S10" < "S2") and integer scores with many ties
+        ids = tuple(f"S{j}" for j in rng.permutation(n) * 3)
+        fwd = rng.integers(0, 3, size=(weeks, n))
+        rvs = rng.integers(0, 3, size=(weeks, n)) if mode == "list2mle" else fwd
+        returns = rng.normal(0.0, 0.03, size=(weeks, n))
+        if mode == "ls":
+            long, short = build_long_short(fwd, ids, k)
+        elif mode == "sa":
+            long, short = build_short_average(fwd, ids, k)
+        else:
+            long, short = build_list2mle(fwd, rvs, ids, k)
+        for w in range(weeks):
+            want_long, want_short = reference_legs(mode, fwd[w], rvs[w], ids, k)
+            assert set(np.flatnonzero(long[w])) == want_long
+            assert set(np.flatnonzero(short[w])) == want_short
+        series = book_pnl(long, short, returns, 30.0, [f"w{i}" for i in range(weeks)], ids)
+        want = reference_pnl(long, short, returns, 30.0)
+        np.testing.assert_allclose(series.gross, [g for g, _, _ in want], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(series.cost_paid, [c for _, c, _ in want], rtol=0,
+                                   atol=1e-15)
+        np.testing.assert_allclose(series.weekly_returns, [g - c for g, c, _ in want],
+                                   rtol=0, atol=1e-15)
+        assert series.turnover == [t for _, _, t in want]
 
 
 class TestComputeStats:
@@ -230,12 +359,21 @@ class TestRunBacktest:
         series = result.pnl[name]
         # recompute the first week by legs
         date = result.test_dates[0]
-        sc = dict(zip(panel.stocks, result.scores["listfold-exp"][date]))
-        port = build_long_short(date, sc, 2)
+        long, short = build_long_short(result.scores["listfold-exp"][date][None, :],
+                                       panel.stocks, 2)
         rets = dict(zip(panel.stocks, panel.week_returns(date)))
-        long_leg = sum(w * rets[s] for s, w in port.longs.items())
-        short_leg = -sum(w * rets[s] for s, w in port.shorts.items())
+        long_leg = sum(w * rets[s] for s, w in held(long, panel.stocks).items())
+        short_leg = -sum(w * rets[s] for s, w in held(short, panel.stocks).items())
         assert series.gross[0] == pytest.approx(long_leg + short_leg, abs=1e-15)
+
+    def test_mixed_k_lineup_rejected(self):
+        panel = generate_synthetic_panel(32, weeks=80, stocks=12, factors=6,
+                                         signal_strength=0.0, noise_scale=1.0)
+        cfg = BacktestConfig(train_len=50, test_len=15, batch_size=4, total_batches=1)
+        strategies = [StrategySpec("ListMLE", "listmle", "ls", 2),
+                      StrategySpec("ListMLE-sa", "listmle", "sa", 3)]
+        with pytest.raises(ValueError, match=r"\[2, 3\]"):
+            run_backtest(panel, strategies, cfg)
 
     def test_zero_signal_panel_runs_clean(self):
         panel = generate_synthetic_panel(32, weeks=80, stocks=12, factors=6,
@@ -272,6 +410,36 @@ class TestCutoffHeatmap:
         half = panel.n_stocks // 2
         want = 1e4 * 0.5 * (rets[half:].mean() - rets[:half].mean())
         assert grid[0, 0] == pytest.approx(want, abs=1e-9)
+
+
+    def test_every_k_is_the_book_at_that_k_without_cost(self, small_backtest):
+        panel, cfg, strategies, result = small_backtest
+        ks = range(1, panel.n_stocks // 2 + 1)
+        models, _, grid = cutoff_heatmap(result.scores, panel, ks, result.test_dates)
+        returns = np.stack([panel.week_returns(d) for d in result.test_dates])
+        for col, model in enumerate(models):
+            scores = np.stack([result.scores[model][d] for d in result.test_dates])
+            for row, k in enumerate(ks):
+                long, short = build_long_short(scores, panel.stocks, k)
+                series = book_pnl(long, short, returns, 0.0, result.test_dates, panel.stocks)
+                assert grid[row, col] == pytest.approx(1e4 * np.mean(series.gross), abs=1e-9)
+
+    def test_cutoff_checks(self, small_backtest):
+        panel, cfg, strategies, result = small_backtest
+        for ks in ([0], [panel.n_stocks // 2 + 1]):
+            with pytest.raises(ValueError):
+                cutoff_heatmap(result.scores, panel, ks, result.test_dates)
+
+    def test_held_missing_return_names_stock_and_date(self):
+        stocks = ("S2", "S10", "S1", "S3")
+        fwd = np.array([[0.03, 0.01, np.nan, -0.02]])
+        panel = FactorPanel(("2020-01-03",), stocks, ("f",), np.zeros((1, 4, 1)), fwd)
+        scores = {"m": {"2020-01-03": np.array([3.0, 2.0, 1.0, 0.0])}}
+        # k = 1 holds S2 and S3 only; k = 2 also holds S1, whose return is missing
+        _, _, grid = cutoff_heatmap(scores, panel, [1])
+        assert grid[0, 0] == pytest.approx(1e4 * 0.5 * (0.03 + 0.02), abs=1e-9)
+        with pytest.raises(DataError, match="S1 on 2020-01-03"):
+            cutoff_heatmap(scores, panel, [1, 2])
 
 
 class TestTrainWindow:

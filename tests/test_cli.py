@@ -9,7 +9,7 @@ from listfold.backtest import StrategySpec, run_backtest
 from listfold.cli import (main, parse_config_file, build_run_config, ConfigError,
                           _backtest_config)
 from listfold.data import apply_norm_params, load_panel, rolling_windows
-from listfold.neural import forward, load_checkpoint, load_checkpoint_norm
+from listfold.neural import CheckpointError, forward, load_checkpoint, load_checkpoint_norm
 
 
 @pytest.fixture(scope="module")
@@ -234,3 +234,33 @@ class TestTrainScoreCommands:
         rc = main(["train", "--config", str(base_config), "--model", "gru",
                    "--checkpoint", str(tmp_path / "c.npz")])
         assert rc == 1
+
+    @pytest.fixture
+    def checkpoint_arrays(self, base_config, tmp_path):
+        ck = tmp_path / "model.npz"
+        assert main(["train", "--config", str(base_config), "--model", "mlp",
+                     "--window", "0", "--checkpoint", str(ck)]) == 0
+        with np.load(ck) as blob:
+            return dict(blob)
+
+    def _score_malformed(self, arrays, panel_csv, tmp_path):
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(bad)
+        panel = load_panel(panel_csv)
+        return main(["score", "--checkpoint", str(bad), "--panel", str(panel_csv),
+                     "--week", panel.dates[65], "--out", str(tmp_path / "s.csv")])
+
+    def test_checkpoint_without_layer_dims_is_a_data_error(self, checkpoint_arrays,
+                                                           panel_csv, tmp_path, capsys):
+        del checkpoint_arrays["layer_dims"]
+        assert self._score_malformed(checkpoint_arrays, panel_csv, tmp_path) == 2
+        assert "data error:" in capsys.readouterr().err
+
+    def test_checkpoint_weight_of_wrong_shape_is_a_data_error(self, checkpoint_arrays,
+                                                              panel_csv, tmp_path, capsys):
+        checkpoint_arrays["w1"] = checkpoint_arrays["w1"][:, :-1]
+        assert self._score_malformed(checkpoint_arrays, panel_csv, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "data error:" in err and "w1" in err

@@ -295,13 +295,13 @@ class TestSyntheticPanel:
 class TestRankedBatch:
     def test_truth_order_sorts_returns(self):
         panel = generate_synthetic_panel(12, 5, 9, 3, 0.5)
-        batch = build_ranked_batch(panel, panel.dates[0], levels=3)
+        batch = build_ranked_batch(panel, panel.dates[0])
         ranked = batch.returns[batch.truth_order]
         assert np.all(np.diff(ranked) <= 0)
 
     def test_odd_universe_drops_median_rank(self):
         panel = generate_synthetic_panel(13, 3, 9, 3, 0.5)
-        batch = build_ranked_batch(panel, panel.dates[0], levels=3, require_even=True)
+        batch = build_ranked_batch(panel, panel.dates[0], require_even=True)
         assert batch.list_length == 8
         full = np.sort(panel.week_returns(panel.dates[0]))[::-1]
         kept = np.sort(batch.returns)[::-1]
@@ -312,4 +312,20 @@ class TestRankedBatch:
         fwd = np.array([[0.1, np.nan, 0.0, 0.2]])
         panel = tiny_panel(factors, fwd)
         with pytest.raises(DataError, match="missing forward returns"):
-            build_ranked_batch(panel, panel.dates[0], levels=2)
+            build_ranked_batch(panel, panel.dates[0])
+
+    @pytest.mark.parametrize("stocks, require_even", [(1, False), (1, True), (0, False)])
+    def test_fewer_than_two_stocks_rejected(self, stocks, require_even):
+        panel = tiny_panel(np.zeros((1, stocks, 2)), np.full((1, stocks), 0.01))
+        with pytest.raises(DataError, match="at least 2 stocks"):
+            build_ranked_batch(panel, panel.dates[0], require_even=require_even)
+
+
+class TestFactorPanel:
+    def test_duplicate_stock_ids_rejected(self):
+        with pytest.raises(DataError, match="duplicate stock ids"):
+            tiny_panel(np.zeros((2, 3, 1)), np.zeros((2, 3)), stocks=("A", "B", "A"))
+
+    def test_duplicate_dates_rejected(self):
+        with pytest.raises(DataError, match="duplicate dates"):
+            tiny_panel(np.zeros((2, 3, 1)), np.zeros((2, 3)), dates=("W1", "W1"))

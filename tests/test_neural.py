@@ -169,20 +169,19 @@ class TestBackward:
 
 def build_batch_from_rows(features, returns):
     order = np.argsort(-np.asarray(returns), kind="stable")
-    from listfold.data import RankedBatch, decile_labels
+    from listfold.data import RankedBatch
 
     return RankedBatch(
         features=np.asarray(features, dtype=float),
         truth_order=order,
         returns=np.asarray(returns, dtype=float),
-        labels=decile_labels(returns, levels=2),
     )
 
 
 class TestTrainStep:
     def test_zero_learning_rate_keeps_parameters(self):
         wp, local = normalized_window()
-        batch = build_ranked_batch(wp, wp.dates[0], levels=6)
+        batch = build_ranked_batch(wp, wp.dates[0])
         net = init_network(wp.n_factors, 3)
         before = [p.copy() for p in net.parameters()]
         train_step(net, [batch], FOLD_EXP, SgdState(lr=0.0))
@@ -191,7 +190,7 @@ class TestTrainStep:
 
     def test_adam_moves_parameters(self):
         wp, local = normalized_window()
-        batch = build_ranked_batch(wp, wp.dates[0], levels=6)
+        batch = build_ranked_batch(wp, wp.dates[0])
         net = init_network(wp.n_factors, 3)
         before = [p.copy() for p in net.parameters()]
         train_step(net, [batch], FOLD_EXP, AdamState(lr=1e-3))
@@ -201,7 +200,7 @@ class TestTrainStep:
 class TestBatchedLoss:
     def _batch(self, weeks=4):
         wp, _ = normalized_window()
-        return wp, [build_ranked_batch(wp, wp.dates[i], levels=6) for i in range(weeks)]
+        return wp, [build_ranked_batch(wp, wp.dates[i]) for i in range(weeks)]
 
     @pytest.mark.parametrize("spec", [FOLD_EXP, LossSpec("listmle", Transform("sigmoid")),
                                       LossSpec("mse")])
@@ -235,7 +234,7 @@ class TestTrain:
 
     def test_planted_signal_learned_out_of_window(self):
         wp, local = normalized_window(seed=21, signal=1.0, noise=0.25)
-        cfg = TrainConfig(loss=FOLD_EXP, batch_size=8, total_batches=60, seed=1, levels=6)
+        cfg = TrainConfig(loss=FOLD_EXP, batch_size=8, total_batches=60, seed=1)
         net = train(wp, local, cfg)
         ics = [
             spearman_ic(score_week(net, wp, wp.dates[t]), wp.week_returns(wp.dates[t]))
@@ -245,7 +244,7 @@ class TestTrain:
 
     def test_zero_signal_learns_nothing(self):
         wp, local = normalized_window(seed=22, signal=0.0, noise=1.0)
-        cfg = TrainConfig(loss=FOLD_EXP, batch_size=8, total_batches=60, seed=1, levels=6)
+        cfg = TrainConfig(loss=FOLD_EXP, batch_size=8, total_batches=60, seed=1)
         net = train(wp, local, cfg)
         ics = [
             spearman_ic(score_week(net, wp, wp.dates[t]), wp.week_returns(wp.dates[t]))
@@ -255,7 +254,7 @@ class TestTrain:
 
     def test_deterministic_given_seed(self):
         wp, local = normalized_window()
-        cfg = TrainConfig(loss=FOLD_EXP, batch_size=4, total_batches=15, seed=9, levels=6)
+        cfg = TrainConfig(loss=FOLD_EXP, batch_size=4, total_batches=15, seed=9)
         a, b = train(wp, local, cfg), train(wp, local, cfg)
         for p, q in zip(a.parameters(), b.parameters()):
             assert p.tobytes() == q.tobytes()
@@ -263,7 +262,7 @@ class TestTrain:
     def test_never_touches_test_weeks(self):
         wp, local = normalized_window()
         accesses: list = []
-        cfg = TrainConfig(loss=FOLD_EXP, batch_size=4, total_batches=10, seed=9, levels=6)
+        cfg = TrainConfig(loss=FOLD_EXP, batch_size=4, total_batches=10, seed=9)
         train(wp, local, cfg, access_log=accesses)
         assert accesses
         assert set(accesses) <= set(range(*local.train_range))
@@ -272,15 +271,14 @@ class TestTrain:
     def test_divergence_raises_after_ten_bad_batches(self):
         wp, local = normalized_window()
         cfg = TrainConfig(loss=LossSpec("mse"), batch_size=4, total_batches=60,
-                          learning_rate=1e25, optimizer="sgd", final_relu=False, seed=0,
-                          levels=6)
+                          learning_rate=1e25, optimizer="sgd", final_relu=False, seed=0)
         with pytest.raises(TrainingDivergenceError):
             train(wp, local, cfg)
 
     def test_early_stopping_knob_caps_batches(self):
         wp, local = normalized_window()
         base = TrainConfig(loss=FOLD_EXP, batch_size=4, total_batches=400, seed=9,
-                           levels=6, patience=3, learning_rate=0.0)
+                           patience=3, learning_rate=0.0)
         # lr 0 never improves, so training stops after the patience window
         net = train(wp, local, base)
         want = init_network(wp.n_factors, 9)
@@ -307,7 +305,7 @@ class TestScoreWeek:
 class TestCheckpoint:
     def test_roundtrip_reproduces_forward_bits(self, tmp_path):
         wp, local = normalized_window()
-        cfg = TrainConfig(loss=FOLD_EXP, batch_size=4, total_batches=10, seed=4, levels=6)
+        cfg = TrainConfig(loss=FOLD_EXP, batch_size=4, total_batches=10, seed=4)
         net = train(wp, local, cfg)
         path = tmp_path / "model.npz"
         save_checkpoint(net, path, "abc123", norm_params=(np.zeros(6), np.ones(6)))
