@@ -31,7 +31,6 @@ from .losses import (
     Transform,
     evaluate_loss,
     exponential,
-    linear,
     listfold_loss,
     listmle_loss,
     loss_gradient_check,

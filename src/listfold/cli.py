@@ -5,7 +5,8 @@ Subcommands: backtest, verify, simulate, synth, train, score. Options can
 come from ``--config path`` (a flat ``key = value`` file with ``#``
 comments) with individual flags overriding. Exit codes are fixed so CI can
 assert failure modes: 0 success, 1 configuration error, 2 data error,
-3 training divergence.
+3 training divergence, 4 a failed ``verify`` check (golden value or
+theorem).
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_DIVERGED = 3
+EXIT_CHECK_FAILED = 4
 
 
 class ConfigError(Exception):
@@ -288,8 +290,9 @@ def cmd_verify(args) -> int:
         lines.append(f"  L{seq} = {value:.6f} target {target} -> {'ok' if ok else 'MISMATCH'}")
 
     n_values = sorted({s // 2 for s in sizes})
-    # theorem 1 enumerates with the reference loss; n = 4 is affordable only
-    # for the sparser theorem-2 checks
+    # theorem 1 builds every draw's full order table and minimizer set in
+    # Python (enumerate_losses); n = 4 is affordable only for the sparser
+    # theorem-2 checks
     t1_ns = [n for n in n_values if n <= 3] or [1]
     t1 = consistency.verify_theorem1(args.trials, t1_ns, args.seed)
     t2r = consistency.verify_theorem2(args.trials, n_values, args.seed, restricted=True)
@@ -324,7 +327,7 @@ def cmd_verify(args) -> int:
     print(summary, end="")
     # counterexample discoveries would be a research finding, not a failure
     ok = golden_ok and t1.passed and t2r.passed and t2u.passed
-    return EXIT_OK if ok else EXIT_CONFIG
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def enumerate_report_csv(out_dir: Path) -> Path:

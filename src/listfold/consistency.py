@@ -186,11 +186,18 @@ class TheoremReport:
         return "\n".join(lines)
 
 
-def _draw_distinct(rng: np.random.Generator, count: int, min_gap: float = 1e-6) -> np.ndarray:
-    while True:
-        f = rng.uniform(-3.0, 3.0, size=count)
-        if np.min(np.diff(np.sort(f))) > min_gap:
-            return f
+def _distinct_trials(report: TheoremReport, rng: np.random.Generator):
+    """Yield (n, scores) for report.trials_per_n uniform(-3, 3) draws of 2n
+    scores per n, counting every draw in report.trials_run and a tied draw
+    as report.degenerate (a tied draw is not yielded)."""
+    for n in report.n_values:
+        for _ in range(report.trials_per_n):
+            f = rng.uniform(-3.0, 3.0, size=2 * n)
+            report.trials_run += 1
+            if np.unique(f).size < f.size:
+                report.degenerate += 1
+                continue
+            yield n, f
 
 
 def verify_theorem1(trials: int, n_range, seed: int) -> TheoremReport:
@@ -205,24 +212,17 @@ def verify_theorem1(trials: int, n_range, seed: int) -> TheoremReport:
         raise ValueError(f"n values must satisfy 2n <= {ENUMERATION_CAP}")
     spec = LossSpec("listfold", Transform("sigmoid"))
     report = TheoremReport("theorem1-sigmoid", seed, trials, n_range)
-    rng = np.random.default_rng(seed)
-    for n in n_range:
-        for _ in range(trials):
-            f = rng.uniform(-3.0, 3.0, size=2 * n)
-            report.trials_run += 1
-            if np.unique(f).size < f.size:
-                report.degenerate += 1
-                continue
-            enum = enumerate_losses(f, spec)
-            predicted = theorem1_minimizer_family(f)
-            if enum.minimizers != predicted:
-                report.violations.append(
-                    {
-                        "scores": tuple(f.tolist()),
-                        "found": sorted(enum.minimizers),
-                        "predicted": sorted(predicted),
-                    }
-                )
+    for _, f in _distinct_trials(report, np.random.default_rng(seed)):
+        enum = enumerate_losses(f, spec)
+        predicted = theorem1_minimizer_family(f)
+        if enum.minimizers != predicted:
+            report.violations.append(
+                {
+                    "scores": tuple(f.tolist()),
+                    "found": sorted(enum.minimizers),
+                    "predicted": sorted(predicted),
+                }
+            )
     return report
 
 
@@ -259,31 +259,24 @@ def verify_theorem2(trials: int, n_range, seed: int, restricted: bool = True) ->
     spec = LossSpec("listfold", Transform("exponential"))
     mode = "restricted" if restricted else "unrestricted"
     report = TheoremReport(f"theorem2-exponential-{mode}", seed, trials, n_range)
-    rng = np.random.default_rng(seed)
-    for n in n_range:
-        for _ in range(trials):
-            f = rng.uniform(-3.0, 3.0, size=2 * n)
-            report.trials_run += 1
-            if np.unique(f).size < f.size:
-                report.degenerate += 1
-                continue
-            # row 0 of either table is the descending sequence itself
-            index = _half_respecting_table(n) if restricted else _perm_table(2 * n)
-            table = np.sort(f)[::-1][index]
-            losses = _table_losses(spec, table)
-            base = float(losses[0])
-            if restricted:
-                # uniqueness: no other half-respecting order may tie or beat it
-                ties = np.flatnonzero(losses[1:] <= base + MINIMIZER_TOL)
-                j = int(ties[0]) + 1 if ties.size else None
-            else:
-                j = int(np.argmin(losses))
-                j = j if losses[j] < base - MINIMIZER_TOL else None
-            if j is not None:
-                report.violations.append(
-                    {"scores": tuple(f.tolist()), "permutation": tuple(table[j].tolist()),
-                     "loss": float(losses[j]), "descending_loss": base}
-                )
+    for n, f in _distinct_trials(report, np.random.default_rng(seed)):
+        # row 0 of either table is the descending sequence itself
+        index = _half_respecting_table(n) if restricted else _perm_table(2 * n)
+        table = np.sort(f)[::-1][index]
+        losses = _table_losses(spec, table)
+        base = float(losses[0])
+        if restricted:
+            # uniqueness: no other half-respecting order may tie or beat it
+            ties = np.flatnonzero(losses[1:] <= base + MINIMIZER_TOL)
+            j = int(ties[0]) + 1 if ties.size else None
+        else:
+            j = int(np.argmin(losses))
+            j = j if losses[j] < base - MINIMIZER_TOL else None
+        if j is not None:
+            report.violations.append(
+                {"scores": tuple(f.tolist()), "permutation": tuple(table[j].tolist()),
+                 "loss": float(losses[j]), "descending_loss": base}
+            )
     return report
 
 
@@ -324,8 +317,11 @@ def counterexample_search(budget: int, size: int, distribution: str = "uniform",
     """Hunt for multisets where descending does not globally minimize the
     exponential listfold loss. Returns every witness found (expected none).
 
-    loss_fn(scores_array) -> float overrides the evaluated loss; injecting a
-    broken loss is the harness self-test and must produce witnesses.
+    A draw's witness is its least-loss order: the argmin row of the
+    lexicographic permutation table of the sorted scores (the first on a tie).
+    loss_fn(scores_array) -> float overrides the evaluated loss and is called
+    once per order; injecting a broken loss is the harness self-test and
+    must produce witnesses.
     """
     if size % 2 != 0 or size > ENUMERATION_CAP:
         raise ValueError(f"size must be even and <= {ENUMERATION_CAP}")
@@ -334,21 +330,15 @@ def counterexample_search(budget: int, size: int, distribution: str = "uniform",
     witnesses: list[Witness] = []
     for _ in range(budget):
         f = _sample_scores(rng, size, distribution)
-        descending = np.sort(f)[::-1]
+        table = np.sort(f)[::-1][_perm_table(size)]  # row 0 is descending
         if loss_fn is None:
-            table = descending[_perm_table(size)]  # row 0 is descending
             losses = _table_losses(spec, table)
-            j = int(np.argmin(losses))
-            if losses[j] < losses[0] - MINIMIZER_TOL:
-                witnesses.append(Witness(tuple(f.tolist()), tuple(table[j].tolist()),
-                                         float(losses[j]), float(losses[0])))
         else:
-            base = float(loss_fn(descending))
-            for perm in itertools.permutations(f.tolist()):
-                v = float(loss_fn(np.asarray(perm)))
-                if v < base - MINIMIZER_TOL:
-                    witnesses.append(Witness(tuple(f.tolist()), perm, v, base))
-                    break
+            losses = np.array([float(loss_fn(row)) for row in table])
+        j = int(np.argmin(losses))
+        if losses[j] < losses[0] - MINIMIZER_TOL:
+            witnesses.append(Witness(tuple(f.tolist()), tuple(table[j].tolist()),
+                                     float(losses[j]), float(losses[0])))
     return witnesses
 
 

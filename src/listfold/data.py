@@ -128,7 +128,7 @@ class RankedBatch:
     def __post_init__(self):
         order = np.asarray(self.truth_order)
         n = self.returns.size
-        if sorted(order.tolist()) != list(range(n)):
+        if not np.array_equal(np.sort(order), np.arange(n)):
             raise DataError("truth_order must be a bijection on 0..n-1")
         ranked = self.returns[order]
         if np.any(np.diff(ranked) > 0):
@@ -355,12 +355,9 @@ def decile_labels(returns, levels: int = 10) -> np.ndarray:
         raise DataError(f"need at least {levels} items for {levels} levels, got {r.size}")
     order = np.argsort(-r, kind="stable")
     base, rem = divmod(r.size, levels)
-    sizes = [base + 1 if b < rem else base for b in range(levels)]
+    sizes = base + (np.arange(levels) < rem)
     labels = np.empty(r.size, dtype=int)
-    pos = 0
-    for b, size in enumerate(sizes):
-        labels[order[pos : pos + size]] = levels - b
-        pos += size
+    labels[order] = np.repeat(levels - np.arange(levels), sizes)
     return labels
 
 

@@ -27,13 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "LINEAR_GUARD",
     "Transform",
     "LossSpec",
     "LossResult",
     "exponential",
     "sigmoid",
-    "linear",
     "make_transform",
     "listmle_loss",
     "listfold_loss",
@@ -43,13 +41,8 @@ __all__ = [
     "loss_gradient_check",
 ]
 
-# Floor for the linear transform: psi must stay strictly positive, but a
-# linear map is not. Exponential and sigmoid are the supported research
-# paths; linear is a guarded convenience.
-LINEAR_GUARD = 1e-12
-
 _FAMILIES = ("listfold", "listmle", "naive_pt", "mse")
-_KINDS = ("exponential", "sigmoid", "linear")
+_KINDS = ("exponential", "sigmoid")
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -75,26 +68,20 @@ class Transform:
         x = np.asarray(x, dtype=float)
         if self.kind == "exponential":
             return np.exp(x)
-        if self.kind == "sigmoid":
-            return _stable_sigmoid(x)
-        return np.maximum(x, LINEAR_GUARD)
+        return _stable_sigmoid(x)
 
     def log_terms(self, x):
-        """(log psi(x), log psi'(x)), finite wherever psi' > 0.
+        """(log psi(x), log psi'(x)), finite at every finite x.
 
         Sigmoid uses log sigma(x) = min(x, 0) - log(1 + e^-|x|), which stays
-        finite where sigma(x) itself underflows. The linear transform's clamped branch
-        has psi' = 0, so its log is -inf there.
+        finite where sigma(x) itself underflows.
         """
         x = np.asarray(x, dtype=float)
         if self.kind == "exponential":
             return x, x
-        if self.kind == "sigmoid":
-            log_psi = np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
-            # sigma' = sigma(x) sigma(-x) and sigma(-x) = e^-x sigma(x)
-            return log_psi, 2.0 * log_psi - x
-        above = x > LINEAR_GUARD
-        return np.log(np.maximum(x, LINEAR_GUARD)), np.where(above, 0.0, -np.inf)
+        log_psi = np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
+        # sigma' = sigma(x) sigma(-x) and sigma(-x) = e^-x sigma(x)
+        return log_psi, 2.0 * log_psi - x
 
 
 def exponential() -> Transform:
@@ -105,17 +92,11 @@ def sigmoid() -> Transform:
     return Transform("sigmoid")
 
 
-def linear() -> Transform:
-    return Transform("linear")
-
-
 _ALIASES = {
     "exp": "exponential",
     "exponential": "exponential",
     "sgm": "sigmoid",
     "sigmoid": "sigmoid",
-    "lin": "linear",
-    "linear": "linear",
 }
 
 
@@ -261,32 +242,6 @@ def _listfold_exp_denominators(f, with_gradient: bool):
     return log_d, _cum_logsumexp(log_b - log_d), _cum_logsumexp(log_a - log_d)
 
 
-def _listfold_linear_denominators(f, with_gradient: bool):
-    """log D_s and d log D_s / d f for the clamped linear transform.
-
-    In inner-first order window W_s is the leading m_s x m_s block of the
-    pair matrix, so D_s is read off its 2-D prefix sum (all terms positive:
-    no cancellation).
-    """
-    size = f.shape[0]
-    order, last = _inner_first(size)
-    g = f[order]
-    diffs = g[:, None] - g[None, :]  # (u, v, lists)
-    off_diag = ~np.eye(size, dtype=bool)[:, :, None]
-    pair = np.where(off_diag, np.maximum(diffs, LINEAR_GUARD), 0.0)
-    denom = pair.cumsum(axis=0).cumsum(axis=1)[last, last]
-    if not with_gradient:
-        return np.log(denom), None
-    slope = (off_diag & (diffs > LINEAR_GUARD)).astype(float)
-    # (s, r, lists): sums of psi'(g_r - g_v) and psi'(g_v - g_r) over v in W_s
-    rows = slope.cumsum(axis=1)[:, last].transpose(1, 0, 2)
-    cols = slope.cumsum(axis=0)[last]
-    inside = (np.arange(size)[None, :] <= last[:, None])[:, :, None]
-    grad = np.empty_like(f)
-    grad[order] = _sum_down(np.where(inside, (rows - cols) / denom[:, None, :], 0.0))
-    return np.log(denom), grad
-
-
 def _listfold(f, transform: Transform, with_gradient: bool):
     """Stage s selects the pair (s, 2n-1-s) out of the ordered pairs in the
     window W_s = [s, 2n-1-s]: value = sum_s log D_s - log psi(f_s - f_{2n-1-s})."""
@@ -301,15 +256,10 @@ def _listfold(f, transform: Transform, with_gradient: bool):
         if with_gradient:
             stage = np.minimum(np.arange(size), np.arange(size)[::-1])  # innermost stage of j
             grad += np.exp(f + with_b[stage]) - np.exp(-f + with_a[stage])
-    elif transform.kind == "sigmoid":
+    else:
         # sigma(x) + sigma(-x) = 1: D_s counts the m_s (m_s - 1) / 2 unordered
         # pairs, and prod_s m_s (m_s - 1) / 2 = (2n)! / 2^n
         value += math.lgamma(size + 1.0) - n * math.log(2.0)
-    else:
-        log_d, grad_d = _listfold_linear_denominators(f, with_gradient)
-        value += _sum_down(log_d)
-        if with_gradient:
-            grad += grad_d
     if with_gradient:
         pull = np.exp(log_dnum - log_num)  # d log psi(d) / dd
         grad[:n] -= pull
@@ -352,10 +302,9 @@ def evaluate_loss(spec: LossSpec, scores_in_truth_order, returns_in_truth_order=
                   with_gradient: bool = True) -> LossResult:
     """Loss value and score gradient of one list (n,) or a batch (B, n).
 
-    Every family is evaluated for the whole batch at once in O(B n) (the
-    guarded linear ListFold needs the O(n^2) pair matrix), in the log
-    domain, so values and gradients stay finite at any finite score
-    spread. mse needs the aligned returns, (n,) or (B, n).
+    Every family is evaluated for the whole batch at once in O(B n), in
+    the log domain, so values and gradients stay finite at any finite
+    score spread. mse needs the aligned returns, (n,) or (B, n).
     with_gradient=False skips the gradient (gradient is None).
     """
     f = np.asarray(scores_in_truth_order, dtype=float)

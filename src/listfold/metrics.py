@@ -43,7 +43,7 @@ class RankEval:
     def __post_init__(self):
         order = np.asarray(self.predicted_order, dtype=int)
         labels = np.asarray(self.labels)
-        if sorted(order.tolist()) != list(range(order.size)):
+        if not np.array_equal(np.sort(order), np.arange(order.size)):
             raise ValueError("predicted_order must be a bijection on 0..n-1")
         if labels.size != order.size:
             raise ValueError("labels and predicted_order length mismatch")
@@ -57,14 +57,13 @@ def average_ranks(x) -> np.ndarray:
     """Ranks starting at 1, ties replaced by the mean rank of the tied run."""
     x = np.asarray(x, dtype=float).ravel()
     order = np.argsort(x, kind="stable")
+    xs = x[order]
+    # tie runs [start, end] of the sorted values; NaN never ties, so each
+    # NaN is a run of its own
+    start = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    end = np.r_[start[1:], x.size] - 1
     ranks = np.empty(x.size, dtype=float)
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (start + end) + 1.0, end - start + 1)
     return ranks
 
 

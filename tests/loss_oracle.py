@@ -3,8 +3,7 @@ test oracle for the batched evaluator in ``listfold.losses``.
 
 ``listfold_loss`` builds the full m x m pair matrix at every stage (O(m^2)
 per stage, O(n^3) per list); ``listmle_prefix`` accumulates the gradient in a
-Python loop (exponential) or from linear-domain suffix sums (other
-transforms). Both work directly on psi and psi', so the sigmoid paths
+Python loop (exponential) or from linear-domain suffix sums (sigmoid). Both work directly on psi and psi', so the sigmoid paths
 overflow to inf where the batched evaluator stays finite: compare them on
 moderate score spreads only.
 """
@@ -12,8 +11,6 @@ moderate score spreads only.
 from __future__ import annotations
 
 import numpy as np
-
-LINEAR_GUARD = 1e-12
 
 
 def _sigmoid(x):
@@ -30,20 +27,15 @@ def psi(kind, x):
     x = np.asarray(x, dtype=float)
     if kind == "exponential":
         return np.exp(x)
-    if kind == "sigmoid":
-        return _sigmoid(x)
-    return np.maximum(x, LINEAR_GUARD)
+    return _sigmoid(x)
 
 
 def dpsi(kind, x):
     x = np.asarray(x, dtype=float)
     if kind == "exponential":
         return np.exp(x)
-    if kind == "sigmoid":
-        s = _sigmoid(x)
-        return s * (1.0 - s)
-    # subgradient 0 on the clamped branch
-    return np.where(x > LINEAR_GUARD, 1.0, 0.0)
+    s = _sigmoid(x)
+    return s * (1.0 - s)
 
 
 def listmle_prefix(f, kind, stages):

@@ -145,6 +145,20 @@ class TestVerifyCommand:
     def test_oversized_list_exit_one(self, tmp_path):
         assert main(["verify", "--sizes", "10", "--out", str(tmp_path / "v")]) == 1
 
+    def test_failed_theorem_check_exit_four(self, tmp_path, monkeypatch):
+        from listfold import consistency
+
+        def failing(trials, n_range, seed):
+            report = consistency.TheoremReport("theorem1-sigmoid", seed, trials, tuple(n_range))
+            report.violations.append({"scores": (1.0, 0.0)})
+            return report
+
+        monkeypatch.setattr(consistency, "verify_theorem1", failing)
+        rc = main(["verify", "--trials", "2", "--sizes", "2", "--budget", "4",
+                   "--out", str(tmp_path / "v")])
+        assert rc == 4
+        assert "FAIL" in (tmp_path / "v" / "verify_report.txt").read_text()
+
     def test_report_bytes_reproducible(self, tmp_path):
         a, b = tmp_path / "v1", tmp_path / "v2"
         argv = ["verify", "--trials", "5", "--sizes", "2,4", "--budget", "20", "--seed", "9"]

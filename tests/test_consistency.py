@@ -141,6 +141,17 @@ class TestCounterexampleSearch:
         assert witnesses
         assert all(w.gap > 0 for w in witnesses)
 
+    def test_injected_witness_is_least_loss_order(self):
+        fake = lambda s: -listfold_loss(s, Transform("exponential")).value
+        witnesses = counterexample_search(4, 4, "normal", seed=16, loss_fn=fake)
+        assert len(witnesses) == 4
+        for w in witnesses:
+            orders = list(itertools.permutations(w.scores))
+            least = min(fake(np.asarray(p)) for p in orders)
+            assert w.loss == least
+            assert w.permutation in orders
+            assert fake(np.asarray(w.permutation)) == least
+
     def test_size_validated(self):
         with pytest.raises(ValueError):
             counterexample_search(1, 7, "uniform", seed=0)

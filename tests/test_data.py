@@ -10,6 +10,7 @@ from listfold.data import (
     EmptyUniverseError,
     FactorPanel,
     ParseError,
+    RankedBatch,
     build_ranked_batch,
     decile_labels,
     filter_by_missing,
@@ -231,6 +232,23 @@ class TestDecileLabels:
         order = np.argsort(-r, kind="stable")
         assert np.all(np.diff(labels[order]) <= 0)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=2, max_size=40), st.data())
+    def test_matches_bucket_loop(self, values, data):
+        # the former per-bucket loop: bucket b of the stable descending order
+        # gets label levels - b, the first size % levels buckets one extra item
+        r = np.asarray(values, dtype=float)
+        levels = data.draw(st.integers(2, r.size))
+        order = np.argsort(-r, kind="stable")
+        base, rem = divmod(r.size, levels)
+        want = np.empty(r.size, dtype=int)
+        pos = 0
+        for b in range(levels):
+            size = base + (b < rem)
+            want[order[pos : pos + size]] = levels - b
+            pos += size
+        np.testing.assert_array_equal(decile_labels(r, levels), want)
+
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             decile_labels(np.array([]))
@@ -306,6 +324,11 @@ class TestRankedBatch:
         full = np.sort(panel.week_returns(panel.dates[0]))[::-1]
         kept = np.sort(batch.returns)[::-1]
         np.testing.assert_array_equal(kept, np.delete(full, 4))
+
+    @pytest.mark.parametrize("order", [[0, 0], [0, 2], [-1, 0], [1, 0, 2]])
+    def test_truth_order_must_be_bijection(self, order):
+        with pytest.raises(DataError, match="bijection"):
+            RankedBatch(np.zeros((2, 3)), np.array(order), np.array([0.2, 0.1]))
 
     def test_missing_returns_rejected(self):
         factors = np.zeros((1, 4, 2))

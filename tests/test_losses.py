@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from loss_oracle import ORACLES
 
 from listfold.losses import (
-    LINEAR_GUARD,
     LossSpec,
     Transform,
     evaluate_loss,
     exponential,
-    linear,
     listfold_loss,
     listmle_loss,
     loss_gradient_check,
@@ -27,7 +25,6 @@ from listfold.losses import (
 
 EXP = exponential()
 SGM = sigmoid()
-LIN = linear()
 
 
 # -- independent reference implementations (plain loops, no shared code) --
@@ -56,9 +53,7 @@ def mle_prefix_reference(f, psi, stages):
 def _psi(kind):
     if kind == "exponential":
         return math.exp
-    if kind == "sigmoid":
-        return lambda x: 1.0 / (1.0 + math.exp(-x))
-    return lambda x: max(x, LINEAR_GUARD)
+    return lambda x: 1.0 / (1.0 + math.exp(-x))
 
 
 class TestTransforms:
@@ -66,7 +61,6 @@ class TestTransforms:
         x = np.linspace(-30, 30, 1001)
         assert np.all(EXP(x) > 0)
         assert np.all(SGM(x) > 0)
-        assert np.all(LIN(x) > 0)
 
     def test_sigmoid_symmetry(self):
         rng = np.random.default_rng(0)
@@ -76,9 +70,11 @@ class TestTransforms:
     def test_aliases(self):
         assert make_transform("exp").kind == "exponential"
         assert make_transform("sgm").kind == "sigmoid"
-        assert make_transform("linear").kind == "linear"
-        with pytest.raises(ValueError):
-            make_transform("softplus")
+        for name in ("softplus", "lin", "linear"):
+            with pytest.raises(ValueError, match="unknown transform name"):
+                make_transform(name)
+        with pytest.raises(ValueError, match="unknown transform kind"):
+            Transform("linear")
 
 
 class TestListMLE:
@@ -133,8 +129,8 @@ class TestListFold:
 
     def test_matches_reference(self):
         rng = np.random.default_rng(3)
-        for kind in ("exponential", "sigmoid", "linear"):
-            f = rng.uniform(0.5, 4.0, 8)  # positive, so linear stays off its guard
+        for kind in ("exponential", "sigmoid"):
+            f = rng.uniform(0.5, 4.0, 8)
             got = listfold_loss(f, Transform(kind)).value
             want = fold_loss_reference(f, _psi(kind))
             assert got == pytest.approx(want, rel=1e-10)
@@ -280,7 +276,7 @@ class TestGradients:
 
 # -- the batched evaluator against the former per-list implementation --
 
-KINDS = ("exponential", "sigmoid", "linear")
+KINDS = ("exponential", "sigmoid")
 RANK_FAMILIES = ("listfold", "listmle", "naive_pt")
 
 
@@ -328,11 +324,8 @@ class TestBatchedEvaluator:
                 assert bare.gradient is None
                 np.testing.assert_array_equal(bare.value, full.value)
 
-    # linear is left out: log max(x, 1e-12) is ill-conditioned near the guard,
-    # where the rounding of scores + shift moves it
     @settings(max_examples=30, deadline=None)
-    @given(_score_batches(max_len=16), st.floats(-100, 100),
-           st.sampled_from(["exponential", "sigmoid"]))
+    @given(_score_batches(max_len=16), st.floats(-100, 100), st.sampled_from(KINDS))
     def test_shift_invariance(self, scores, shift, kind):
         specs = [LossSpec("listfold", Transform(kind))]
         if kind == "exponential":

@@ -50,6 +50,14 @@ class TestSpearman:
     def test_tied_ranks_averaged(self):
         np.testing.assert_allclose(average_ranks([5.0, 1.0, 5.0]), [2.5, 1.0, 2.5])
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-4, 4), max_size=30))
+    def test_average_ranks_definition(self, values):
+        # rank_i = #{x_j < x_i} + (#{x_j == x_i} + 1) / 2
+        x = np.asarray(values, dtype=float)
+        want = [np.sum(x < v) + (np.sum(x == v) + 1) / 2 for v in x]
+        np.testing.assert_array_equal(average_ranks(x), want)
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(-500, 500), min_size=3, max_size=20, unique=True))
     def test_invariant_under_monotone_transform(self, values):
@@ -125,6 +133,11 @@ class TestNdcg:
     def test_cutoff_validated(self):
         with pytest.raises(ValueError):
             RankEval(np.array([0, 1]), np.array([1, 2]), 3)
+
+    @pytest.mark.parametrize("order", [[0, 0], [0, 2], [-1, 0]])
+    def test_order_must_be_bijection(self, order):
+        with pytest.raises(ValueError, match="bijection"):
+            RankEval(np.array(order), np.array([1, 2]), 1)
 
 
 class TestTrueLosses:
