@@ -242,6 +242,11 @@ def standard_strategies(k: int = 8, short_average: bool = True) -> list[Strategy
 
 @dataclass(frozen=True)
 class BacktestConfig:
+    """Every setting of a backtest run. The CLI takes its config-file keys,
+    value types and flags from these fields, so a field added here is a key
+    and a flag with no other edit. Out-of-range values raise ValueError
+    naming the field."""
+
     train_len: int = 300
     test_len: int = 16
     batch_size: int = 32
@@ -253,7 +258,18 @@ class BacktestConfig:
     rf_annual: float = 0.03
     levels: int = 10
     threads: int = 1
-    patience: int | None = None
+
+    def __post_init__(self):
+        for name in ("train_len", "test_len", "batch_size", "threads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be >= 1")
+        if self.total_batches < 0:
+            raise ValueError("total_batches: must be >= 0")
+        if self.optimizer not in ("adam", "sgd"):
+            raise ValueError(f"optimizer: unknown optimizer {self.optimizer!r}")
+        # decile_labels needs two relevance levels
+        if self.levels < 2:
+            raise ValueError("levels: must be >= 2")
 
 
 @dataclass
@@ -290,7 +306,6 @@ def model_train_config(config: BacktestConfig, model: str, window_index: int) ->
         final_relu=final_relu,
         seed=_model_seed(config.seed, model, window_index),
         reverse_labels=reverse,
-        patience=config.patience,
     )
 
 

@@ -3,17 +3,20 @@ verification, and model simulation.
 
 Subcommands: backtest, verify, simulate, synth, train, score. Options can
 come from ``--config path`` (a flat ``key = value`` file with ``#``
-comments) with individual flags overriding. Exit codes are fixed so CI can
-assert failure modes: 0 success, 1 configuration error, 2 data error,
-3 training divergence, 4 a failed ``verify`` check (golden value or
-theorem).
+comments) with individual flags overriding. The keys are the run keys of
+``RunConfig`` plus every ``BacktestConfig`` field; each key ``a_b`` has the
+flag ``--a-b``, and its value type is the type of the field's default.
+Exit codes are fixed so CI can assert failure modes: 0 success,
+1 configuration error (a bad flag or key, or a value out of range, such as
+``levels`` below 2), 2 data error, 3 training divergence, 4 a failed
+``verify`` check (golden value or theorem).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +48,6 @@ from .data import (
 )
 from .losses import LossSpec, Transform, listfold_loss
 from .neural import (
-    CheckpointError,
     TrainingDivergenceError,
     config_digest,
     forward,
@@ -67,30 +69,60 @@ class ConfigError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a bad flag; here 2 means a data error, so a bad
+    flag exits EXIT_CONFIG like a bad config-file value. Subparsers inherit
+    this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+_KNOWN_MODELS = tuple(MODEL_SPECS) + ("list2mle",)
+
+
 @dataclass
 class RunConfig:
+    """The run-level keys; every backtest setting lives in `backtest`."""
+
     panel: str = ""
     out: str = "out"
-    train_len: int = 300
-    test_len: int = 16
     strategies: str = "listfold-exp,listfold-sgm,listmle,list2mle,mlp"
     modes: str = "ls,sa"
     k: int = 8
-    batch_size: int = 32
-    total_batches: int = 1000
-    learning_rate: float = 1e-3
-    optimizer: str = "adam"
-    seed: int = 0
-    cost_bps: float = 30.0
-    rf_annual: float = 0.03
-    levels: int = 10
-    threads: int = 1
     batch_sizes: str = ""  # e.g. "8,16,32,64,128": also emit batchgrid.csv
+    backtest: BacktestConfig = field(default_factory=BacktestConfig)
+
+    def __post_init__(self):
+        for name in _split(self.strategies):
+            if name not in _KNOWN_MODELS:
+                raise ConfigError(f"field strategies: unknown model {name!r} "
+                                  f"(known: {', '.join(_KNOWN_MODELS)})")
+        for mode in _split(self.modes):
+            if mode not in ("ls", "sa"):
+                raise ConfigError(f"field modes: unknown mode {mode!r} (known: ls, sa)")
+        if self.k < 1:
+            raise ConfigError("field k: must be >= 1")
+        for tok in _split(self.batch_sizes):
+            if not tok.isdigit() or int(tok) < 1:
+                raise ConfigError(f"field batch_sizes: bad entry {tok!r}")
 
 
-_INT_FIELDS = {"train_len", "test_len", "k", "batch_size", "total_batches", "seed",
-               "levels", "threads"}
-_FLOAT_FIELDS = {"learning_rate", "cost_bps", "rf_annual"}
+_HELP = {
+    "panel": "panel CSV path",
+    "out": "output directory",
+    "strategies": "comma list of models",
+    "modes": "comma list from {ls, sa}",
+    "batch_sizes": "comma list; also emit batchgrid.csv (retrains per size)",
+}
+
+
+def _keys() -> dict:
+    """Config key -> its dataclass field: the run keys, then every
+    BacktestConfig field."""
+    return {f.name: f for f in fields(RunConfig) + fields(BacktestConfig)
+            if f.name != "backtest"}
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -112,56 +144,30 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def build_run_config(file_values: dict[str, str], overrides: dict) -> RunConfig:
-    cfg = RunConfig()
-    known = {f.name for f in fields(RunConfig)}
+    """Config-file strings, parsed to each field's type, then the non-None
+    overrides on top. Unknown keys and bad values raise ConfigError naming
+    the field."""
+    keys = _keys()
+    values = {}
     for key, raw in file_values.items():
-        if key not in known:
+        if key not in keys:
             raise ConfigError(f"unknown config field: {key}")
-        _assign(cfg, key, raw)
+        try:
+            values[key] = type(keys[key].default)(raw)
+        except ValueError:
+            raise ConfigError(f"field {key}: cannot parse {raw!r}") from None
     for key, value in overrides.items():
         if value is None:
             continue
-        if key not in known:
+        if key not in keys:
             raise ConfigError(f"unknown config field: {key}")
-        setattr(cfg, key, value)
-    _validate(cfg)
-    return cfg
-
-
-def _assign(cfg: RunConfig, key: str, raw: str) -> None:
+        values[key] = value
+    run = {f.name for f in fields(RunConfig)}
     try:
-        if key in _INT_FIELDS:
-            setattr(cfg, key, int(raw))
-        elif key in _FLOAT_FIELDS:
-            setattr(cfg, key, float(raw))
-        else:
-            setattr(cfg, key, raw)
-    except ValueError:
-        raise ConfigError(f"field {key}: cannot parse {raw!r}") from None
-
-
-_KNOWN_MODELS = tuple(MODEL_SPECS) + ("list2mle",)
-
-
-def _validate(cfg: RunConfig) -> None:
-    for name in _split(cfg.strategies):
-        if name not in _KNOWN_MODELS:
-            raise ConfigError(f"field strategies: unknown model {name!r} "
-                              f"(known: {', '.join(_KNOWN_MODELS)})")
-    for mode in _split(cfg.modes):
-        if mode not in ("ls", "sa"):
-            raise ConfigError(f"field modes: unknown mode {mode!r} (known: ls, sa)")
-    for field_name in ("train_len", "test_len", "k", "batch_size", "levels", "threads"):
-        if getattr(cfg, field_name) < 1:
-            raise ConfigError(f"field {field_name}: must be >= 1")
-    if cfg.total_batches < 0:
-        raise ConfigError("field total_batches: must be >= 0")
-    if cfg.optimizer not in ("adam", "sgd"):
-        raise ConfigError(f"field optimizer: unknown optimizer {cfg.optimizer!r}")
-    if cfg.batch_sizes:
-        for tok in _split(cfg.batch_sizes):
-            if not tok.isdigit() or int(tok) < 1:
-                raise ConfigError(f"field batch_sizes: bad entry {tok!r}")
+        backtest = BacktestConfig(**{k: v for k, v in values.items() if k not in run})
+    except ValueError as exc:
+        raise ConfigError(f"field {exc}") from None
+    return RunConfig(**{k: v for k, v in values.items() if k in run}, backtest=backtest)
 
 
 def _split(csv_text: str) -> list[str]:
@@ -194,45 +200,24 @@ def _strategy_list(cfg: RunConfig) -> list[StrategySpec]:
     return out
 
 
-def _backtest_config(cfg: RunConfig) -> BacktestConfig:
-    return BacktestConfig(
-        train_len=cfg.train_len,
-        test_len=cfg.test_len,
-        batch_size=cfg.batch_size,
-        total_batches=cfg.total_batches,
-        learning_rate=cfg.learning_rate,
-        optimizer=cfg.optimizer,
-        seed=cfg.seed,
-        cost_bps=cfg.cost_bps,
-        rf_annual=cfg.rf_annual,
-        levels=cfg.levels,
-        threads=cfg.threads,
+def _run_config(args) -> RunConfig:
+    """The config file, if any, with the command's flags on top."""
+    cfg = build_run_config(
+        parse_config_file(args.config) if args.config else {},
+        {name: getattr(args, name) for name in _keys()},
     )
+    if not cfg.panel:
+        raise ConfigError("field panel: a panel CSV path is required")
+    return cfg
 
 
 def cmd_backtest(args) -> int:
-    try:
-        cfg = build_run_config(
-            parse_config_file(args.config) if args.config else {},
-            _cli_overrides(args),
-        )
-        strategies = _strategy_list(cfg)
-        if not cfg.panel:
-            raise ConfigError("field panel: a panel CSV path is required")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _run_config(args)
+    strategies = _strategy_list(cfg)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        panel = load_panel(cfg.panel)
-        result = run_backtest(panel, strategies, _backtest_config(cfg))
-    except TrainingDivergenceError as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    panel = load_panel(cfg.panel)
+    result = run_backtest(panel, strategies, cfg.backtest)
 
     write_stats_csv(out_dir / "stats.csv", result.stats)
     write_rankmetrics_csv(out_dir / "rankmetrics.csv", result.rank_metrics)
@@ -244,11 +229,7 @@ def cmd_backtest(args) -> int:
     write_heatmap_csv(out_dir / "heatmap.csv", models, kvals, grid)
     if cfg.batch_sizes:
         sizes = [int(tok) for tok in _split(cfg.batch_sizes)]
-        try:
-            names, sz, bgrid = batch_size_grid(panel, sizes, strategies, _backtest_config(cfg))
-        except TrainingDivergenceError as exc:
-            print(f"training diverged: {exc}", file=sys.stderr)
-            return EXIT_DIVERGED
+        names, sz, bgrid = batch_size_grid(panel, sizes, strategies, cfg.backtest)
         write_batchgrid_csv(out_dir / "batchgrid.csv", names, sz, bgrid)
 
     print(f"{'strategy':<16} {'mu_excess':>10} {'sigma':>8} {'sharpe':>8} "
@@ -263,14 +244,15 @@ def cmd_backtest(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sizes = [int(tok) for tok in _split(args.sizes)]
+    try:
+        sizes = [int(tok) for tok in _split(args.sizes)]
+    except ValueError:
+        raise ConfigError(
+            f"sizes must be a comma list of integers, got {args.sizes!r}") from None
     if any(s > consistency.ENUMERATION_CAP or s < 2 or s % 2 for s in sizes):
-        print(f"config error: sizes must be even and <= {consistency.ENUMERATION_CAP}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"sizes must be even and <= {consistency.ENUMERATION_CAP}")
     if args.trials < 1 or args.budget < 0:
-        print("config error: trials must be >= 1 and budget >= 0", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("trials must be >= 1 and budget >= 0")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines: list[str] = []
@@ -347,17 +329,13 @@ def cmd_simulate(args) -> int:
     try:
         weights = np.asarray([float(tok) for tok in _split(args.weights)])
     except ValueError:
-        print(f"config error: bad weights {args.weights!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"bad weights {args.weights!r}") from None
     if weights.size == 0 or np.any(weights <= 0):
-        print("config error: weights must be positive", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("weights must be positive")
     if args.draws < 1:
-        print("config error: draws must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("draws must be >= 1")
     if args.model == "plank" and weights.size % 2 != 0:
-        print("config error: plank model needs an even number of weights", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("plank model needs an even number of weights")
     spec = consistency.SamplerSpec(args.model, weights, args.draws, args.seed)
     if args.model == "vase":
         counts = consistency.sample_vase(spec)
@@ -381,8 +359,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.weeks < 1 or args.stocks < 1 or args.factors < 1:
-        print("config error: weeks, stocks, factors must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("weeks, stocks, factors must be >= 1")
     panel = generate_synthetic_panel(
         args.seed, args.weeks, args.stocks, args.factors,
         args.signal_strength, args.noise_scale,
@@ -396,37 +373,19 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    try:
-        cfg = build_run_config(
-            parse_config_file(args.config) if args.config else {},
-            _cli_overrides(args),
-        )
-        if not cfg.panel:
-            raise ConfigError("field panel: a panel CSV path is required")
-        model = args.model
-        if model not in MODEL_SPECS:
-            raise ConfigError(f"unknown model {model!r} (known: {', '.join(MODEL_SPECS)})")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        panel = load_panel(cfg.panel)
-        plans = rolling_windows(panel.n_weeks, cfg.train_len, cfg.test_len)
-        if not 0 <= args.window < len(plans):
-            print(f"data error: window {args.window} out of range (0..{len(plans) - 1})",
-                  file=sys.stderr)
-            return EXIT_DATA
-        plan = fit_norm_params(panel, plans[args.window])
-        # the same per-window training, seed and data the backtest uses
-        config = _backtest_config(cfg)
-        _, nets = train_window(panel, plan, [model], config, args.window)
-        net = nets[model]
-    except TrainingDivergenceError as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    cfg = _run_config(args)
+    model = args.model
+    if model not in MODEL_SPECS:
+        raise ConfigError(f"unknown model {model!r} (known: {', '.join(MODEL_SPECS)})")
+    panel = load_panel(cfg.panel)
+    config = cfg.backtest
+    plans = rolling_windows(panel.n_weeks, config.train_len, config.test_len)
+    if not 0 <= args.window < len(plans):
+        raise DataError(f"window {args.window} out of range (0..{len(plans) - 1})")
+    plan = fit_norm_params(panel, plans[args.window])
+    # the same per-window training, seed and data the backtest uses
+    _, nets = train_window(panel, plan, [model], config, args.window)
+    net = nets[model]
     out = Path(args.checkpoint)
     out.parent.mkdir(parents=True, exist_ok=True)
     tc = model_train_config(config, model, args.window)
@@ -440,23 +399,15 @@ def cmd_score(args) -> int:
         net = load_checkpoint(args.checkpoint)
         norm = load_checkpoint_norm(args.checkpoint)
     except OSError as exc:
-        print(f"data error: cannot read checkpoint: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except CheckpointError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        raise DataError(f"cannot read checkpoint: {exc}") from exc
     try:
         panel = load_panel(args.panel)
         feats = panel.week_features(args.week)
         if norm is not None:
             feats = apply_norm_params(feats, *norm)
         scores = forward(net, feats)
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except ValueError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        raise DataError(str(exc)) from exc
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
@@ -467,39 +418,19 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
-def _cli_overrides(args) -> dict:
-    keys = (
-        "panel out train_len test_len strategies modes k batch_size total_batches "
-        "learning_rate optimizer seed cost_bps rf_annual levels threads batch_sizes"
-    ).split()
-    return {k: getattr(args, k, None) for k in keys}
-
-
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """--config, and one flag per config key: `a_b` is `--a-b`, plus `-a`
+    for a one-letter key."""
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--panel", help="panel CSV path")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--train-len", dest="train_len", type=int)
-    p.add_argument("--test-len", dest="test_len", type=int)
-    p.add_argument("--strategies", help="comma list of models")
-    p.add_argument("--modes", help="comma list from {ls, sa}")
-    p.add_argument("-k", "--k", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--total-batches", dest="total_batches", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--optimizer", choices=("adam", "sgd"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--cost-bps", dest="cost_bps", type=float)
-    p.add_argument("--rf-annual", dest="rf_annual", type=float)
-    p.add_argument("--levels", type=int)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--batch-sizes", dest="batch_sizes",
-                   help="comma list; also emit batchgrid.csv (retrains per size)")
+    for name, f in _keys().items():
+        flags = ["-" + name] if len(name) == 1 else []
+        p.add_argument(*flags, "--" + name.replace("_", "-"), dest=name,
+                       type=type(f.default), help=_HELP.get(name))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="listfold",
-                                     description="listwise rank losses and long-short backtests")
+    parser = _Parser(prog="listfold",
+                     description="listwise rank losses and long-short backtests")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("backtest", help="train, score, build portfolios, account pnl")
@@ -552,7 +483,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except DataError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except TrainingDivergenceError as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

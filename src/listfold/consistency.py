@@ -395,14 +395,13 @@ class SamplerSpec:
     model 'vase' draws items sequentially with probability proportional to
     the remaining weights. model 'plank' throws two darts per stage, one
     against the widths w and one against the lengths l = 1/w, rejecting
-    same-plank hits; w_i * l_i = 1 must hold within 1e-12.
+    same-plank hits.
     """
 
     model: str
     weights: np.ndarray
     draws: int
     seed: int = 0
-    lengths: np.ndarray | None = None
 
     def __post_init__(self):
         if self.model not in ("vase", "plank"):
@@ -413,16 +412,8 @@ class SamplerSpec:
         object.__setattr__(self, "weights", w)
         if self.draws < 1:
             raise ValueError("draws must be >= 1")
-        if self.model == "plank":
-            if w.size % 2 != 0:
-                raise ValueError("plank model needs an even number of planks")
-            lengths = self.lengths
-            if lengths is None:
-                lengths = 1.0 / w
-            lengths = np.asarray(lengths, dtype=float).ravel()
-            if np.any(np.abs(w * lengths - 1.0) > 1e-12):
-                raise ValueError("plank model requires w_i * l_i = 1 within 1e-12")
-            object.__setattr__(self, "lengths", lengths)
+        if self.model == "plank" and w.size % 2 != 0:
+            raise ValueError("plank model needs an even number of planks")
 
 
 def _categorical_rows(rng: np.random.Generator, weights: np.ndarray) -> np.ndarray:
@@ -463,7 +454,7 @@ def sample_plank_dart(spec: SamplerSpec) -> dict[tuple[int, ...], int]:
     n = m // 2
     rng = np.random.default_rng(spec.seed)
     live_w = np.tile(spec.weights, (spec.draws, 1))
-    live_l = np.tile(spec.lengths, (spec.draws, 1))
+    live_l = np.tile(1.0 / spec.weights, (spec.draws, 1))
     out = np.empty((spec.draws, m), dtype=np.intp)
     rows = np.arange(spec.draws)
     for stage in range(n):
@@ -500,15 +491,15 @@ def vase_probability(weights, sequence) -> float:
     return float(prob)
 
 
-def plank_probability(weights, sequence, lengths=None) -> float:
+def plank_probability(weights, sequence) -> float:
     """Closed-form probability of a marked plank sequence.
 
     Stage i keeps planks at positions i..2n-1-i of the sequence; the chance
     of marking (A_i, B_i) is w_A * l_B over the cross product of remaining
-    widths and lengths minus the same-plank mass.
+    widths and lengths l = 1/w minus the same-plank mass.
     """
     w = np.asarray(weights, dtype=float)
-    l = 1.0 / w if lengths is None else np.asarray(lengths, dtype=float)
+    l = 1.0 / w
     seq = list(sequence)
     m = len(seq)
     n = m // 2

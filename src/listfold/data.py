@@ -182,8 +182,9 @@ def load_panel(path, schema: dict | None = None) -> FactorPanel:
 
     schema may remap the date/stock/fwd_ret column names and, via a
     'factors' entry, restrict which columns are factors; any column not
-    claimed is ignored. Duplicate (date, stock) rows and non-numeric cells
-    raise ParseError naming the offending row.
+    claimed is ignored. Duplicate (date, stock) rows, rows with fewer
+    fields than the header and non-numeric cells raise ParseError naming
+    the offending row.
     """
     colmap = dict(_DEFAULT_SCHEMA)
     explicit_factors = None
@@ -221,6 +222,9 @@ def load_panel(path, schema: dict | None = None) -> FactorPanel:
         for row_num, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) < len(header):
+                raise ParseError(f"row {row_num}: {len(row)} fields, "
+                                 f"the header has {len(header)}")
             date, stock = row[di], row[si]
             key = (date, stock)
             if key in cells:

@@ -89,43 +89,42 @@ def spearman_ic(scores, returns, return_flag: bool = False):
     return (rho, False) if return_flag else rho
 
 
-def _dcg(labels_in_rank_order: np.ndarray, k: int, log_base: float) -> float:
+def _dcg(labels_in_rank_order: np.ndarray, k: int) -> float:
     j = np.arange(1, k + 1, dtype=float)
     gains = np.power(2.0, labels_in_rank_order[:k]) - 1.0
-    discounts = np.log(1.0 + j) / np.log(log_base)
+    discounts = np.log(1.0 + j) / np.log(2.0)
     return float(np.sum(gains / discounts))
 
 
-def ndcg_at_k(rank_eval: RankEval, log_base: float = 2.0, return_flag: bool = False):
+def ndcg_at_k(rank_eval: RankEval, return_flag: bool = False):
     """Discounted cumulative gain at cutoff k over the ideal ordering's.
 
-    The log base cancels in the ratio; base 2 is the conventional default.
+    Discounts are 1/log2(1 + j); any log base cancels in the ratio.
     An all-zero gain vector (labels all 0) makes the ratio undefined and
     returns 1 with the degeneracy flag.
     """
     labels_at_pos = np.asarray(rank_eval.labels, dtype=float)[rank_eval.predicted_order]
     ideal = np.sort(np.asarray(rank_eval.labels, dtype=float))[::-1]
-    idcg = _dcg(ideal, rank_eval.k, log_base)
+    idcg = _dcg(ideal, rank_eval.k)
     if idcg == 0:
         return (1.0, True) if return_flag else 1.0
-    value = _dcg(labels_at_pos, rank_eval.k, log_base) / idcg
+    value = _dcg(labels_at_pos, rank_eval.k) / idcg
     return (value, False) if return_flag else value
 
 
-def ndcg_at_minus_k(rank_eval: RankEval, levels: int, log_base: float = 2.0,
-                    return_flag: bool = False):
+def ndcg_at_minus_k(rank_eval: RankEval, levels: int, return_flag: bool = False):
     """NDCG of the reversed predicted order under complemented labels
     (L+1) - l: rewards identifying the bottom of the list."""
     labels = np.asarray(rank_eval.labels)
     complemented = (levels + 1) - labels
     reversed_eval = RankEval(rank_eval.predicted_order[::-1], complemented, rank_eval.k)
-    return ndcg_at_k(reversed_eval, log_base=log_base, return_flag=return_flag)
+    return ndcg_at_k(reversed_eval, return_flag=return_flag)
 
 
-def ndcg_pm_k(rank_eval: RankEval, levels: int, log_base: float = 2.0) -> float:
+def ndcg_pm_k(rank_eval: RankEval, levels: int) -> float:
     """Mean of the top-end and bottom-end NDCG at the same cutoff."""
-    top = ndcg_at_k(rank_eval, log_base=log_base)
-    bottom = ndcg_at_minus_k(rank_eval, levels, log_base=log_base)
+    top = ndcg_at_k(rank_eval)
+    bottom = ndcg_at_minus_k(rank_eval, levels)
     return 0.5 * (top + bottom)
 
 

@@ -90,7 +90,6 @@ class TrainConfig:
     final_relu: bool = True
     seed: int = 0
     reverse_labels: bool = False
-    patience: int | None = None  # stop after this many batches without improvement
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -293,15 +292,13 @@ def train(panel: FactorPanel, window: WindowPlan, config: TrainConfig,
     rng = np.random.default_rng(config.seed)
     queue: list[int] = []
     consecutive_bad = 0
-    best = np.inf
-    stale = 0
     for _ in range(config.total_batches):
         while len(queue) < config.batch_size:
             queue.extend(rng.permutation(len(lists)).tolist())
         picks, queue = queue[: config.batch_size], queue[config.batch_size :]
         try:
-            loss = train_step(net, [lists[i] for i in picks], config.loss, optimizer,
-                              reverse_labels=config.reverse_labels)
+            train_step(net, [lists[i] for i in picks], config.loss, optimizer,
+                       reverse_labels=config.reverse_labels)
         except NonFiniteLossError:
             consecutive_bad += 1
             if consecutive_bad >= 10:
@@ -310,14 +307,6 @@ def train(panel: FactorPanel, window: WindowPlan, config: TrainConfig,
                 ) from None
             continue
         consecutive_bad = 0
-        if config.patience is not None:
-            if loss < best - 1e-12:
-                best = loss
-                stale = 0
-            else:
-                stale += 1
-                if stale >= config.patience:
-                    break
     return net
 
 
@@ -339,7 +328,6 @@ def config_digest(config: TrainConfig) -> str:
             config.final_relu,
             config.seed,
             config.reverse_labels,
-            config.patience,
         )
     )
     return hashlib.sha256(text.encode()).hexdigest()[:16]

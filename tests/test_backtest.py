@@ -321,6 +321,25 @@ def small_backtest():
     return panel, cfg, strategies, run_backtest(panel, strategies, cfg)
 
 
+class TestBacktestConfig:
+    @pytest.mark.parametrize("field,value,message", [
+        ("train_len", 0, "train_len: must be >= 1"),
+        ("test_len", 0, "test_len: must be >= 1"),
+        ("batch_size", 0, "batch_size: must be >= 1"),
+        ("threads", 0, "threads: must be >= 1"),
+        ("total_batches", -1, "total_batches: must be >= 0"),
+        ("optimizer", "newton", "optimizer: unknown optimizer 'newton'"),
+        ("levels", 1, "levels: must be >= 2"),
+    ])
+    def test_out_of_range_value_names_field(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            BacktestConfig(**{field: value})
+
+    def test_edge_values_accepted(self):
+        BacktestConfig(train_len=1, test_len=1, batch_size=1, threads=1, total_batches=0,
+                       optimizer="sgd", levels=2)
+
+
 class TestRunBacktest:
     def test_full_table_shape(self, small_backtest):
         panel, cfg, strategies, result = small_backtest

@@ -1,14 +1,17 @@
 """End-to-end command tests: exit codes, files, and determinism."""
 
 import csv
+import re
+from dataclasses import fields, make_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from listfold.backtest import StrategySpec, run_backtest
-from listfold.cli import (main, parse_config_file, build_run_config, ConfigError,
-                          _backtest_config)
-from listfold.data import apply_norm_params, load_panel, rolling_windows
+from listfold import cli
+from listfold.backtest import BacktestConfig, StrategySpec, run_backtest
+from listfold.cli import main, parse_config_file, build_run_config, ConfigError
+from listfold.data import DataError, apply_norm_params, load_panel, rolling_windows
 from listfold.neural import CheckpointError, forward, load_checkpoint, load_checkpoint_norm
 
 
@@ -42,6 +45,31 @@ def base_config(panel_csv, tmp_path_factory):
     return cfg
 
 
+def via_key_and_flag(monkeypatch, panel_csv, tmp_path, name, value):
+    """The configs `backtest` hands to run_backtest when `name` is set once
+    as a config-file key and once as a flag; each run stops there."""
+    seen = []
+
+    def stop(panel, strategies, config):
+        seen.append(config)
+        raise DataError("stopped before training")
+
+    monkeypatch.setattr(cli, "run_backtest", stop)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"panel = {panel_csv}\n{name} = {value}\n")
+    assert main(["backtest", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert main(["backtest", "--panel", str(panel_csv), "--out", str(tmp_path),
+                 "--" + name.replace("_", "-"), str(value)]) == 2
+    return seen
+
+
+def other_value(field):
+    """A valid value of a BacktestConfig field other than its default."""
+    if isinstance(field.default, str):
+        return {"optimizer": "sgd"}[field.name]
+    return field.default + 1 if isinstance(field.default, int) else field.default * 2
+
+
 class TestConfig:
     def test_parse_flat_file(self, base_config):
         values = parse_config_file(base_config)
@@ -59,6 +87,42 @@ class TestConfig:
     def test_unknown_strategy_named(self):
         with pytest.raises(ConfigError, match="strategies"):
             build_run_config({"strategies": "listfool"}, {})
+
+    @pytest.mark.parametrize("field", fields(BacktestConfig), ids=lambda f: f.name)
+    def test_backtest_field_is_a_config_key_and_a_flag(self, field, panel_csv, tmp_path,
+                                                       monkeypatch):
+        value = other_value(field)
+        from_file, from_flag = via_key_and_flag(monkeypatch, panel_csv, tmp_path,
+                                                field.name, value)
+        assert from_file == from_flag == replace(BacktestConfig(), **{field.name: value})
+
+    def test_new_backtest_field_needs_no_cli_edit(self, panel_csv, tmp_path, monkeypatch):
+        extended = make_dataclass("Extended", [("extra_knob", int, 5)],
+                                  bases=(BacktestConfig,), frozen=True)
+        monkeypatch.setattr(cli, "BacktestConfig", extended)
+        from_file, from_flag = via_key_and_flag(monkeypatch, panel_csv, tmp_path,
+                                                "extra_knob", 7)
+        assert from_file.extra_knob == from_flag.extra_knob == 7
+
+    def test_readme_run_cfg_is_accepted(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        body = re.search(r"cat > run\.cfg <<'EOF'\n(.*?)\nEOF\n", readme, re.S).group(1)
+        path = tmp_path / "run.cfg"
+        path.write_text(body + "\n")
+        values = parse_config_file(path)
+        assert "train_len" in values
+        cfg = build_run_config(values, {})
+        assert cfg.panel == values["panel"]
+        assert cfg.backtest.train_len == int(values["train_len"])
+
+    def test_bad_flag_value_exits_one(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["backtest", "--k", "abc"])
+        assert exc.value.code == 1
+        assert "--k" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["backtest", "--help"])
+        assert exc.value.code == 0
 
 
 class TestSynth:
@@ -114,6 +178,24 @@ class TestBacktestCommand:
         assert rc == 1
         assert "optimizer" in capsys.readouterr().err
 
+    def test_levels_below_two_is_a_config_error_before_training(self, base_config, tmp_path,
+                                                                capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_backtest", lambda *args: pytest.fail("trained"))
+        rc = main(["backtest", "--config", str(base_config), "--levels", "1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "config error: field levels: must be >= 2" in capsys.readouterr().err
+
+    def test_short_csv_row_exit_two(self, base_config, panel_csv, tmp_path, capsys):
+        lines = panel_csv.read_text().splitlines()
+        lines[5] = ",".join(lines[5].split(",")[:3])
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join(lines) + "\n")
+        rc = main(["backtest", "--config", str(base_config), "--panel", str(short),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "row 6: 3 fields" in capsys.readouterr().err
+
     def test_batch_sizes_flag_emits_batchgrid(self, base_config, tmp_path):
         out = tmp_path / "grid"
         rc = main(["backtest", "--config", str(base_config), "--out", str(out),
@@ -144,6 +226,11 @@ class TestVerifyCommand:
 
     def test_oversized_list_exit_one(self, tmp_path):
         assert main(["verify", "--sizes", "10", "--out", str(tmp_path / "v")]) == 1
+
+    def test_non_integer_size_is_a_config_error(self, tmp_path, capsys):
+        assert main(["verify", "--sizes", "a", "--out", str(tmp_path / "v")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "sizes" in err
 
     def test_failed_theorem_check_exit_four(self, tmp_path, monkeypatch):
         from listfold import consistency
@@ -219,7 +306,7 @@ class TestTrainScoreCommands:
     def test_checkpoint_is_the_model_the_backtest_scored(self, base_config, panel_csv,
                                                          tmp_path):
         panel = load_panel(panel_csv)
-        config = _backtest_config(build_run_config(parse_config_file(base_config), {}))
+        config = build_run_config(parse_config_file(base_config), {}).backtest
         strategies = [StrategySpec("ListFold-exp", "listfold-exp", "ls", 2),
                       StrategySpec("List2MLE", "listmle", "list2mle", 2)]
         result = run_backtest(panel, strategies, config)

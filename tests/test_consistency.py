@@ -242,9 +242,6 @@ class TestPlankSampler:
     def test_length_constraint_validated(self):
         with pytest.raises(ValueError):
             SamplerSpec("plank", np.ones(3), draws=10)
-        with pytest.raises(ValueError):
-            SamplerSpec("plank", np.array([2.0, 1.0]), draws=10,
-                        lengths=np.array([1.0, 1.0]))
 
     def test_deterministic_given_seed(self):
         spec = SamplerSpec("plank", np.array([1.4, 1.0, 0.8, 0.5]), draws=5000, seed=8)

@@ -70,6 +70,14 @@ class TestLoadSave:
         with pytest.raises(ParseError, match="row 2"):
             load_panel(p)
 
+    def test_short_row_names_row_and_field_counts(self, tmp_path):
+        p = tmp_path / "short.csv"
+        p.write_text("date,stock,fwd_ret,alpha\n"
+                     "2020-01-03,A,0.01,1.5\n"
+                     "2020-01-03,B,0.02\n")
+        with pytest.raises(ParseError, match="row 3: 3 fields, the header has 4"):
+            load_panel(p)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_panel(tmp_path / "nope.csv")

@@ -106,15 +106,6 @@ class TestNdcg:
         want = dcg_reference([1, 2], 2) / dcg_reference([4, 3], 2)
         assert ndcg_at_minus_k(reversed_pred, levels=4) == pytest.approx(want, abs=1e-12)
 
-    def test_log_base_cancels(self):
-        rng = np.random.default_rng(1)
-        order = rng.permutation(6)
-        labels = rng.integers(1, 5, size=6)
-        ev = RankEval(order, labels, 3)
-        assert ndcg_at_k(ev, log_base=2.0) == pytest.approx(
-            ndcg_at_k(ev, log_base=math.e), abs=1e-12
-        )
-
     def test_pm_symmetric_under_joint_reversal(self):
         rng = np.random.default_rng(2)
         levels = 5

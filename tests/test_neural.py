@@ -275,16 +275,6 @@ class TestTrain:
         with pytest.raises(TrainingDivergenceError):
             train(wp, local, cfg)
 
-    def test_early_stopping_knob_caps_batches(self):
-        wp, local = normalized_window()
-        base = TrainConfig(loss=FOLD_EXP, batch_size=4, total_batches=400, seed=9,
-                           patience=3, learning_rate=0.0)
-        # lr 0 never improves, so training stops after the patience window
-        net = train(wp, local, base)
-        want = init_network(wp.n_factors, 9)
-        for p, q in zip(net.parameters(), want.parameters()):
-            np.testing.assert_array_equal(p, q)
-
 
 class TestScoreWeek:
     def test_matches_forward_on_extracted_matrix(self):
