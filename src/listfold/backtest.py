@@ -219,6 +219,11 @@ class StrategySpec:
             return ("listmle", "listmle-rvs")
         return (self.model,)
 
+    def check_universe(self, n_stocks: int) -> None:
+        """ValueError unless n_stocks can hold this strategy's k-stock legs
+        (a short-average book has one; the others have two)."""
+        _check_k(self.k, n_stocks, sides=1 if self.mode == "sa" else 2)
+
 
 def standard_strategies(k: int = 8, short_average: bool = True) -> list[StrategySpec]:
     """The standard lineup: five models long-short, plus the short-average

@@ -217,6 +217,11 @@ def cmd_backtest(args) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     panel = load_panel(cfg.panel)
+    for strat in strategies:
+        try:
+            strat.check_universe(panel.n_stocks)
+        except ValueError as exc:
+            raise ConfigError(f"field k: {exc}") from None
     result = run_backtest(panel, strategies, cfg.backtest)
 
     write_stats_csv(out_dir / "stats.csv", result.stats)
@@ -249,8 +254,8 @@ def cmd_verify(args) -> int:
     except ValueError:
         raise ConfigError(
             f"sizes must be a comma list of integers, got {args.sizes!r}") from None
-    if any(s > consistency.ENUMERATION_CAP or s < 2 or s % 2 for s in sizes):
-        raise ConfigError(f"sizes must be even and <= {consistency.ENUMERATION_CAP}")
+    if any(s > consistency.SEARCH_CAP or s < 2 or s % 2 for s in sizes):
+        raise ConfigError(f"sizes must be even and <= {consistency.SEARCH_CAP}")
     if args.trials < 1 or args.budget < 0:
         raise ConfigError("trials must be >= 1 and budget >= 0")
     out_dir = Path(args.out)
@@ -272,13 +277,15 @@ def cmd_verify(args) -> int:
         lines.append(f"  L{seq} = {value:.6f} target {target} -> {'ok' if ok else 'MISMATCH'}")
 
     n_values = sorted({s // 2 for s in sizes})
-    # theorem 1 builds every draw's full order table and minimizer set in
-    # Python (enumerate_losses); n = 4 is affordable only for the sparser
-    # theorem-2 checks
+    # Only the search takes sizes past 8, on the subset DP. The theorem
+    # checks enumerate orders: theorem 1 builds each draw's full order table
+    # and minimizer set in Python (enumerate_losses), so it stops at n = 3;
+    # restricted theorem 2 enumerates the 576 half-respecting orders at n = 4.
     t1_ns = [n for n in n_values if n <= 3] or [1]
+    t2_ns = [n for n in n_values if 2 * n <= consistency.ENUMERATION_CAP] or [1]
     t1 = consistency.verify_theorem1(args.trials, t1_ns, args.seed)
-    t2r = consistency.verify_theorem2(args.trials, n_values, args.seed, restricted=True)
-    t2u = consistency.verify_theorem2(args.trials, n_values, args.seed, restricted=False)
+    t2r = consistency.verify_theorem2(args.trials, t2_ns, args.seed, restricted=True)
+    t2u = consistency.verify_theorem2(args.trials, t2_ns, args.seed, restricted=False)
     lines += ["", t1.summary(), "", t2r.summary(), "", t2u.summary()]
 
     probe = consistency.order_sensitivity_probe(
@@ -437,9 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(func=cmd_backtest)
 
-    p = sub.add_parser("verify", help="enumeration checks of the consistency claims")
+    p = sub.add_parser("verify", help="enumeration and subset-DP checks of the consistency claims")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--sizes", default="2,4,6", help="even list lengths, max 8")
+    p.add_argument("--sizes", default="2,4,6",
+                   help="even list lengths, max 14 (theorem checks use those up to 8)")
     p.add_argument("--budget", type=int, default=2000,
                    help="counterexample samples per size (split over distributions)")
     p.add_argument("--seed", type=int, default=0)

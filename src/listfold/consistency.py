@@ -2,10 +2,16 @@
 enumeration, minimizer classification, counterexample search, and Monte
 Carlo samplers for the two generative stories behind the losses.
 
-The enumeration cap is list length 8 (8! = 40320 evaluations), which covers
-half-lengths n <= 4 while keeping every report under a second. Minimizers
-are grouped within an absolute tolerance of 1e-9 so genuinely tied sets
-(the sigmoid case produces them) come out as sets.
+Two engines answer the questions. Where only the least exponential listfold
+loss over all orders is needed (the counterexample search and the
+unrestricted theorem-2 check), an exact dynamic program over subsets finds
+it in 2^m states, so the search reaches list length SEARCH_CAP = 14. Where
+every order or every near-tied order is needed (minimizer sets, theorem 1,
+the restricted uniqueness check, the probe, an injected black-box loss),
+the checks enumerate permutations, capped at ENUMERATION_CAP = 8 items
+(8! = 40320 rows). Minimizers are grouped within an absolute tolerance of
+1e-9 so genuinely tied sets (the sigmoid case produces them) come out as
+sets.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .losses import LossSpec, Transform, evaluate_loss
 __all__ = [
     "ENUMERATION_CAP",
     "MINIMIZER_TOL",
+    "SEARCH_CAP",
     "EnumerationReport",
     "SamplerSpec",
     "TheoremReport",
@@ -40,6 +47,7 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 8
+SEARCH_CAP = 14
 MINIMIZER_TOL = 1e-9
 
 
@@ -245,13 +253,107 @@ def _half_respecting_table(n: int) -> np.ndarray:
     return np.hstack([np.repeat(p, k, axis=0), np.tile(p + n, (k, 1))])
 
 
+# Elements per (draws, states, pairs) temporary of the subset DP: draws go
+# through in chunks so the widest level's gathers stay near 8 MB at m = 14.
+_DP_ELEMENTS = 1 << 20
+
+_SUBSET_CACHE: dict[int, tuple] = {}
+
+
+def _subset_levels(m: int):
+    """Index tables of the subset DP over range(m), cached per m.
+
+    Returns (pi, pj, rank, levels): the C(m, 2) pairs pi < pj, each
+    bitmask's row within its level, and per even level k = 2, 4, ..., m the
+    tuple (k, states, pairs, rest): the k-item bitmasks, the ids of the
+    C(k, 2) pairs inside each, and each state with that pair removed.
+    """
+    if m not in _SUBSET_CACHE:
+        pi, pj = np.triu_indices(m, 1)
+        pair_mask = (1 << pi) | (1 << pj)
+        size = np.zeros(1 << m, dtype=np.intp)
+        for b in range(m):
+            size[1 << b : 2 << b] = size[: 1 << b] + 1
+        rank = np.zeros(1 << m, dtype=np.intp)
+        levels = []
+        for k in range(2, m + 1, 2):
+            states = np.flatnonzero(size == k)
+            rank[states] = np.arange(states.size)
+            inside = (states[:, None] & pair_mask) == pair_mask
+            pairs = np.nonzero(inside)[1].reshape(states.size, k * (k - 1) // 2)
+            levels.append((k, states, pairs, states[:, None] ^ pair_mask[pairs]))
+        _SUBSET_CACHE[m] = (pi, pj, rank, levels)
+    return _SUBSET_CACHE[m]
+
+
+def _least_exp_chunk(f: np.ndarray):
+    """_least_listfold_exp on one chunk of draws."""
+    c, m = f.shape
+    pi, pj, rank, levels = _subset_levels(m)
+    # log A(S), log B(S): log-sums of e^f and e^-f over every subset, one
+    # bit at a time (the subsets holding bit b extend those below 2^b)
+    log_a = np.full((c, 1 << m), -np.inf)
+    log_b = np.full((c, 1 << m), -np.inf)
+    for b in range(m):
+        log_a[:, 1 << b : 2 << b] = np.logaddexp(log_a[:, : 1 << b], f[:, b : b + 1])
+        log_b[:, 1 << b : 2 << b] = np.logaddexp(log_b[:, : 1 << b], -f[:, b : b + 1])
+    # the better orientation of pair (i, j) puts the larger score on top
+    gain = np.abs(f[:, pi] - f[:, pj])
+    least = np.zeros((c, 1 << m))  # V(S); V(empty set) = 0
+    choice = []
+    for k, states, pairs, rest in levels:
+        cand = least[:, rest] - gain[:, pairs]
+        arg = cand.argmin(axis=2)
+        # log D(S) = log(A B - |S|), as losses._listfold_exp_denominators
+        log_ab = log_a[:, states] + log_b[:, states]
+        log_d = log_ab + np.log1p(-k * np.exp(-log_ab))
+        least[:, states] = log_d + np.take_along_axis(cand, arg[..., None], axis=2)[..., 0]
+        choice.append(arg)
+    # backtrack the argmin pairs from the full set inwards
+    rows = np.arange(c)
+    state = np.full(c, (1 << m) - 1)
+    order = np.empty((c, m), dtype=np.intp)
+    for s, ((_, _, pairs, _), arg) in enumerate(zip(levels[::-1], choice[::-1])):
+        at = rank[state]
+        p = pairs[at, arg[rows, at]]
+        i, j = pi[p], pj[p]
+        i_top = f[rows, i] >= f[rows, j]
+        order[:, s] = np.where(i_top, i, j)
+        order[:, m - 1 - s] = np.where(i_top, j, i)
+        state = state ^ (1 << i) ^ (1 << j)
+    return least[:, -1], order
+
+
+def _least_listfold_exp(scores: np.ndarray):
+    """Least exponential listfold loss over all orders of each row of a
+    (draws, m) block (m even), and one order reaching it, as (draws, m)
+    indices into the row.
+
+    Stage s's denominator D depends only on the set S of still unplaced
+    items, so the least loss over the orders of S is the Held-Karp subset
+    recursion V(S) = log D(S) + min over i != j in S of
+    [f_j - f_i + V(S - {i, j})], with i placed on top and j at the bottom:
+    2^m states instead of m! orders.
+    """
+    draws, m = scores.shape
+    widest = max(pairs.size for _, _, pairs, _ in _subset_levels(m)[3])
+    step = max(1, _DP_ELEMENTS // widest)
+    least = np.empty(draws)
+    order = np.empty((draws, m), dtype=np.intp)
+    for lo in range(0, draws, step):
+        least[lo : lo + step], order[lo : lo + step] = _least_exp_chunk(scores[lo : lo + step])
+    return least, order
+
+
 def verify_theorem2(trials: int, n_range, seed: int, restricted: bool = True) -> TheoremReport:
     """Check that exponential listfold is minimized by the descending sequence.
 
     restricted mode enumerates only permutations that keep the top half in
-    the top positions (the proven statement) and demands uniqueness;
-    unrestricted mode enumerates everything (the conjectured statement).
-    All-tied inputs are flagged degenerate.
+    the top positions (the proven statement) and demands uniqueness: that
+    needs every near-tied order, so it stays on enumeration (576 rows at
+    n = 4). unrestricted mode (the conjectured statement) compares the
+    descending loss with the exact least loss over all orders from the
+    subset DP. All-tied inputs are flagged degenerate.
     """
     n_range = tuple(int(n) for n in n_range)
     if max(n_range) * 2 > ENUMERATION_CAP:
@@ -259,23 +361,29 @@ def verify_theorem2(trials: int, n_range, seed: int, restricted: bool = True) ->
     spec = LossSpec("listfold", Transform("exponential"))
     mode = "restricted" if restricted else "unrestricted"
     report = TheoremReport(f"theorem2-exponential-{mode}", seed, trials, n_range)
-    for n, f in _distinct_trials(report, np.random.default_rng(seed)):
-        # row 0 of either table is the descending sequence itself
-        index = _half_respecting_table(n) if restricted else _perm_table(2 * n)
-        table = np.sort(f)[::-1][index]
-        losses = _table_losses(spec, table)
-        base = float(losses[0])
+    trials_by_n = itertools.groupby(_distinct_trials(report, np.random.default_rng(seed)),
+                                    key=lambda trial: trial[0])
+    for n, group in trials_by_n:
+        draws = np.array([f for _, f in group])
+        descending = np.sort(draws, axis=1)[:, ::-1]
+        hits = []  # (draw, order, its loss, descending loss)
         if restricted:
-            # uniqueness: no other half-respecting order may tie or beat it
-            ties = np.flatnonzero(losses[1:] <= base + MINIMIZER_TOL)
-            j = int(ties[0]) + 1 if ties.size else None
+            index = _half_respecting_table(n)  # row 0 is the identity
+            for r, row in enumerate(descending):
+                losses = _table_losses(spec, row[index])
+                # uniqueness: no other half-respecting order may tie or beat it
+                ties = np.flatnonzero(losses[1:] <= losses[0] + MINIMIZER_TOL) + 1
+                if ties.size:
+                    hits.append((r, row[index[ties[0]]], losses[ties[0]], losses[0]))
         else:
-            j = int(np.argmin(losses))
-            j = j if losses[j] < base - MINIMIZER_TOL else None
-        if j is not None:
+            base = _table_losses(spec, descending)
+            least, orders = _least_listfold_exp(descending)
+            hits = [(r, descending[r, orders[r]], least[r], base[r])
+                    for r in np.flatnonzero(least < base - MINIMIZER_TOL)]
+        for r, perm, loss, base_loss in hits:
             report.violations.append(
-                {"scores": tuple(f.tolist()), "permutation": tuple(table[j].tolist()),
-                 "loss": float(losses[j]), "descending_loss": base}
+                {"scores": tuple(draws[r].tolist()), "permutation": tuple(perm.tolist()),
+                 "loss": float(loss), "descending_loss": float(base_loss)}
             )
     return report
 
@@ -317,29 +425,37 @@ def counterexample_search(budget: int, size: int, distribution: str = "uniform",
     """Hunt for multisets where descending does not globally minimize the
     exponential listfold loss. Returns every witness found (expected none).
 
-    A draw's witness is its least-loss order: the argmin row of the
-    lexicographic permutation table of the sorted scores (the first on a tie).
-    loss_fn(scores_array) -> float overrides the evaluated loss and is called
-    once per order; injecting a broken loss is the harness self-test and
-    must produce witnesses.
+    A draw's witness is a least-loss order, found by the exact subset DP,
+    which lets size reach SEARCH_CAP. loss_fn(scores_array) -> float
+    overrides the evaluated loss; it is a black box per order, so it is
+    called on every row of the permutation table of the sorted scores
+    (size <= ENUMERATION_CAP) and the witness is the argmin row, the first
+    on a tie. Injecting a broken loss is the harness self-test and must
+    produce witnesses.
     """
-    if size % 2 != 0 or size > ENUMERATION_CAP:
-        raise ValueError(f"size must be even and <= {ENUMERATION_CAP}")
+    cap = SEARCH_CAP if loss_fn is None else ENUMERATION_CAP
+    if size % 2 != 0 or not 2 <= size <= cap:
+        raise ValueError(f"size must be even and in [2, {cap}]")
+    if budget < 1:
+        return []
     rng = np.random.default_rng(seed)
-    spec = LossSpec("listfold", Transform("exponential"))
-    witnesses: list[Witness] = []
-    for _ in range(budget):
-        f = _sample_scores(rng, size, distribution)
-        table = np.sort(f)[::-1][_perm_table(size)]  # row 0 is descending
-        if loss_fn is None:
-            losses = _table_losses(spec, table)
-        else:
-            losses = np.array([float(loss_fn(row)) for row in table])
-        j = int(np.argmin(losses))
-        if losses[j] < losses[0] - MINIMIZER_TOL:
-            witnesses.append(Witness(tuple(f.tolist()), tuple(table[j].tolist()),
-                                     float(losses[j]), float(losses[0])))
-    return witnesses
+    draws = np.array([_sample_scores(rng, size, distribution) for _ in range(budget)])
+    descending = np.sort(draws, axis=1)[:, ::-1]
+    if loss_fn is None:
+        spec = LossSpec("listfold", Transform("exponential"))
+        base = _table_losses(spec, descending)
+        least, orders = _least_listfold_exp(descending)
+    else:
+        index = _perm_table(size)  # row 0 is the identity
+        least, base = np.empty(budget), np.empty(budget)
+        orders = np.empty((budget, size), dtype=np.intp)
+        for r, f in enumerate(descending):
+            losses = np.array([float(loss_fn(row)) for row in f[index]])
+            j = int(np.argmin(losses))
+            least[r], base[r], orders[r] = losses[j], losses[0], index[j]
+    return [Witness(tuple(draws[r].tolist()), tuple(descending[r, orders[r]].tolist()),
+                    float(least[r]), float(base[r]))
+            for r in np.flatnonzero(least < base - MINIMIZER_TOL)]
 
 
 @dataclass(frozen=True)
@@ -424,6 +540,20 @@ def _categorical_rows(rng: np.random.Generator, weights: np.ndarray) -> np.ndarr
     return (u >= cum).sum(axis=1)
 
 
+def _order_counts(out: np.ndarray) -> dict[tuple[int, ...], int]:
+    """Counts of the distinct rows of a (draws, m) block of orderings of
+    range(m), keyed by item-index tuple."""
+    m = out.shape[1]
+    if m**m <= np.iinfo(np.int64).max:
+        # one base-m integer per row
+        place = m ** np.arange(m - 1, -1, -1)
+        keys, counts = np.unique(out @ place, return_counts=True)
+        rows = keys[:, None] // place % m
+    else:
+        rows, counts = np.unique(out, axis=0, return_counts=True)
+    return dict(zip(map(tuple, rows.tolist()), counts.tolist()))
+
+
 def sample_vase(spec: SamplerSpec) -> dict[tuple[int, ...], int]:
     """Empirical counts of full orderings under sequential proportional
     sampling without replacement. Keys are item-index tuples."""
@@ -438,11 +568,7 @@ def sample_vase(spec: SamplerSpec) -> dict[tuple[int, ...], int]:
         pick = _categorical_rows(rng, live)
         out[:, stage] = pick
         live[rows, pick] = 0.0
-    counts: dict[tuple[int, ...], int] = {}
-    for row in out:
-        key = tuple(row.tolist())
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    return _order_counts(out)
 
 
 def sample_plank_dart(spec: SamplerSpec) -> dict[tuple[int, ...], int]:
@@ -472,11 +598,7 @@ def sample_plank_dart(spec: SamplerSpec) -> dict[tuple[int, ...], int]:
         live_w[rows, b] = 0.0
         live_l[rows, a] = 0.0
         live_l[rows, b] = 0.0
-    counts: dict[tuple[int, ...], int] = {}
-    for row in out:
-        key = tuple(row.tolist())
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    return _order_counts(out)
 
 
 def vase_probability(weights, sequence) -> float:

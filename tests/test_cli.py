@@ -56,9 +56,10 @@ def via_key_and_flag(monkeypatch, panel_csv, tmp_path, name, value):
 
     monkeypatch.setattr(cli, "run_backtest", stop)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"panel = {panel_csv}\n{name} = {value}\n")
+    # k = 2 fits the 12-stock panel (the default k = 8 would not)
+    cfg.write_text(f"panel = {panel_csv}\nk = 2\n{name} = {value}\n")
     assert main(["backtest", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    assert main(["backtest", "--panel", str(panel_csv), "--out", str(tmp_path),
+    assert main(["backtest", "--panel", str(panel_csv), "--out", str(tmp_path), "--k", "2",
                  "--" + name.replace("_", "-"), str(value)]) == 2
     return seen
 
@@ -186,6 +187,29 @@ class TestBacktestCommand:
         assert rc == 1
         assert "config error: field levels: must be >= 2" in capsys.readouterr().err
 
+    def test_k_above_half_the_universe_is_a_config_error_before_training(
+            self, base_config, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_backtest", lambda *args: pytest.fail("trained"))
+        rc = main(["backtest", "--config", str(base_config), "--k", "7",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert ("config error: field k: universe of 12 too small for 2 x k = 14"
+                in capsys.readouterr().err)
+
+    def test_short_average_k_may_fill_the_universe(self, base_config, tmp_path, monkeypatch):
+        seen = []
+
+        def stop(panel, strategies, config):
+            seen.append(strategies)
+            raise DataError("stopped before training")
+
+        monkeypatch.setattr(cli, "run_backtest", stop)
+        argv = ["backtest", "--config", str(base_config), "--strategies", "listfold-exp,mlp",
+                "--modes", "sa", "--out", str(tmp_path / "o")]
+        assert main(argv + ["--k", "12"]) == 2
+        assert [(s.mode, s.k) for s in seen[0]] == [("sa", 12), ("sa", 12)]
+        assert main(argv + ["--k", "13"]) == 1
+
     def test_short_csv_row_exit_two(self, base_config, panel_csv, tmp_path, capsys):
         lines = panel_csv.read_text().splitlines()
         lines[5] = ",".join(lines[5].split(",")[:3])
@@ -225,7 +249,17 @@ class TestVerifyCommand:
         assert (out / "enumeration_5410.csv").exists()
 
     def test_oversized_list_exit_one(self, tmp_path):
-        assert main(["verify", "--sizes", "10", "--out", str(tmp_path / "v")]) == 1
+        assert main(["verify", "--sizes", "16", "--out", str(tmp_path / "v")]) == 1
+
+    def test_search_sizes_past_the_enumeration_cap(self, tmp_path, capsys):
+        out = tmp_path / "v"
+        rc = main(["verify", "--trials", "2", "--sizes", "4,10", "--budget", "8",
+                   "--seed", "2", "--out", str(out)])
+        assert rc == 0
+        text = (out / "verify_report.txt").read_text()
+        # the theorem checks keep to n = 2; only the search takes size 10
+        assert text.count("n_values=[2]") == 3
+        assert "counterexample search witnesses: 0" in text
 
     def test_non_integer_size_is_a_config_error(self, tmp_path, capsys):
         assert main(["verify", "--sizes", "a", "--out", str(tmp_path / "v")]) == 1

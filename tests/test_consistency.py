@@ -5,12 +5,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loss_oracle import listfold_loss as fold_oracle
 
+from listfold import consistency
 from listfold.consistency import (
+    ENUMERATION_CAP,
+    SEARCH_CAP,
     SamplerSpec,
+    _DISTRIBUTIONS,
+    _least_listfold_exp,
+    _order_counts,
     _perm_table,
+    _sample_scores,
+    _table_losses,
     counterexample_search,
     enumerate_losses,
     frequency_zscores,
@@ -156,7 +166,67 @@ class TestCounterexampleSearch:
         with pytest.raises(ValueError):
             counterexample_search(1, 7, "uniform", seed=0)
         with pytest.raises(ValueError):
-            counterexample_search(1, 10, "uniform", seed=0)
+            counterexample_search(1, 16, "uniform", seed=0)
+
+    def test_past_enumeration_cap_on_the_dp_path_only(self):
+        assert counterexample_search(3, SEARCH_CAP, "normal", seed=17) == []
+        fake = lambda s: -listfold_loss(s, Transform("exponential")).value
+        with pytest.raises(ValueError):
+            counterexample_search(1, ENUMERATION_CAP + 2, "uniform", seed=0, loss_fn=fake)
+
+    def test_witness_is_the_dp_order(self, monkeypatch):
+        # a DP that reports the ascending order 1 below descending: the
+        # search must turn it into a witness with that order and loss
+        def rigged(descending):
+            base = evaluate_loss(FOLD_EXP, descending, with_gradient=False).value
+            m = descending.shape[1]
+            return base - 1.0, np.tile(np.arange(m)[::-1], (len(descending), 1))
+
+        monkeypatch.setattr(consistency, "_least_listfold_exp", rigged)
+        witnesses = counterexample_search(3, 6, "uniform", seed=18)
+        assert len(witnesses) == 3
+        for w in witnesses:
+            assert w.permutation == tuple(sorted(w.scores))
+            assert w.gap == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSubsetDP:
+    """The exact subset DP against the enumeration oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 4, 6, 8]), st.sampled_from(_DISTRIBUTIONS),
+           st.integers(0, 2**32 - 1))
+    def test_minimum_and_order_match_enumeration(self, m, dist, seed):
+        rng = np.random.default_rng(seed)
+        draws = np.array([_sample_scores(rng, m, dist) for _ in range(3)])
+        least, order = _least_listfold_exp(draws)
+        rescored = evaluate_loss(FOLD_EXP, np.take_along_axis(draws, order, axis=1),
+                                 with_gradient=False).value
+        for f, v, o, r in zip(draws, least, order, rescored):
+            assert abs(_table_losses(FOLD_EXP, f[_perm_table(m)]).min() - v) <= 1e-12
+            assert sorted(o.tolist()) == list(range(m))
+            assert abs(r - v) <= 1e-12
+
+    @pytest.mark.parametrize("m", [8, 14])
+    def test_finite_at_extreme_spreads(self, m):
+        rng = np.random.default_rng(m)
+        draws = rng.uniform(-1e4, 1e4, size=(6, m))
+        draws[:, 0] = [-1e4, 1e4, -1e4, 1e4, -1e4, 1e4]
+        least, order = _least_listfold_exp(draws)
+        assert np.all(np.isfinite(least))
+        rescored = evaluate_loss(FOLD_EXP, np.take_along_axis(draws, order, axis=1),
+                                 with_gradient=False).value
+        # each stage's log D and score gap are ~1e4 and cancel, so the two
+        # summation orders agree to 1e-12 of the spread, not absolutely
+        assert np.allclose(rescored, least, rtol=0.0, atol=1e-12 * 1e4)
+
+    def test_chunks_agree_with_one_block(self, monkeypatch):
+        draws = np.random.default_rng(19).normal(0.0, 2.0, size=(7, 10))
+        whole = _least_listfold_exp(draws)
+        monkeypatch.setattr(consistency, "_DP_ELEMENTS", 1)
+        chunked = _least_listfold_exp(draws)
+        assert np.array_equal(whole[0], chunked[0])
+        assert np.array_equal(whole[1], chunked[1])
 
 
 class TestOrderSensitivityProbe:
@@ -173,6 +243,41 @@ class TestOrderSensitivityProbe:
     def test_two_items_no_violations(self):
         for spec in (FOLD_EXP, FOLD_SGM, MLE_EXP):
             assert order_sensitivity_probe([1.0, 0.0], spec) == []
+
+
+def _row_loop_counts(out):
+    """Counts of each row, one Python dict update per draw."""
+    counts = {}
+    for row in out:
+        key = tuple(row.tolist())
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+class TestOrderCounts:
+    @pytest.mark.parametrize("sampler, spec", [
+        (sample_vase, SamplerSpec("vase", np.array([2.0, 1.0, 0.7, 0.4]), 5000, seed=20)),
+        (sample_plank_dart, SamplerSpec("plank", np.array([2.0, 1.0, 0.7, 0.4]), 5000,
+                                        seed=21)),
+        (sample_vase, SamplerSpec("vase", np.ones(7), 3000, seed=22)),
+    ])
+    def test_sampler_counts_equal_row_loop(self, sampler, spec, monkeypatch):
+        seen = []
+
+        def spy(out):
+            seen.append(out.copy())
+            return _order_counts(out)
+
+        monkeypatch.setattr(consistency, "_order_counts", spy)
+        counts = sampler(spec)
+        assert counts == _row_loop_counts(seen[0])
+        assert sum(counts.values()) == spec.draws
+
+    def test_wide_orderings_counted_by_rows(self):
+        # 16^16 overflows int64, so 16 items take the row-wise path
+        rng = np.random.default_rng(23)
+        out = np.array([rng.permutation(16) for _ in range(50)] * 2)
+        assert _order_counts(out) == _row_loop_counts(out)
 
 
 class TestVaseSampler:
