@@ -369,9 +369,12 @@ def run_backtest(panel: FactorPanel, strategies: list[StrategySpec],
     composition or on the thread count. Windows are trained and scored one
     at a time, so only one normalized window is held in memory. A lineup
     whose strategies carry more than one k raises ValueError, because the
-    rank metrics are reported at a single k.
+    rank metrics are reported at a single k, and so does a k the panel's
+    universe cannot hold; both are checked before any training.
     """
     k = _common_k(strategies)
+    for strat in strategies:
+        strat.check_universe(panel.n_stocks)
     plans = [fit_norm_params(panel, p)
              for p in rolling_windows(panel.n_weeks, config.train_len, config.test_len)]
     models = sorted({m for s in strategies for m in s.required_models()})

@@ -277,10 +277,12 @@ def cmd_verify(args) -> int:
         lines.append(f"  L{seq} = {value:.6f} target {target} -> {'ok' if ok else 'MISMATCH'}")
 
     n_values = sorted({s // 2 for s in sizes})
-    # Only the search takes sizes past 8, on the subset DP. The theorem
-    # checks enumerate orders: theorem 1 builds each draw's full order table
-    # and minimizer set in Python (enumerate_losses), so it stops at n = 3;
-    # restricted theorem 2 enumerates the 576 half-respecting orders at n = 4.
+    # Only the search takes sizes past 8, on the subset DP. Theorem 1 builds
+    # each draw's full order table and minimizer set in Python
+    # (enumerate_losses), so it stops at n = 3; restricted theorem 2
+    # enumerates the 576 half-respecting orders at n = 4. Unrestricted
+    # theorem 2 runs on the subset DP but keeps the restricted check's n so
+    # both report on the same draws.
     t1_ns = [n for n in n_values if n <= 3] or [1]
     t2_ns = [n for n in n_values if 2 * n <= consistency.ENUMERATION_CAP] or [1]
     t1 = consistency.verify_theorem1(args.trials, t1_ns, args.seed)

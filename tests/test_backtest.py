@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from listfold import backtest
 from listfold.backtest import (
     BacktestConfig,
     PnlSeries,
@@ -393,6 +394,18 @@ class TestRunBacktest:
                       StrategySpec("ListMLE-sa", "listmle", "sa", 3)]
         with pytest.raises(ValueError, match=r"\[2, 3\]"):
             run_backtest(panel, strategies, cfg)
+
+    def test_k_too_large_for_universe_rejected_before_training(self, monkeypatch):
+        panel = generate_synthetic_panel(32, weeks=80, stocks=6, factors=6,
+                                         signal_strength=0.0, noise_scale=1.0)
+        cfg = BacktestConfig(train_len=50, test_len=15, batch_size=4, total_batches=1)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a window was scored")
+
+        monkeypatch.setattr(backtest, "_score_window", no_training)
+        with pytest.raises(ValueError, match="universe"):
+            run_backtest(panel, standard_strategies(k=4), cfg)
 
     def test_zero_signal_panel_runs_clean(self):
         panel = generate_synthetic_panel(32, weeks=80, stocks=12, factors=6,
