@@ -127,22 +127,29 @@ def enumerate_losses(scores, spec: LossSpec) -> EnumerationReport:
     if spec.even_length and f.size % 2 != 0:
         raise ValueError(f"{spec.family} requires an even list length")
     targets = np.sort(f)[::-1]
-    seen: dict[tuple[float, ...], int] = {}
-    for perm in itertools.permutations(f.tolist()):
-        seen[perm] = seen.get(perm, 0) + 1
-    perms = tuple(sorted(seen))
-    losses_arr = _table_losses(spec, np.array(perms), targets)
+    index = _perm_table(f.size)
+    # One base-m integer per row of value ranks keys the distinct value
+    # orders: their sorted keys are the rows in lexicographic value order,
+    # and +-0.0 share a rank as they share a tuple key. return_index picks
+    # each order's first index permutation, whose zeros keep their signs.
+    _, rank = np.unique(f, return_inverse=True)
+    place = f.size ** np.arange(f.size - 1, -1, -1)
+    _, first, counts = np.unique(rank[index] @ place, return_index=True, return_counts=True)
+    losses_arr = _table_losses(spec, f[index[first]], targets)
+    # permutations() yields _perm_table's rows as tuples of the m float
+    # objects, far faster than tuples made from the float table
+    rows = list(itertools.permutations(f.tolist()))
+    perms = tuple(rows[i] for i in first.tolist())
     min_value = float(losses_arr.min())
-    minimizers = frozenset(
-        perm for perm, v in zip(perms, losses_arr) if v <= min_value + MINIMIZER_TOL
-    )
+    near = np.flatnonzero(losses_arr <= min_value + MINIMIZER_TOL)
+    minimizers = frozenset(perms[i] for i in near.tolist())
     return EnumerationReport(
         scores=tuple(f.tolist()),
         family=spec.family,
         transform=None if spec.transform is None else spec.transform.kind,
         permutations=perms,
-        losses=tuple(float(v) for v in losses_arr),
-        multiplicities=tuple(seen[p] for p in perms),
+        losses=tuple(losses_arr.tolist()),
+        multiplicities=tuple(counts.tolist()),
         minimizers=minimizers,
         min_value=min_value,
         classification=_classify(f, minimizers),

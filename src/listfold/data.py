@@ -182,9 +182,10 @@ def load_panel(path, schema: dict | None = None) -> FactorPanel:
 
     schema may remap the date/stock/fwd_ret column names and, via a
     'factors' entry, restrict which columns are factors; any column not
-    claimed is ignored. Duplicate (date, stock) rows, rows with fewer
-    fields than the header and non-numeric cells raise ParseError naming
-    the offending row.
+    claimed is ignored. A header that names a column twice raises
+    ParseError naming the column. Duplicate (date, stock) rows, rows with
+    fewer fields than the header and non-numeric cells raise ParseError
+    naming the offending row.
     """
     colmap = dict(_DEFAULT_SCHEMA)
     explicit_factors = None
@@ -202,6 +203,10 @@ def load_panel(path, schema: dict | None = None) -> FactorPanel:
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
         col_pos = {name: i for i, name in enumerate(header)}
+        if len(col_pos) < len(header):
+            # col_pos keeps a repeated name's last position only
+            dup = next(name for i, name in enumerate(header) if col_pos[name] != i)
+            raise ParseError(f"{path}: duplicate column {dup!r} in the header")
         for key in ("date", "stock", "fwd_ret"):
             if colmap[key] not in col_pos:
                 raise ParseError(f"{path}: missing required column {colmap[key]!r}")

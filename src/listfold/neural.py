@@ -122,8 +122,30 @@ def init_network(feature_dim: int, seed: int, final_relu: bool = True) -> Scorin
     return ScoringNet(dims, weights, biases, final_relu, seed)
 
 
-def forward_cached(net: ScoringNet, features: np.ndarray):
-    """Scores plus the per-layer inputs and pre-activations backward needs."""
+def _buffer(workspace: dict, role: str, layer: int, shape: tuple, dtype=float) -> np.ndarray:
+    """The workspace array for (role, layer, shape), made on first use."""
+    key = (role, layer, shape)
+    buf = workspace.get(key)
+    if buf is None:
+        buf = workspace[key] = np.empty(shape, dtype)
+    return buf
+
+
+def forward_cached(net: ScoringNet, features: np.ndarray, workspace: dict | None = None):
+    """Scores plus the cache backward needs.
+
+    The cache is the list of activations: cache[i] is the input of layer i
+    (cache[0] the features) and cache[-1] the network output, whose column
+    0 is the scores. No pre-activation is kept: a ReLU's mask is its output
+    > 0, which equals pre-activation > 0, NaN included.
+
+    workspace is a dict of reusable arrays keyed by role, layer and shape.
+    The activations are written into its arrays, so a later call with the
+    same workspace overwrites the scores and cache of this one. Without a
+    workspace every call gets fresh arrays.
+    """
+    if workspace is None:
+        workspace = {}
     x = np.asarray(features, dtype=float)
     if x.ndim == 1:
         x = x[None, :]
@@ -131,18 +153,15 @@ def forward_cached(net: ScoringNet, features: np.ndarray):
         raise ValueError(
             f"feature dimension {x.shape[1]} does not match network input {net.layer_dims[0]}"
         )
-    inputs, preacts = [], []
-    h = x
+    acts = [x]
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        inputs.append(h)
-        z = h @ w + b
-        preacts.append(z)
+        h = np.matmul(acts[i], w, out=_buffer(workspace, "act", i, (len(x), w.shape[1])))
+        h += b
         if i < last or net.final_relu:
-            h = np.maximum(z, 0.0)
-        else:
-            h = z
-    return h[:, 0], (inputs, preacts)
+            np.maximum(h, 0.0, out=h)
+        acts.append(h)
+    return acts[-1][:, 0], acts
 
 
 def forward(net: ScoringNet, features: np.ndarray) -> np.ndarray:
@@ -151,23 +170,33 @@ def forward(net: ScoringNet, features: np.ndarray) -> np.ndarray:
     return scores
 
 
-def backward(net: ScoringNet, cache, dscores: np.ndarray):
-    """Parameter gradients from dLoss/dscore via the chain rule.
+def backward(net: ScoringNet, cache, dscores: np.ndarray, workspace: dict | None = None):
+    """Parameter gradients from dLoss/dscore via the chain rule, given the
+    activations list forward_cached returned.
 
-    ReLU subgradient at exactly 0 is taken as 0.
+    ReLU subgradient at exactly 0 is taken as 0: the mask is activation > 0.
+    The gradients and the deltas between layers are written into workspace
+    arrays (see forward_cached), so a later call with the same workspace
+    overwrites the gradients this one returned. Without a workspace every
+    call gets fresh arrays.
     """
-    inputs, preacts = cache
+    if workspace is None:
+        workspace = {}
     last = len(net.weights) - 1
     grad_w = [None] * len(net.weights)
     grad_b = [None] * len(net.biases)
     delta = np.asarray(dscores, dtype=float)[:, None]
     for i in range(last, -1, -1):
         if i < last or net.final_relu:
-            delta = delta * (preacts[i] > 0.0)
-        grad_w[i] = inputs[i].T @ delta
-        grad_b[i] = delta.sum(axis=0)
+            out = cache[i + 1]
+            mask = np.greater(out, 0.0, out=_buffer(workspace, "mask", i, out.shape, bool))
+            delta = np.multiply(delta, mask, out=_buffer(workspace, "delta", i, out.shape))
+        w = net.weights[i]
+        grad_w[i] = np.matmul(cache[i].T, delta, out=_buffer(workspace, "grad_w", i, w.shape))
+        grad_b[i] = np.sum(delta, axis=0, out=_buffer(workspace, "grad_b", i, (w.shape[1],)))
         if i > 0:
-            delta = delta @ net.weights[i].T
+            delta = np.matmul(delta, w.T,
+                              out=_buffer(workspace, "delta", i - 1, (len(delta), w.shape[0])))
     return grad_w, grad_b
 
 
@@ -211,27 +240,53 @@ class AdamState:
     t: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
+    # two scratch arrays per parameter, so that an update allocates nothing
+    work: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def update(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        """One Adam step, in place. Each comment is the expression the
+        lines below it evaluate, in that expression's operation order."""
         if not self.m:
             self.m = [np.zeros_like(p) for p in params]
             self.v = [np.zeros_like(p) for p in params]
+        if not self.work:
+            self.work = [(np.empty_like(p), np.empty_like(p)) for p in params]
         self.t += 1
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        for p, g, m, v, (step, denom) in zip(params, grads, self.m, self.v, self.work):
+            # m += (1 - beta1) * (g - m)
+            np.subtract(g, m, out=step)
+            step *= 1.0 - self.beta1
+            m += step
+            # v += (1 - beta2) * (g * g - v)
+            np.multiply(g, g, out=step)
+            step -= v
+            step *= 1.0 - self.beta2
+            v += step
+            # p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)
+            np.divide(m, b1t, out=step)
+            step *= self.lr
+            np.divide(v, b2t, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            p -= step
 
 
 @dataclass
 class SgdState:
     lr: float
+    # one scratch array per parameter, so that an update allocates nothing
+    work: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def update(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        for p, g in zip(params, grads):
-            p -= self.lr * g
+        """p -= lr * g for every parameter, in place."""
+        if not self.work:
+            self.work = [np.empty_like(p) for p in params]
+        for p, g, step in zip(params, grads, self.work):
+            np.multiply(g, self.lr, out=step)
+            p -= step
 
 
 def make_optimizer(name: str, lr: float):
@@ -243,24 +298,30 @@ def make_optimizer(name: str, lr: float):
 
 
 def train_step(net: ScoringNet, batch: list[RankedBatch], spec: LossSpec,
-               optimizer, reverse_labels: bool = False) -> float:
+               optimizer, reverse_labels: bool = False,
+               workspace: dict | None = None) -> float:
     """One optimizer update from a batch of ranked lists.
 
     Lists must share one length. They are stacked into a single
     forward/backward pass and one batched loss evaluation; losses and
     parameter gradients are averaged over the batch. Raises
     NonFiniteLossError (before touching the parameters) when the averaged
-    loss is not finite.
+    loss is not finite. workspace is passed on to forward_cached and
+    backward, and also holds the stacked features.
     """
     if not batch:
         raise ValueError("empty batch")
-    feats = np.vstack([b.features for b in batch])
-    scores, cache = forward_cached(net, feats)
+    if workspace is None:
+        workspace = {}
+    shape = (sum(len(b.features) for b in batch), batch[0].features.shape[1])
+    feats = np.concatenate([b.features for b in batch],
+                           out=_buffer(workspace, "features", 0, shape))
+    scores, cache = forward_cached(net, feats, workspace=workspace)
     values, dscores = _batch_loss_and_grad(scores, batch, spec, reverse_labels)
     mean_loss = float(np.mean(values))
     if not np.isfinite(mean_loss):
         raise NonFiniteLossError(f"batch loss is not finite: {mean_loss}")
-    grad_w, grad_b = backward(net, cache, dscores / len(batch))
+    grad_w, grad_b = backward(net, cache, dscores / len(batch), workspace=workspace)
     params, grads = [], []
     for w, b, gw, gb in zip(net.weights, net.biases, grad_w, grad_b):
         params += [w, b]
@@ -280,7 +341,8 @@ def train(panel: FactorPanel, window: WindowPlan, config: TrainConfig,
     train_range (pass access_log to record every index touched). lists
     takes the window's prebuilt ranked_train_weeks, so models trained on
     one window share them; the median stock of an odd universe must
-    already be dropped for the listfold and naive_pt families.
+    already be dropped for the listfold and naive_pt families. Every step
+    reuses one workspace of arrays that this call owns.
     """
     if lists is None:
         lists = ranked_train_weeks(panel, window, require_even=config.loss.even_length,
@@ -292,13 +354,14 @@ def train(panel: FactorPanel, window: WindowPlan, config: TrainConfig,
     rng = np.random.default_rng(config.seed)
     queue: list[int] = []
     consecutive_bad = 0
+    workspace: dict = {}
     for _ in range(config.total_batches):
         while len(queue) < config.batch_size:
             queue.extend(rng.permutation(len(lists)).tolist())
         picks, queue = queue[: config.batch_size], queue[config.batch_size :]
         try:
             train_step(net, [lists[i] for i in picks], config.loss, optimizer,
-                       reverse_labels=config.reverse_labels)
+                       reverse_labels=config.reverse_labels, workspace=workspace)
         except NonFiniteLossError:
             consecutive_bad += 1
             if consecutive_bad >= 10:

@@ -136,8 +136,8 @@ def test_criterion_6_gradient_correctness():
     feats = rng.uniform(0.1, 1.0, (4, 3))
     spec = LossSpec("listfold", EXP)
     scores, cache = forward_cached(net, feats)
-    for z in cache[1]:
-        assert np.min(np.abs(z)) > 1e-6  # clear of relu kinks
+    for h, w, b in zip(cache, net.weights, net.biases):
+        assert np.min(np.abs(h @ w + b)) > 1e-6  # clear of relu kinks
     order = np.argsort(-scores, kind="stable")
 
     def loss_of(n):

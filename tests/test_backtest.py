@@ -24,7 +24,7 @@ from listfold.backtest import (
 )
 from listfold.data import (DataError, FactorPanel, fit_norm_params, generate_synthetic_panel,
                            minmax_normalize, rolling_windows)
-from listfold.neural import train
+from listfold.neural import forward, train
 
 
 def series_from(returns, turnover=None):
@@ -519,6 +519,32 @@ class TestThreads:
             assert serial.stats[name] == threaded.stats[name]
         for name, series in serial.pnl.items():
             assert series.weekly_returns == threaded.pnl[name].weekly_returns
+        for model, by_date in serial.scores.items():
+            for date, row in by_date.items():
+                assert row.tobytes() == threaded.scores[model][date].tobytes()
+        assert serial.rank_metrics == threaded.rank_metrics
+
+
+class TestScoreWindow:
+    def test_rows_are_each_weeks_own_scores(self):
+        # every row of the stacked (weeks, N) block is its week's forward
+        # pass, not a buffer a later week's call overwrote
+        panel = generate_synthetic_panel(35, weeks=80, stocks=12, factors=6,
+                                         signal_strength=0.9, noise_scale=0.4)
+        config = BacktestConfig(train_len=50, test_len=15, batch_size=4, total_batches=5,
+                                seed=4, levels=6)
+        plan = fit_norm_params(panel, rolling_windows(80, 50, 15)[0])
+        models = sorted(backtest.MODEL_SPECS)
+        dates, scores = backtest._score_window(panel, plan, models, config, 0)
+        wpanel, nets = train_window(panel, plan, models, config, 0)
+        for model in models:
+            for t, date in enumerate(dates):
+                want = forward(nets[model], wpanel.week_features(date))
+                if backtest.MODEL_SPECS[model][1]:
+                    want = -want
+                assert scores[model][t].tobytes() == want.tobytes()
+        # the weeks do differ (mlp has no final ReLU, so it cannot clip flat)
+        assert len({row.tobytes() for row in scores["mlp"]}) == len(dates)
 
 
 class TestBatchSizeGrid:

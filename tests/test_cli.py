@@ -220,6 +220,17 @@ class TestBacktestCommand:
         assert rc == 2
         assert "row 6: 3 fields" in capsys.readouterr().err
 
+    def test_duplicate_csv_header_exit_two(self, base_config, panel_csv, tmp_path, capsys):
+        lines = panel_csv.read_text().splitlines()
+        names = lines[0].split(",")
+        lines[0] = ",".join(names[:-1] + [names[-2]])
+        dup = tmp_path / "dup.csv"
+        dup.write_text("\n".join(lines) + "\n")
+        rc = main(["backtest", "--config", str(base_config), "--panel", str(dup),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"duplicate column {names[-2]!r}" in capsys.readouterr().err
+
     def test_batch_sizes_flag_emits_batchgrid(self, base_config, tmp_path):
         out = tmp_path / "grid"
         rc = main(["backtest", "--config", str(base_config), "--out", str(out),

@@ -13,9 +13,11 @@ from loss_oracle import listfold_loss as fold_oracle
 from listfold import consistency
 from listfold.consistency import (
     ENUMERATION_CAP,
+    MINIMIZER_TOL,
     SEARCH_CAP,
     SamplerSpec,
     _DISTRIBUTIONS,
+    _classify,
     _least_listfold_exp,
     _order_counts,
     _perm_table,
@@ -78,6 +80,34 @@ class TestEnumerate:
         rng = np.random.default_rng(length)
         rep = enumerate_losses(rng.uniform(-2, 2, length), spec)
         assert rep.probability_mass() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("scores", [
+        [2.0, -1.5, 0.3, 1.1, -0.2, 0.9, 2.4, -3.0],
+        [0.5, 0.5, 0.5, 1.0, 1.0, -2.0],
+        [3.0, 1.0, 1.0, 0.0],
+        [1.0, 1.0, 1.0, 1.0],
+        [0.0, -0.0],
+        [-0.0, 1.0, 0.0, -0.0, 2.0, 2.0],
+    ])
+    @pytest.mark.parametrize("spec", [FOLD_EXP, FOLD_SGM, MLE_EXP, LossSpec("mse")])
+    def test_matches_tuple_enumeration_oracle(self, scores, spec):
+        # the former dict-of-tuples enumeration; repr keeps the sign of zero,
+        # which tuple equality ignores
+        f = np.asarray(scores, dtype=float)
+        seen: dict = {}
+        for perm in itertools.permutations(f.tolist()):
+            seen[perm] = seen.get(perm, 0) + 1
+        perms = tuple(sorted(seen))
+        losses = _table_losses(spec, np.array(perms), np.sort(f)[::-1])
+        low = float(losses.min())
+        minimizers = frozenset(p for p, v in zip(perms, losses) if v <= low + MINIMIZER_TOL)
+        rep = enumerate_losses(f, spec)
+        assert repr(rep.permutations) == repr(perms)
+        assert rep.multiplicities == tuple(seen[p] for p in perms)
+        assert np.array(rep.losses).tobytes() == losses.tobytes()
+        assert sorted(map(repr, rep.minimizers)) == sorted(map(repr, minimizers))
+        assert rep.min_value == low
+        assert rep.classification == _classify(f, minimizers)
 
 
 class TestTheorem1:

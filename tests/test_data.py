@@ -78,6 +78,16 @@ class TestLoadSave:
         with pytest.raises(ParseError, match="row 3: 3 fields, the header has 4"):
             load_panel(p)
 
+    @pytest.mark.parametrize("header, dup", [("date,stock,fwd_ret,f1,f1", "f1"),
+                                             ("date,stock,fwd_ret,f1,stock", "stock")])
+    def test_duplicate_header_name_rejected(self, tmp_path, header, dup):
+        # a repeated name used to map both factors to the second column, or
+        # make a second stock column the stock id
+        p = tmp_path / "duphead.csv"
+        p.write_text(f"{header}\n2020-01-03,A,0.01,1.5,B\n")
+        with pytest.raises(ParseError, match=f"duplicate column '{dup}'"):
+            load_panel(p)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_panel(tmp_path / "nope.csv")

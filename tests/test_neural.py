@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from listfold import neural
+from listfold.backtest import MODEL_SPECS
 from listfold.data import (
     build_ranked_batch,
     fit_norm_params,
@@ -137,8 +139,8 @@ class TestBackward:
 
         scores, cache = forward_cached(net, feats)
         _, dscores = list_loss_and_grad(net, scores, batch, FOLD_EXP)
-        for z in cache[1]:
-            assert np.min(np.abs(z)) > 1e-6  # no kink within the step
+        for h, w, b in zip(cache, net.weights, net.biases):
+            assert np.min(np.abs(h @ w + b)) > 1e-6  # no kink within the step
         grad_w, grad_b = backward(net, cache, dscores)
         step = 1e-6
         worst = 0.0
@@ -290,6 +292,125 @@ class TestScoreWeek:
 
         with pytest.raises(DataError):
             score_week(init_network(wp.n_factors, 2), wp, "1970-01-01")
+
+
+def reference_backward(net, features, dscores):
+    """The former pass: pre-activations cached, mask taken on them."""
+    inputs, preacts = [], []
+    h = np.asarray(features, dtype=float)
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        inputs.append(h)
+        preacts.append(h @ w + b)
+        h = np.maximum(preacts[i], 0.0) if i < last or net.final_relu else preacts[i]
+    grad_w, grad_b = [None] * (last + 1), [None] * (last + 1)
+    delta = np.asarray(dscores, dtype=float)[:, None]
+    for i in range(last, -1, -1):
+        if i < last or net.final_relu:
+            delta = delta * (preacts[i] > 0.0)
+        grad_w[i] = inputs[i].T @ delta
+        grad_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = delta @ net.weights[i].T
+    return h[:, 0], grad_w, grad_b
+
+
+class TestInPlaceOptimizers:
+    def _params_and_grads(self, seed):
+        # zero start: the first update is the step itself, bit for bit
+        rng = np.random.default_rng(seed)
+        params = [np.zeros((3, 4)), np.zeros(4)]
+        grads = [[rng.normal(size=p.shape) for p in params] for _ in range(4)]
+        return params, grads
+
+    def test_adam_matches_expression_reference(self):
+        params, steps = self._params_and_grads(0)
+        ref = [p.copy() for p in params]
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        opt = AdamState(lr=1e-2)
+        for t, grads in enumerate(steps, start=1):
+            opt.update(params, grads)
+            b1t, b2t = 1.0 - 0.9**t, 1.0 - 0.999**t
+            for p, g, mi, vi in zip(ref, grads, m, v):
+                mi += (1.0 - 0.9) * (g - mi)
+                vi += (1.0 - 0.999) * (g * g - vi)
+                p -= 1e-2 * (mi / b1t) / (np.sqrt(vi / b2t) + 1e-8)
+            for p, q in zip(params, ref):
+                assert p.tobytes() == q.tobytes()
+
+    def test_sgd_matches_expression_reference(self):
+        params, steps = self._params_and_grads(1)
+        ref = [p.copy() for p in params]
+        opt = SgdState(lr=0.3)
+        for grads in steps:
+            opt.update(params, grads)
+            for p, g in zip(ref, grads):
+                p -= 0.3 * g
+            for p, q in zip(params, ref):
+                assert p.tobytes() == q.tobytes()
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("final_relu", [True, False])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_activation_mask_matches_preactivation_reference(self, final_relu):
+        # rows at exact zeros, a NaN and an inf exercise the mask edges
+        rng = np.random.default_rng(8)
+        net = init_network(5, 4, final_relu=final_relu)
+        net.biases[0][:] = 0.0
+        x = rng.uniform(-1, 1, (40, 5))
+        x[3] = 0.0
+        x[7, 2] = np.nan
+        x[9, 0] = np.inf
+        dscores = rng.normal(size=40)
+        want_scores, want_w, want_b = reference_backward(net, x, dscores)
+        workspace: dict = {}
+        for _ in range(2):  # the second pass runs on reused buffers
+            scores, cache = forward_cached(net, x, workspace=workspace)
+            grad_w, grad_b = backward(net, cache, dscores, workspace=workspace)
+            assert scores.tobytes() == want_scores.tobytes()
+            for got, want in zip(grad_w + grad_b, want_w + want_b):
+                assert got.tobytes() == want.tobytes()
+
+    def test_calls_without_workspace_share_no_memory(self):
+        net = init_network(4, 1)
+        x = np.random.default_rng(0).uniform(0, 1, (5, 4))
+        (s1, c1), (s2, c2) = forward_cached(net, x), forward_cached(net, x)
+        assert not np.shares_memory(s1, s2)
+        for a, b in zip(c1[1:], c2[1:]):
+            assert not np.shares_memory(a, b)
+        g1, g2 = backward(net, c1, np.ones(5)), backward(net, c2, np.ones(5))
+        for a, b in zip(g1[0] + g1[1], g2[0] + g2[1]):
+            assert not np.shares_memory(a, b)
+        # with one workspace, the second call writes over the first
+        workspace: dict = {}
+        s3, _ = forward_cached(net, x, workspace=workspace)
+        s4, _ = forward_cached(net, x, workspace=workspace)
+        assert np.shares_memory(s3, s4)
+
+    @pytest.mark.parametrize("model", sorted(MODEL_SPECS))
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_shared_workspace_matches_fresh_workspace_per_step(self, model, optimizer,
+                                                                monkeypatch):
+        wp, local = normalized_window()
+        spec, reverse, final_relu = MODEL_SPECS[model]
+        cfg = TrainConfig(loss=spec, batch_size=4, total_batches=8, learning_rate=1e-2,
+                          optimizer=optimizer, final_relu=final_relu, seed=3,
+                          reverse_labels=reverse)
+        shared = train(wp, local, cfg)
+        step = neural.train_step
+
+        def fresh_step(*args, workspace=None, **kwargs):
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(neural, "train_step", fresh_step)
+        fresh = train(wp, local, cfg)
+        start = init_network(wp.n_factors, 3, final_relu=final_relu)
+        assert any(not np.array_equal(p, q)
+                   for p, q in zip(shared.parameters(), start.parameters()))
+        for p, q in zip(shared.parameters(), fresh.parameters()):
+            assert p.tobytes() == q.tobytes()
 
 
 class TestCheckpoint:
