@@ -13,6 +13,7 @@ same schema, and floats round-trip bit identically through ``repr``.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -167,6 +168,13 @@ class WindowPlan:
 
 _DEFAULT_SCHEMA = {"date": "date", "stock": "stock", "fwd_ret": "fwd_ret"}
 
+# Rows per chunk, read or written: bounds the memory the CSV I/O holds at once.
+_CHUNK_ROWS = 1024
+# np.loadtxt splits at every comma, so it cannot take csv quoting; and it
+# strips "\x1c".."\x1f" around a number, which Python's float rejects. A
+# chunk holding any of these characters is parsed cell by cell.
+_PER_CELL_CHARS = '"\x1c\x1d\x1e\x1f'
+
 
 def _parse_cell(text: str, row_num: int, col: str) -> float:
     if text == "":
@@ -177,6 +185,136 @@ def _parse_cell(text: str, row_num: int, col: str) -> float:
         raise ParseError(f"row {row_num}: column {col!r}: non-numeric value {text!r}") from None
 
 
+def _parse_cells(records, rows, cols, names):
+    """Columns cols of each record, one _parse_cell per cell. Returns the
+    (records, cols) values and None, or on the first bad cell the values of
+    the records before it and (its row number, the ParseError)."""
+    out = np.empty((len(records), len(cols)))
+    for n, (rec, row) in enumerate(zip(records, rows)):
+        try:
+            out[n] = [_parse_cell(rec[j], row, name) for j, name in zip(cols, names)]
+        except ParseError as exc:
+            return out[:n], (row, exc)
+    return out, None
+
+
+def _fill_gaps(line: str) -> str:
+    """The line with "nan" in every empty field, which np.loadtxt refuses."""
+    line = line.replace(",,", ",nan,").replace(",,", ",nan,")
+    if line[0] == ",":
+        line = "nan" + line
+    if line[-1] == ",":
+        line += "nan"
+    return line
+
+
+def _parse_lines(lines, rows, cols, names):
+    """_parse_cells of comma-separated lines without csv quoting, through
+    one np.loadtxt call unless it refuses a cell."""
+    if lines:
+        try:
+            return np.loadtxt([_fill_gaps(line) for line in lines], delimiter=",",
+                              comments=None, usecols=cols, ndmin=2), None
+        except ValueError:
+            pass
+    return _parse_cells([line.split(",") for line in lines], rows, cols, names)
+
+
+def _needs_csv(lines) -> bool:
+    """Whether the lines hold a _PER_CELL_CHARS character."""
+    text = "".join(lines)
+    return any(c in text for c in _PER_CELL_CHARS)
+
+
+def _csv_records(lines, source):
+    """The csv records of lines; a quoted field open at the last line takes
+    the rest of its record from the line iterator source."""
+    reader = csv.reader(itertools.chain(lines, source))
+    while reader.line_num < len(lines):
+        yield next(reader)
+
+
+def _read_rows(source, header, di, si, cols, names):
+    """Read the data rows from the line iterator source, which has passed
+    the header, in chunks of _CHUNK_ROWS lines.
+
+    Returns each row's date, stock and row number, the (rows, len(cols))
+    float values of columns cols, and the first short row or bad cell as
+    (row number, ParseError), or None; reading stops at that row. Values
+    and errors are those of _parse_cell on every cell.
+    """
+    dates, stocks, rows, blocks = [], [], [], []
+    error = None
+    row = 1
+    split = max(di, si) + 1
+    while error is None:
+        lines = list(itertools.islice(source, _CHUNK_ROWS))
+        if not lines:
+            break
+        kept, kept_rows = [], []
+        if _needs_csv(lines):
+            for rec in _csv_records(lines, source):
+                row += 1
+                if not rec:
+                    continue
+                if len(rec) < len(header):
+                    error = (row, _short_row(row, len(rec), len(header)))
+                    break
+                dates.append(rec[di])
+                stocks.append(rec[si])
+                kept.append(rec)
+                kept_rows.append(row)
+            block, bad = _parse_cells(kept, kept_rows, cols, names)
+        else:
+            for line in lines:
+                row += 1
+                line = line.rstrip("\r\n")
+                if not line:
+                    continue
+                n_fields = line.count(",") + 1
+                if n_fields < len(header):
+                    error = (row, _short_row(row, n_fields, len(header)))
+                    break
+                fields = line.split(",", split)
+                dates.append(fields[di])
+                stocks.append(fields[si])
+                kept.append(line)
+                kept_rows.append(row)
+            block, bad = _parse_lines(kept, kept_rows, cols, names)
+        rows += kept_rows
+        blocks.append(block)
+        if bad is not None:
+            error = bad  # it precedes the short row, if the chunk has one
+    values = np.concatenate(blocks) if blocks else np.empty((0, len(cols)))
+    return dates, stocks, rows, values, error
+
+
+def _short_row(row: int, n_fields: int, n_header: int) -> ParseError:
+    return ParseError(f"row {row}: {n_fields} fields, the header has {n_header}")
+
+
+def _decoded_lines(fh, path):
+    """The lines of the text file fh; bytes that are not UTF-8 raise
+    ParseError naming the first line (the header is row 1) that holds some.
+    The decoder reads ahead of the lines, so that line is found by decoding
+    the file's lines one by one: no UTF-8 sequence spans a line break."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as raw:
+            row = next(row for row, line in enumerate(raw, start=1)
+                       if not _is_utf8(line))
+        raise ParseError(f"{path}: row {row}: not UTF-8 ({exc.reason})") from None
+
+
+def _is_utf8(line: bytes) -> bool:
+    try:
+        line.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
 def load_panel(path, schema: dict | None = None) -> FactorPanel:
     """Read a CSV into a FactorPanel, grouping rows into weekly cross-sections.
 
@@ -184,8 +322,9 @@ def load_panel(path, schema: dict | None = None) -> FactorPanel:
     'factors' entry, restrict which columns are factors; any column not
     claimed is ignored. A header that names a column twice raises
     ParseError naming the column. Duplicate (date, stock) rows, rows with
-    fewer fields than the header and non-numeric cells raise ParseError
-    naming the offending row.
+    fewer fields than the header, non-numeric cells and bytes that are not
+    UTF-8 raise ParseError naming the first offending row. A UTF-8 byte
+    order mark before the header is skipped.
     """
     colmap = dict(_DEFAULT_SCHEMA)
     explicit_factors = None
@@ -193,11 +332,12 @@ def load_panel(path, schema: dict | None = None) -> FactorPanel:
         explicit_factors = schema.get("factors")
         colmap.update({k: v for k, v in schema.items() if k in _DEFAULT_SCHEMA})
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read panel file {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
+        source = _decoded_lines(fh, path)
+        reader = csv.reader(source)
         try:
             header = next(reader)
         except StopIteration:
@@ -221,55 +361,50 @@ def load_panel(path, schema: dict | None = None) -> FactorPanel:
         if not factor_names:
             raise ParseError(f"{path}: no factor columns found")
         di, si, ri = (col_pos[colmap[k]] for k in ("date", "stock", "fwd_ret"))
-        fi = [col_pos[c] for c in factor_names]
+        cols = [ri, *(col_pos[c] for c in factor_names)]
+        dates, stocks, rows, values, error = _read_rows(
+            source, header, di, si, cols, [colmap["fwd_ret"], *factor_names])
 
-        cells: dict[tuple[str, str], tuple[float, list[float]]] = {}
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < len(header):
-                raise ParseError(f"row {row_num}: {len(row)} fields, "
-                                 f"the header has {len(header)}")
-            date, stock = row[di], row[si]
-            key = (date, stock)
-            if key in cells:
-                raise ParseError(f"row {row_num}: duplicate (date, stock) = {key}")
-            ret = _parse_cell(row[ri], row_num, colmap["fwd_ret"])
-            vals = [_parse_cell(row[j], row_num, header[j]) for j in fi]
-            cells[key] = (ret, vals)
-
-    if not cells:
+    if rows:
+        date_ids, d_inv = np.unique(np.array(dates, dtype=object), return_inverse=True)
+        stock_ids, s_inv = np.unique(np.array(stocks, dtype=object), return_inverse=True)
+        key = d_inv * len(stock_ids) + s_inv
+        first = np.zeros(key.size, dtype=bool)
+        first[np.unique(key, return_index=True)[1]] = True
+        n = int(np.argmin(first))  # the first row whose key came before
+        if not first[n] and (error is None or rows[n] <= error[0]):
+            error = (rows[n], ParseError(
+                f"row {rows[n]}: duplicate (date, stock) = {(dates[n], stocks[n])}"))
+    if error is not None:
+        raise error[1]
+    if not rows:
         raise ParseError(f"{path}: no data rows")
-    dates = sorted({k[0] for k in cells})
-    stocks = sorted({k[1] for k in cells})
-    d_index = {d: i for i, d in enumerate(dates)}
-    s_index = {s: i for i, s in enumerate(stocks)}
-    factors = np.full((len(dates), len(stocks), len(factor_names)), np.nan)
-    fwd = np.full((len(dates), len(stocks)), np.nan)
-    for (date, stock), (ret, vals) in cells.items():
-        i, j = d_index[date], s_index[stock]
-        fwd[i, j] = ret
-        factors[i, j, :] = vals
-    return FactorPanel(tuple(dates), tuple(stocks), tuple(factor_names), factors, fwd)
+    factors = np.full((len(date_ids), len(stock_ids), len(factor_names)), np.nan)
+    fwd = np.full((len(date_ids), len(stock_ids)), np.nan)
+    factors[d_inv, s_inv] = values[:, 1:]
+    fwd[d_inv, s_inv] = values[:, 0]
+    return FactorPanel(tuple(date_ids.tolist()), tuple(stock_ids.tolist()),
+                       tuple(factor_names), factors, fwd)
 
 
 def save_panel(panel: FactorPanel, path) -> None:
     """Write the canonical CSV schema. Rows with every cell missing are
-    omitted; remaining missing cells become empty strings."""
-
-    def fmt(x: float) -> str:
-        return "" if np.isnan(x) else repr(float(x))
-
+    omitted; remaining missing cells become empty strings. Floats are
+    written as their repr, so they read back bit for bit."""
+    weeks = max(1, _CHUNK_ROWS // max(1, panel.n_stocks))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "stock", "fwd_ret", *panel.factor_names])
-        for i, date in enumerate(panel.dates):
-            for j, stock in enumerate(panel.stocks):
-                ret = panel.fwd_return[i, j]
-                vals = panel.factors[i, j]
-                if np.isnan(ret) and np.all(np.isnan(vals)):
-                    continue
-                writer.writerow([date, stock, fmt(ret), *(fmt(v) for v in vals)])
+        for lo in range(0, panel.n_weeks, weeks):
+            values = np.concatenate([panel.fwd_return[lo:lo + weeks, :, None],
+                                     panel.factors[lo:lo + weeks]], axis=2)
+            missing = np.isnan(values)
+            ii, jj = np.nonzero(~missing.all(axis=2))
+            cells = values[ii, jj].tolist()
+            for r, k in np.argwhere(missing[ii, jj]).tolist():
+                cells[r][k] = None  # csv.writer writes None as an empty field
+            writer.writerows([panel.dates[lo + i], panel.stocks[j], *row]
+                             for i, j, row in zip(ii.tolist(), jj.tolist(), cells))
 
 
 def filter_by_missing(panel: FactorPanel, threshold: float) -> FactorPanel:

@@ -220,6 +220,17 @@ class TestBacktestCommand:
         assert rc == 2
         assert "row 6: 3 fields" in capsys.readouterr().err
 
+    def test_non_utf8_csv_exit_two_names_file_and_row(self, base_config, panel_csv, tmp_path,
+                                                      capsys):
+        lines = panel_csv.read_text().splitlines()
+        lines[6] = lines[6].replace(",S", ",é", 1)
+        latin = tmp_path / "latin1.csv"
+        latin.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
+        rc = main(["backtest", "--config", str(base_config), "--panel", str(latin),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"data error: {latin}: row 7: not UTF-8" in capsys.readouterr().err
+
     def test_duplicate_csv_header_exit_two(self, base_config, panel_csv, tmp_path, capsys):
         lines = panel_csv.read_text().splitlines()
         names = lines[0].split(",")
