@@ -59,6 +59,10 @@ __all__ = [
     "write_batchgrid_csv",
 ]
 
+# weekly returns are annualized arithmetically over this many periods
+PERIODS_PER_YEAR = 52
+
+
 @dataclass
 class PnlSeries:
     """Weekly accounting at fixed nominal: cumulative is the running sum of
@@ -174,15 +178,15 @@ def book_pnl(long: np.ndarray, short: np.ndarray, returns: np.ndarray, cost_bps:
                      trv.tolist())
 
 
-def compute_stats(pnl: PnlSeries, rf_annual: float, periods_per_year: int = 52) -> StrategyStats:
-    """Arithmetic annualization: mu = mean * periods - rf, sigma = sample
-    std (ddof 1) * sqrt(periods). Max drawdown is measured on the running
-    sum with an implicit 0 start."""
+def compute_stats(pnl: PnlSeries, rf_annual: float) -> StrategyStats:
+    """Arithmetic annualization over PERIODS_PER_YEAR weeks: mu = mean *
+    periods - rf, sigma = sample std (ddof 1) * sqrt(periods). Max drawdown
+    is measured on the running sum with an implicit 0 start."""
     r = np.asarray(pnl.weekly_returns, dtype=float)
     if r.size < 2:
         raise ValueError("need at least two weekly returns")
-    mu_excess = float(r.mean() * periods_per_year - rf_annual)
-    sigma = float(r.std(ddof=1) * np.sqrt(periods_per_year))
+    mu_excess = float(r.mean() * PERIODS_PER_YEAR - rf_annual)
+    sigma = float(r.std(ddof=1) * np.sqrt(PERIODS_PER_YEAR))
     cum = np.concatenate([[0.0], np.cumsum(r)])
     peaks = np.maximum.accumulate(cum)
     mdd = float(np.max(peaks - cum))
@@ -225,24 +229,20 @@ class StrategySpec:
         _check_k(self.k, n_stocks, sides=1 if self.mode == "sa" else 2)
 
 
-def standard_strategies(k: int = 8, short_average: bool = True) -> list[StrategySpec]:
+def standard_strategies(k: int = 8) -> list[StrategySpec]:
     """The standard lineup: five models long-short, plus the short-average
     variants for all but list2mle (which dictates its own short leg)."""
-    out = [
+    return [
         StrategySpec("ListFold-exp", "listfold-exp", "ls", k),
         StrategySpec("ListFold-sgm", "listfold-sgm", "ls", k),
         StrategySpec("ListMLE", "listmle", "ls", k),
         StrategySpec("List2MLE", "listmle", "list2mle", k),
         StrategySpec("MLP", "mlp", "ls", k),
+        StrategySpec("ListFold-exp-sa", "listfold-exp", "sa", k),
+        StrategySpec("ListFold-sgm-sa", "listfold-sgm", "sa", k),
+        StrategySpec("ListMLE-sa", "listmle", "sa", k),
+        StrategySpec("MLP-sa", "mlp", "sa", k),
     ]
-    if short_average:
-        out += [
-            StrategySpec("ListFold-exp-sa", "listfold-exp", "sa", k),
-            StrategySpec("ListFold-sgm-sa", "listfold-sgm", "sa", k),
-            StrategySpec("ListMLE-sa", "listmle", "sa", k),
-            StrategySpec("MLP-sa", "mlp", "sa", k),
-        ]
-    return out
 
 
 @dataclass(frozen=True)
@@ -402,10 +402,8 @@ def run_backtest(panel: FactorPanel, strategies: list[StrategySpec],
         stats[strat.name] = compute_stats(pnl[strat.name], config.rf_annual)
 
     scores = {m: dict(zip(test_dates, stacked[m])) for m in models}
-    rank_metrics = {
-        m: _model_rank_metrics(panel, scores[m], test_dates, k=k, levels=config.levels)
-        for m in models
-    }
+    rank_metrics = {m: _model_rank_metrics(stacked[m], returns, k=k, levels=config.levels)
+                    for m in models}
     return BacktestResult(strategies, pnl, stats, rank_metrics, scores, test_dates, overlap)
 
 
@@ -417,32 +415,25 @@ def _common_k(strategies: list[StrategySpec]) -> int:
     return ks[0] if ks else 8
 
 
-def _model_rank_metrics(panel: FactorPanel, model_scores: dict[str, np.ndarray],
-                        test_dates: list[str], k: int,
+def _model_rank_metrics(scores: np.ndarray, returns: np.ndarray, k: int,
                         levels: int) -> dict[str, float]:
-    """Weekly IC and NDCG family, averaged over the test weeks. Scores are
+    """Weekly IC and NDCG family of one model's (weeks, N) scores against the
+    realized (weeks, N) returns, averaged over the weeks. Scores are
     expected return oriented (higher = better)."""
-    ics, ndcg_full, ndcg_k, ndcg_mk, ndcg_pm = [], [], [], [], []
-    for date in test_dates:
-        rets = panel.week_returns(date)
-        implied = model_scores[date]
-        ics.append(metrics.spearman_ic(implied, rets))
-        order = np.argsort(-implied, kind="stable")
-        labels = decile_labels(rets, levels=min(levels, rets.size))
-        n = rets.size
-        ev_full = metrics.RankEval(order, labels, n)
-        ev_k = metrics.RankEval(order, labels, min(k, n))
-        ndcg_full.append(metrics.ndcg_at_k(ev_full))
-        ndcg_k.append(metrics.ndcg_at_k(ev_k))
-        ndcg_mk.append(metrics.ndcg_at_minus_k(ev_k, levels=min(levels, n)))
-        ndcg_pm.append(metrics.ndcg_pm_k(ev_k, levels=min(levels, n)))
-    return {
-        "ic": float(np.mean(ics)),
-        "ndcg": float(np.mean(ndcg_full)),
-        "ndcg_at_k": float(np.mean(ndcg_k)),
-        "ndcg_at_minus_k": float(np.mean(ndcg_mk)),
-        "ndcg_pm_k": float(np.mean(ndcg_pm)),
+    n = returns.shape[1]
+    levels = min(levels, n)
+    order = np.argsort(-scores, axis=1, kind="stable")
+    labels = decile_labels(returns, levels=levels)
+    ev_full = metrics.RankEval(order, labels, n)
+    ev_k = metrics.RankEval(order, labels, min(k, n))
+    weekly = {
+        "ic": metrics.spearman_ic(scores, returns),
+        "ndcg": metrics.ndcg_at_k(ev_full),
+        "ndcg_at_k": metrics.ndcg_at_k(ev_k),
+        "ndcg_at_minus_k": metrics.ndcg_at_minus_k(ev_k, levels=levels),
+        "ndcg_pm_k": metrics.ndcg_pm_k(ev_k, levels=levels),
     }
+    return {name: float(np.mean(values)) for name, values in weekly.items()}
 
 
 def cutoff_heatmap(scores_by_model: dict[str, dict[str, np.ndarray]], panel: FactorPanel,

@@ -234,14 +234,14 @@ def _csv_records(lines, source):
         yield next(reader)
 
 
-def _read_rows(source, header, di, si, cols, names):
-    """Read the data rows from the line iterator source, which has passed
-    the header, in chunks of _CHUNK_ROWS lines.
+def _read_rows(path, source, header, di, si, cols, names):
+    """Read the data rows from the line iterator source of file path, which
+    has passed the header, in chunks of _CHUNK_ROWS lines.
 
     Returns each row's date, stock and row number, the (rows, len(cols))
-    float values of columns cols, and the first short row or bad cell as
-    (row number, ParseError), or None; reading stops at that row. Values
-    and errors are those of _parse_cell on every cell.
+    float values of columns cols, and the first short row, bad cell or csv
+    module error as (row number, ParseError), or None; reading stops at
+    that row. Values and errors are those of _parse_cell on every cell.
     """
     dates, stocks, rows, blocks = [], [], [], []
     error = None
@@ -253,17 +253,20 @@ def _read_rows(source, header, di, si, cols, names):
             break
         kept, kept_rows = [], []
         if _needs_csv(lines):
-            for rec in _csv_records(lines, source):
-                row += 1
-                if not rec:
-                    continue
-                if len(rec) < len(header):
-                    error = (row, _short_row(row, len(rec), len(header)))
-                    break
-                dates.append(rec[di])
-                stocks.append(rec[si])
-                kept.append(rec)
-                kept_rows.append(row)
+            try:
+                for rec in _csv_records(lines, source):
+                    row += 1
+                    if not rec:
+                        continue
+                    if len(rec) < len(header):
+                        error = (row, _short_row(row, len(rec), len(header)))
+                        break
+                    dates.append(rec[di])
+                    stocks.append(rec[si])
+                    kept.append(rec)
+                    kept_rows.append(row)
+            except csv.Error as exc:
+                error = (row + 1, ParseError(f"{path}: row {row + 1}: {exc}"))
             block, bad = _parse_cells(kept, kept_rows, cols, names)
         else:
             for line in lines:
@@ -322,9 +325,10 @@ def load_panel(path, schema: dict | None = None) -> FactorPanel:
     'factors' entry, restrict which columns are factors; any column not
     claimed is ignored. A header that names a column twice raises
     ParseError naming the column. Duplicate (date, stock) rows, rows with
-    fewer fields than the header, non-numeric cells and bytes that are not
-    UTF-8 raise ParseError naming the first offending row. A UTF-8 byte
-    order mark before the header is skipped.
+    fewer fields than the header, non-numeric cells, non-UTF-8 bytes and
+    fields over the csv module's field size limit raise ParseError naming
+    the first offending row. A UTF-8 byte order mark before the header is
+    skipped.
     """
     colmap = dict(_DEFAULT_SCHEMA)
     explicit_factors = None
@@ -342,6 +346,8 @@ def load_panel(path, schema: dict | None = None) -> FactorPanel:
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}: row 1: {exc}") from None
         col_pos = {name: i for i, name in enumerate(header)}
         if len(col_pos) < len(header):
             # col_pos keeps a repeated name's last position only
@@ -363,7 +369,7 @@ def load_panel(path, schema: dict | None = None) -> FactorPanel:
         di, si, ri = (col_pos[colmap[k]] for k in ("date", "stock", "fwd_ret"))
         cols = [ri, *(col_pos[c] for c in factor_names)]
         dates, stocks, rows, values, error = _read_rows(
-            source, header, di, si, cols, [colmap["fwd_ret"], *factor_names])
+            path, source, header, di, si, cols, [colmap["fwd_ret"], *factor_names])
 
     if rows:
         date_ids, d_inv = np.unique(np.array(dates, dtype=object), return_inverse=True)
@@ -482,26 +488,28 @@ def minmax_normalize(panel: FactorPanel, plan: WindowPlan) -> FactorPanel:
 
 
 def decile_labels(returns, levels: int = 10) -> np.ndarray:
-    """Integer relevance labels 1..levels from returns, highest first.
+    """Integer relevance labels 1..levels from returns along the last axis,
+    highest first.
 
     The top 1/levels fraction gets the label ``levels`` and so on down to 1.
     When the length is not divisible, the leftover items go to the top
     buckets first. Ties keep stable input order.
     """
-    r = np.asarray(returns, dtype=float).ravel()
+    r = np.asarray(returns, dtype=float)
     if r.size == 0:
         raise DataError("empty returns vector")
     if np.any(np.isnan(r)):
         raise DataError("returns contain missing values")
     if levels < 2:
         raise DataError("levels must be >= 2")
-    if r.size < levels:
-        raise DataError(f"need at least {levels} items for {levels} levels, got {r.size}")
-    order = np.argsort(-r, kind="stable")
-    base, rem = divmod(r.size, levels)
+    n = r.shape[-1]
+    if n < levels:
+        raise DataError(f"need at least {levels} items for {levels} levels, got {n}")
+    order = np.argsort(-r, axis=-1, kind="stable")
+    base, rem = divmod(n, levels)
     sizes = base + (np.arange(levels) < rem)
-    labels = np.empty(r.size, dtype=int)
-    labels[order] = np.repeat(levels - np.arange(levels), sizes)
+    labels = np.empty(r.shape, dtype=int)
+    np.put_along_axis(labels, order, np.repeat(levels - np.arange(levels), sizes), axis=-1)
     return labels
 
 

@@ -30,7 +30,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RankEval:
-    """A predicted ordering against integer relevance labels.
+    """Predicted orderings against integer relevance labels, one list per
+    row of the last axis: a 1-D list, or a (weeks, N) block of them.
 
     predicted_order maps position -> item index (position 0 first). labels
     give the relevance grade of each item (indexed by item, not position).
@@ -43,85 +44,84 @@ class RankEval:
     def __post_init__(self):
         order = np.asarray(self.predicted_order, dtype=int)
         labels = np.asarray(self.labels)
-        if not np.array_equal(np.sort(order), np.arange(order.size)):
+        n = order.shape[-1]
+        if not np.array_equal(np.sort(order, axis=-1),
+                              np.broadcast_to(np.arange(n), order.shape)):
             raise ValueError("predicted_order must be a bijection on 0..n-1")
-        if labels.size != order.size:
+        if labels.shape != order.shape:
             raise ValueError("labels and predicted_order length mismatch")
-        if not 1 <= self.k <= order.size:
-            raise ValueError(f"cutoff k={self.k} out of range for n={order.size}")
+        if not 1 <= self.k <= n:
+            raise ValueError(f"cutoff k={self.k} out of range for n={n}")
         object.__setattr__(self, "predicted_order", order)
         object.__setattr__(self, "labels", labels)
 
 
 def average_ranks(x) -> np.ndarray:
-    """Ranks starting at 1, ties replaced by the mean rank of the tied run."""
-    x = np.asarray(x, dtype=float).ravel()
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
+    """Ranks starting at 1 along the last axis, ties replaced by the mean
+    rank of the tied run."""
+    x = np.asarray(x, dtype=float)
+    order = np.argsort(x, axis=-1, kind="stable")
+    xs = np.take_along_axis(x, order, axis=-1)
     # tie runs [start, end] of the sorted values; NaN never ties, so each
-    # NaN is a run of its own
-    start = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
-    end = np.r_[start[1:], x.size] - 1
-    ranks = np.empty(x.size, dtype=float)
-    ranks[order] = np.repeat(0.5 * (start + end) + 1.0, end - start + 1)
+    # NaN is a run of its own. tied[i]: xs[i] continues the run of xs[i - 1]
+    tied = np.zeros(xs.shape, dtype=bool)
+    tied[..., 1:] = xs[..., 1:] == xs[..., :-1]
+    pos = np.arange(x.shape[-1])
+    start = np.maximum.accumulate(np.where(tied, 0, pos), axis=-1)
+    end = np.where(np.roll(tied, -1, axis=-1), x.shape[-1], pos)
+    end = np.minimum.accumulate(end[..., ::-1], axis=-1)[..., ::-1]
+    ranks = np.empty(x.shape, dtype=float)
+    np.put_along_axis(ranks, order, 0.5 * (start + end) + 1.0, axis=-1)
     return ranks
 
 
-def spearman_ic(scores, returns, return_flag: bool = False):
-    """Rank information coefficient: Pearson correlation of average ranks.
-
-    Constant inputs make the correlation undefined; those return 0 and, when
-    return_flag is set, a True degeneracy flag alongside.
-    """
-    s = np.asarray(scores, dtype=float).ravel()
-    r = np.asarray(returns, dtype=float).ravel()
-    if s.size != r.size:
+def spearman_ic(scores, returns):
+    """Rank information coefficient along the last axis: the Pearson
+    correlation of average ranks, a float for 1-D lists and one value per
+    row of a (weeks, N) block. A constant list makes the correlation
+    undefined; it gives 0."""
+    s = np.asarray(scores, dtype=float)
+    r = np.asarray(returns, dtype=float)
+    if s.shape != r.shape:
         raise ValueError("length mismatch")
-    if s.size < 2:
+    if s.shape[-1] < 2:
         raise ValueError("need at least two observations")
     rs, rr = average_ranks(s), average_ranks(r)
-    ds = rs - rs.mean()
-    dr = rr - rr.mean()
-    denom = np.sqrt((ds * ds).sum() * (dr * dr).sum())
-    if denom == 0:
-        return (0.0, True) if return_flag else 0.0
-    rho = float((ds * dr).sum() / denom)
-    return (rho, False) if return_flag else rho
+    ds = rs - rs.mean(axis=-1, keepdims=True)
+    dr = rr - rr.mean(axis=-1, keepdims=True)
+    denom = np.sqrt((ds * ds).sum(axis=-1) * (dr * dr).sum(axis=-1))
+    rho = (ds * dr).sum(axis=-1) / np.where(denom == 0, 1.0, denom)
+    return np.where(denom == 0, 0.0, rho)[()]
 
 
-def _dcg(labels_in_rank_order: np.ndarray, k: int) -> float:
+def _dcg(labels_in_rank_order: np.ndarray, k: int) -> np.ndarray:
     j = np.arange(1, k + 1, dtype=float)
-    gains = np.power(2.0, labels_in_rank_order[:k]) - 1.0
+    gains = np.power(2.0, labels_in_rank_order[..., :k]) - 1.0
     discounts = np.log(1.0 + j) / np.log(2.0)
-    return float(np.sum(gains / discounts))
+    return np.sum(gains / discounts, axis=-1)
 
 
-def ndcg_at_k(rank_eval: RankEval, return_flag: bool = False):
-    """Discounted cumulative gain at cutoff k over the ideal ordering's.
+def ndcg_at_k(rank_eval: RankEval):
+    """Discounted cumulative gain at cutoff k over the ideal ordering's, per list.
 
     Discounts are 1/log2(1 + j); any log base cancels in the ratio.
     An all-zero gain vector (labels all 0) makes the ratio undefined and
-    returns 1 with the degeneracy flag.
+    gives 1.
     """
-    labels_at_pos = np.asarray(rank_eval.labels, dtype=float)[rank_eval.predicted_order]
-    ideal = np.sort(np.asarray(rank_eval.labels, dtype=float))[::-1]
-    idcg = _dcg(ideal, rank_eval.k)
-    if idcg == 0:
-        return (1.0, True) if return_flag else 1.0
-    value = _dcg(labels_at_pos, rank_eval.k) / idcg
-    return (value, False) if return_flag else value
+    labels = np.asarray(rank_eval.labels, dtype=float)
+    dcg = _dcg(np.take_along_axis(labels, rank_eval.predicted_order, axis=-1), rank_eval.k)
+    idcg = _dcg(np.sort(labels, axis=-1)[..., ::-1], rank_eval.k)
+    return np.where(idcg == 0, 1.0, dcg / np.where(idcg == 0, 1.0, idcg))[()]
 
 
-def ndcg_at_minus_k(rank_eval: RankEval, levels: int, return_flag: bool = False):
+def ndcg_at_minus_k(rank_eval: RankEval, levels: int):
     """NDCG of the reversed predicted order under complemented labels
     (L+1) - l: rewards identifying the bottom of the list."""
-    labels = np.asarray(rank_eval.labels)
-    complemented = (levels + 1) - labels
-    reversed_eval = RankEval(rank_eval.predicted_order[::-1], complemented, rank_eval.k)
-    return ndcg_at_k(reversed_eval, return_flag=return_flag)
+    return ndcg_at_k(RankEval(rank_eval.predicted_order[..., ::-1],
+                              (levels + 1) - rank_eval.labels, rank_eval.k))
 
 
-def ndcg_pm_k(rank_eval: RankEval, levels: int) -> float:
+def ndcg_pm_k(rank_eval: RankEval, levels: int):
     """Mean of the top-end and bottom-end NDCG at the same cutoff."""
     top = ndcg_at_k(rank_eval)
     bottom = ndcg_at_minus_k(rank_eval, levels)

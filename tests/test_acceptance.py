@@ -217,7 +217,7 @@ def planted_run(tmp_path_factory):
     cfg = BacktestConfig(train_len=331, test_len=50, batch_size=8, total_batches=60,
                          seed=7, cost_bps=30.0, levels=10)
     # the five models plus their short-average books: the full two-mode table
-    strategies = standard_strategies(k=8, short_average=True)
+    strategies = standard_strategies(k=8)
     first = run_backtest(panel, strategies, cfg)
     second = run_backtest(panel, strategies, cfg)
     return panel, cfg, strategies, first, second, tmp_path_factory.mktemp("acc9")

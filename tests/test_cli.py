@@ -231,6 +231,19 @@ class TestBacktestCommand:
         assert rc == 2
         assert f"data error: {latin}: row 7: not UTF-8" in capsys.readouterr().err
 
+    def test_quoted_field_over_csv_limit_exit_two(self, base_config, panel_csv, tmp_path,
+                                                  capsys):
+        lines = panel_csv.read_text().splitlines()
+        fields = lines[5].split(",")
+        lines[5] = ",".join([fields[0], '"' + "S" * 140001 + '"', *fields[2:]])
+        big = tmp_path / "big.csv"
+        big.write_text("\n".join(lines) + "\n")
+        rc = main(["backtest", "--config", str(base_config), "--panel", str(big),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert (f"data error: {big}: row 6: field larger than field limit (131072)"
+                in capsys.readouterr().err)
+
     def test_duplicate_csv_header_exit_two(self, base_config, panel_csv, tmp_path, capsys):
         lines = panel_csv.read_text().splitlines()
         names = lines[0].split(",")

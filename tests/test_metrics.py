@@ -1,4 +1,5 @@
-"""Rank metrics: worked values, degenerate flags, and symmetry properties."""
+"""Rank metrics: worked values, degenerate lists, symmetry properties, and the
+(weeks, N) block forms against the per-list oracle in metrics_oracle.py."""
 
 import math
 
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import metrics_oracle as oracle
+from listfold.data import decile_labels
 from listfold.metrics import (
     RankEval,
     average_ranks,
@@ -24,6 +27,42 @@ def dcg_reference(labels_in_order, k, base=2.0):
         (2.0 ** l - 1.0) / (math.log(1 + j) / math.log(base))
         for j, l in enumerate(labels_in_order[:k], start=1)
     )
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def draw_rows(rng, weeks, n):
+    """A (weeks, N) block whose rows mix the score shapes a backtest meets:
+    distinct floats, rounded values with ties, ReLU-style zero bottoms and
+    constant rows."""
+    rows = []
+    for kind in rng.integers(0, 4, size=weeks):
+        row = rng.standard_normal(n)
+        if kind == 1:
+            row = np.round(row, 1)
+        elif kind == 2:
+            row = np.maximum(row, 0.0)
+        elif kind == 3:
+            row = np.full(n, row[0])
+        rows.append(row)
+    return np.array(rows)
+
+
+@st.composite
+def blocks(draw):
+    """(scores, returns, k, levels) on a (weeks, N) block: odd and even N,
+    k from 1 to N, levels from 2 to 10. N of 129 and 301 pass the 128
+    values numpy adds in one unrolled run before it sums pairwise."""
+    weeks = draw(st.integers(1, 5))
+    n = draw(st.one_of(st.integers(2, 41), st.sampled_from([80, 129, 301])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = draw_rows(rng, weeks, n)
+    returns = draw_rows(rng, weeks, n)
+    k = draw(st.integers(1, n))
+    levels = draw(st.integers(2, 10))
+    return scores, returns, k, levels
 
 
 # the worked four-item configuration: items a,b,c,d with grades 3,2,4,1,
@@ -44,8 +83,7 @@ class TestSpearman:
         assert spearman_ic([1, 2, 3, 4], [1, 2, 4, 3]) == pytest.approx(0.8)
 
     def test_constant_input_flagged(self):
-        value, degenerate = spearman_ic([1.0, 1.0, 1.0], [1, 2, 3], return_flag=True)
-        assert value == 0.0 and degenerate
+        assert spearman_ic([1.0, 1.0, 1.0], [1, 2, 3]) == 0.0
 
     def test_tied_ranks_averaged(self):
         np.testing.assert_allclose(average_ranks([5.0, 1.0, 5.0]), [2.5, 1.0, 2.5])
@@ -116,10 +154,7 @@ class TestNdcg:
         assert forward == pytest.approx(flipped, abs=1e-12)
 
     def test_all_zero_gains_flagged(self):
-        value, degenerate = ndcg_at_k(
-            RankEval(np.array([0, 1]), np.array([0, 0]), 2), return_flag=True
-        )
-        assert value == 1.0 and degenerate
+        assert ndcg_at_k(RankEval(np.array([0, 1]), np.array([0, 0]), 2)) == 1.0
 
     def test_cutoff_validated(self):
         with pytest.raises(ValueError):
@@ -129,6 +164,67 @@ class TestNdcg:
     def test_order_must_be_bijection(self, order):
         with pytest.raises(ValueError, match="bijection"):
             RankEval(np.array(order), np.array([1, 2]), 1)
+
+
+class TestBlocksAgainstOracle:
+    """Every block metric equals the former per-list function row by row, bit
+    for bit, and a 1-D list gives what it gave before."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(blocks())
+    def test_average_ranks_and_ic(self, case):
+        scores, returns, _, _ = case
+        ranks, ic = average_ranks(scores), spearman_ic(scores, returns)
+        assert ic.shape == (scores.shape[0],)
+        assert isinstance(spearman_ic(scores[0], returns[0]), float)
+        for w in range(scores.shape[0]):
+            assert bits(ranks[w]) == bits(oracle.average_ranks(scores[w]))
+            assert bits(ic[w]) == bits(oracle.spearman_ic(scores[w], returns[w]))
+            assert bits(average_ranks(scores[w])) == bits(ranks[w])
+            assert bits(spearman_ic(scores[w], returns[w])) == bits(ic[w])
+
+    @settings(max_examples=60, deadline=None)
+    @given(blocks())
+    def test_decile_labels(self, case):
+        _, returns, _, levels = case
+        levels = min(levels, returns.shape[1])
+        labels = decile_labels(returns, levels)
+        for w in range(returns.shape[0]):
+            want = oracle.decile_labels(returns[w], levels)
+            np.testing.assert_array_equal(labels[w], want)
+            np.testing.assert_array_equal(decile_labels(returns[w], levels), want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(blocks(), st.booleans())
+    def test_ndcg_family(self, case, zero_labels):
+        scores, returns, k, levels = case
+        levels = min(levels, scores.shape[1])
+        order = np.argsort(-scores, axis=1, kind="stable")
+        labels = decile_labels(returns, levels)
+        if zero_labels:
+            # rows of all-zero gains, where the ideal DCG is 0
+            labels[::2] = 0
+        ev = RankEval(order, labels, k)
+        got = {"top": ndcg_at_k(ev), "bottom": ndcg_at_minus_k(ev, levels),
+               "pm": ndcg_pm_k(ev, levels)}
+        for w in range(scores.shape[0]):
+            one = oracle.RankEval(order[w], labels[w], k)
+            want = {"top": oracle.ndcg_at_k(one), "bottom": oracle.ndcg_at_minus_k(one, levels),
+                    "pm": oracle.ndcg_pm_k(one, levels)}
+            row = RankEval(order[w], labels[w], k)
+            single = {"top": ndcg_at_k(row), "bottom": ndcg_at_minus_k(row, levels),
+                      "pm": ndcg_pm_k(row, levels)}
+            for name in want:
+                assert bits(got[name][w]) == bits(want[name]), name
+                assert bits(single[name]) == bits(want[name]), name
+
+    def test_block_shape_checks(self):
+        with pytest.raises(ValueError, match="bijection"):
+            RankEval(np.array([[0, 1], [1, 1]]), np.ones((2, 2)), 1)
+        with pytest.raises(ValueError, match="length mismatch"):
+            RankEval(np.array([[0, 1], [1, 0]]), np.ones(2), 1)
+        with pytest.raises(ValueError, match="length mismatch"):
+            spearman_ic(np.zeros((2, 3)), np.zeros(3))
 
 
 class TestTrueLosses:

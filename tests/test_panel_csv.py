@@ -1,6 +1,7 @@
 """Panel CSV reader and writer against the per-cell oracle in csv_oracle.py:
 same bytes written, bit-identical panels read, the same ParseError messages."""
 
+import csv
 import tracemalloc
 from unittest import mock
 
@@ -196,6 +197,46 @@ class TestEncoding:
         path.write_bytes(b"\xef\xbb\xbf" + body(30).encode())
         plain = write(tmp_path, body(30))
         assert outcome(load_panel, path) == outcome(load_panel, plain)
+
+
+class TestFieldSizeLimit:
+    """A quoted field over the csv module's field size limit is a ParseError
+    naming the file and the row, not the csv module's own error."""
+
+    BIG = "S" * 140001
+
+    def with_id(self, tmp_path, stock, row=6):
+        lines = body(30).splitlines()
+        fields = lines[row - 1].split(",")
+        lines[row - 1] = ",".join([fields[0], stock, *fields[2:]])
+        return write(tmp_path, "\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("chunk", [1, 3, data._CHUNK_ROWS])
+    def test_quoted_field_over_the_limit(self, tmp_path, chunk):
+        path = self.with_id(tmp_path, f'"{self.BIG}"')
+        with mock.patch.object(data, "_CHUNK_ROWS", chunk), pytest.raises(ParseError) as info:
+            load_panel(path)
+        assert str(info.value) == f"{path}: row 6: field larger than field limit (131072)"
+        assert csv.field_size_limit() == 131072
+
+    def test_same_field_unquoted_loads(self, tmp_path):
+        panel = load_panel(self.with_id(tmp_path, self.BIG))
+        assert self.BIG in panel.stocks
+
+    def test_header_field_over_the_limit(self, tmp_path):
+        path = write(tmp_path, body(3).replace("alpha", f'"{self.BIG}"', 1))
+        with pytest.raises(ParseError) as info:
+            load_panel(path)
+        assert str(info.value) == f"{path}: row 1: field larger than field limit (131072)"
+
+    def test_earlier_duplicate_is_reported_first(self, tmp_path):
+        lines = body(30).splitlines()
+        lines[4] = lines[3]  # row 5 repeats row 4
+        fields = lines[6].split(",")
+        lines[6] = ",".join([fields[0], f'"{self.BIG}"', *fields[2:]])
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"^row 5: duplicate \(date, stock\)"):
+            load_panel(path)
 
 
 class TestMemory:
