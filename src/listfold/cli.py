@@ -339,13 +339,10 @@ def cmd_simulate(args) -> int:
         weights = np.asarray([float(tok) for tok in _split(args.weights)])
     except ValueError:
         raise ConfigError(f"bad weights {args.weights!r}") from None
-    if weights.size == 0 or np.any(weights <= 0):
-        raise ConfigError("weights must be positive")
-    if args.draws < 1:
-        raise ConfigError("draws must be >= 1")
-    if args.model == "plank" and weights.size % 2 != 0:
-        raise ConfigError("plank model needs an even number of weights")
-    spec = consistency.SamplerSpec(args.model, weights, args.draws, args.seed)
+    try:
+        spec = consistency.SamplerSpec(args.model, weights, args.draws, args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if args.model == "vase":
         counts = consistency.sample_vase(spec)
         prob_fn = lambda perm: consistency.vase_probability(weights, perm)

@@ -517,7 +517,8 @@ class SamplerSpec:
     model 'vase' draws items sequentially with probability proportional to
     the remaining weights. model 'plank' throws two darts per stage, one
     against the widths w and one against the lengths l = 1/w, rejecting
-    same-plank hits.
+    same-plank hits. The weights (and for plank the lengths) must be
+    finite normal floats with a finite sum; ValueError names the problem.
     """
 
     model: str
@@ -529,21 +530,55 @@ class SamplerSpec:
         if self.model not in ("vase", "plank"):
             raise ValueError(f"unknown sampler model {self.model!r}")
         w = np.asarray(self.weights, dtype=float).ravel()
-        if np.any(w <= 0):
-            raise ValueError("weights must be strictly positive")
+        if w.size == 0:
+            raise ValueError("need at least one weight")
+        _check_sampling_weights(w, "weights")
         object.__setattr__(self, "weights", w)
         if self.draws < 1:
             raise ValueError("draws must be >= 1")
-        if self.model == "plank" and w.size % 2 != 0:
-            raise ValueError("plank model needs an even number of planks")
+        if self.model == "plank":
+            if w.size % 2 != 0:
+                raise ValueError("plank model needs an even number of planks")
+            # w >= the least normal float, so 1/w is finite
+            _check_sampling_weights(1.0 / w, "lengths 1/w")
 
 
-def _categorical_rows(rng: np.random.Generator, weights: np.ndarray) -> np.ndarray:
-    """One index per row, drawn proportionally to that row's weights."""
-    totals = weights.sum(axis=1, keepdims=True)
-    cum = np.cumsum(weights, axis=1)
-    u = rng.random((weights.shape[0], 1)) * totals
-    return (u >= cum).sum(axis=1)
+def _check_sampling_weights(w: np.ndarray, name: str) -> None:
+    """Reject what would stall or break the categorical draws: a NaN never
+    compares true, and an infinite, subnormal or overflowing total lets
+    u * total reach the total."""
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"{name} must be finite")
+    if np.any(w <= 0):
+        raise ValueError(f"{name} must be strictly positive")
+    tiny = float(np.finfo(float).tiny)
+    if np.any(w < tiny):
+        raise ValueError(f"{name} must be at least {tiny!r}, the least normal float")
+    # the samplers' totals are running sums; every stage's is at most this one
+    with np.errstate(over="ignore"):
+        total = np.cumsum(w)[-1]
+    if not np.isfinite(total):
+        raise ValueError(f"the sum of the {name} overflows")
+
+
+def _categorical_columns(rng: np.random.Generator, weights: np.ndarray) -> np.ndarray:
+    """One index per column of an (m, draws) block, drawn proportionally to
+    that column's weights.
+
+    The cumulative sums are m - 1 vector adds over the draws, and each
+    column's total is its last cumulative sum (a pairwise row sum can
+    exceed it from 8 items on). A uniform u in [0, 1) times a normal total
+    stays below that total, so the pick, the number of cumulative sums at
+    or below it, is an item of positive weight and never m.
+    """
+    cum = weights.copy()
+    for i in range(1, cum.shape[0]):
+        np.add(cum[i - 1], cum[i], out=cum[i])
+    u = rng.random(cum.shape[1]) * cum[-1]
+    pick = np.zeros(cum.shape[1], dtype=np.intp)
+    for row in cum:
+        pick += u >= row
+    return pick
 
 
 def _order_counts(out: np.ndarray) -> dict[tuple[int, ...], int]:
@@ -569,13 +604,15 @@ def sample_vase(spec: SamplerSpec) -> dict[tuple[int, ...], int]:
         raise ValueError("spec.model must be 'vase'")
     m = spec.weights.size
     rng = np.random.default_rng(spec.seed)
-    live = np.tile(spec.weights, (spec.draws, 1))
+    # draw-major: one row per item, so each stage is m vector operations
+    # over the draws, not numpy calls along draws rows of m weights
+    live = np.repeat(spec.weights[:, None], spec.draws, axis=1)
     out = np.empty((spec.draws, m), dtype=np.intp)
-    rows = np.arange(spec.draws)
+    cols = np.arange(spec.draws)
     for stage in range(m):
-        pick = _categorical_rows(rng, live)
+        pick = _categorical_columns(rng, live)
         out[:, stage] = pick
-        live[rows, pick] = 0.0
+        live[pick, cols] = 0.0
     return _order_counts(out)
 
 
@@ -587,25 +624,24 @@ def sample_plank_dart(spec: SamplerSpec) -> dict[tuple[int, ...], int]:
     m = spec.weights.size
     n = m // 2
     rng = np.random.default_rng(spec.seed)
-    live_w = np.tile(spec.weights, (spec.draws, 1))
-    live_l = np.tile(1.0 / spec.weights, (spec.draws, 1))
+    live_w = np.repeat(spec.weights[:, None], spec.draws, axis=1)
+    live_l = np.repeat(1.0 / spec.weights[:, None], spec.draws, axis=1)
     out = np.empty((spec.draws, m), dtype=np.intp)
-    rows = np.arange(spec.draws)
+    cols = np.arange(spec.draws)
     for stage in range(n):
-        a = _categorical_rows(rng, live_w)
-        b = _categorical_rows(rng, live_l)
-        clash = a == b
-        while clash.any():
-            idx = np.where(clash)[0]
-            a[idx] = _categorical_rows(rng, live_w[idx])
-            b[idx] = _categorical_rows(rng, live_l[idx])
-            clash = a == b
+        a = _categorical_columns(rng, live_w)
+        b = _categorical_columns(rng, live_l)
+        idx = np.flatnonzero(a == b)
+        while idx.size:
+            a[idx] = _categorical_columns(rng, live_w[:, idx])
+            b[idx] = _categorical_columns(rng, live_l[:, idx])
+            idx = idx[a[idx] == b[idx]]
         out[:, stage] = a
         out[:, m - 1 - stage] = b
-        live_w[rows, a] = 0.0
-        live_w[rows, b] = 0.0
-        live_l[rows, a] = 0.0
-        live_l[rows, b] = 0.0
+        live_w[a, cols] = 0.0
+        live_w[b, cols] = 0.0
+        live_l[a, cols] = 0.0
+        live_l[b, cols] = 0.0
     return _order_counts(out)
 
 

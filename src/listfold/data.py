@@ -13,6 +13,7 @@ same schema, and floats round-trip bit identically through ``repr``.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 from dataclasses import dataclass, replace
 
@@ -393,24 +394,54 @@ def load_panel(path, schema: dict | None = None) -> FactorPanel:
                        tuple(factor_names), factors, fwd)
 
 
+class _Missing:
+    """A missing cell in save_panel: its repr is the empty field."""
+
+    def __repr__(self) -> str:
+        return ""
+
+
+_MISSING = _Missing()
+
+
+def _csv_fields(values) -> list[str]:
+    """Each value as csv.writer writes it in a row of several fields
+    (quoted only where QUOTE_MINIMAL needs it)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    fields = []
+    for value in values:
+        writer.writerow([value, ""])
+        fields.append(buf.getvalue()[: -len(",\r\n")])
+        buf.seek(0)
+        buf.truncate()
+    return fields
+
+
 def save_panel(panel: FactorPanel, path) -> None:
     """Write the canonical CSV schema. Rows with every cell missing are
     omitted; remaining missing cells become empty strings. Floats are
-    written as their repr, so they read back bit for bit."""
+    written as their repr, so they read back bit for bit.
+
+    Dates and stock ids go through csv.writer once each; a data row is
+    then its quoted date and stock and the ``repr`` of its cells joined by
+    commas (a missing cell's repr is empty), with one writelines call per
+    chunk of up to 1024 rows."""
     weeks = max(1, _CHUNK_ROWS // max(1, panel.n_stocks))
+    stocks = _csv_fields(panel.stocks)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "stock", "fwd_ret", *panel.factor_names])
+        csv.writer(fh).writerow(["date", "stock", "fwd_ret", *panel.factor_names])
         for lo in range(0, panel.n_weeks, weeks):
+            dates = _csv_fields(panel.dates[lo:lo + weeks])
             values = np.concatenate([panel.fwd_return[lo:lo + weeks, :, None],
                                      panel.factors[lo:lo + weeks]], axis=2)
             missing = np.isnan(values)
             ii, jj = np.nonzero(~missing.all(axis=2))
             cells = values[ii, jj].tolist()
             for r, k in np.argwhere(missing[ii, jj]).tolist():
-                cells[r][k] = None  # csv.writer writes None as an empty field
-            writer.writerows([panel.dates[lo + i], panel.stocks[j], *row]
-                             for i, j, row in zip(ii.tolist(), jj.tolist(), cells))
+                cells[r][k] = _MISSING
+            fh.writelines(f"{dates[i]},{stocks[j]},{','.join(map(repr, row))}\r\n"
+                          for i, j, row in zip(ii.tolist(), jj.tolist(), cells))
 
 
 def filter_by_missing(panel: FactorPanel, threshold: float) -> FactorPanel:

@@ -353,6 +353,18 @@ class TestSimulateCommand:
         assert main(["simulate", "--model", "vase", "--weights", "1,-1",
                      "--out", str(tmp_path / "s")]) == 1
 
+    @pytest.mark.parametrize("model, weights", [
+        ("vase", "1,nan"), ("vase", "1,inf"), ("plank", "1,inf"),
+    ])
+    def test_non_finite_weight_exit_one(self, model, weights, tmp_path, capsys):
+        # a NaN weight once gave a meaningless table with exit 0, and an
+        # infinite one an IndexError traceback
+        out = tmp_path / "s"
+        assert main(["simulate", "--model", model, "--weights", weights,
+                     "--draws", "1000", "--out", str(out)]) == 1
+        assert "config error: weights must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainScoreCommands:
     def test_checkpoint_then_score(self, base_config, panel_csv, tmp_path):

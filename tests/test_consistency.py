@@ -9,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loss_oracle import listfold_loss as fold_oracle
+from sampler_oracle import _categorical_rows as oracle_rows
+from sampler_oracle import sample_plank_dart as oracle_plank
+from sampler_oracle import sample_vase as oracle_vase
 
 from listfold import consistency
 from listfold.consistency import (
@@ -17,6 +20,7 @@ from listfold.consistency import (
     SEARCH_CAP,
     SamplerSpec,
     _DISTRIBUTIONS,
+    _categorical_columns,
     _classify,
     _least_listfold_exp,
     _order_counts,
@@ -393,3 +397,92 @@ class TestPlankSampler:
 
         ratios = [rms_dev(16_000, seed + 100) / rms_dev(64_000, seed) for seed in (1, 2, 3)]
         assert 1.4 < float(np.mean(ratios)) < 2.8
+
+
+# Weight vectors of 8 or more items on which the draw-major samplers were
+# checked to give the row-major oracle's counts. Identity is not a theorem
+# there: the oracle's row total is numpy's pairwise sum, which can round
+# differently from the last cumulative sum the new samplers use.
+WIDE_SPECS = [
+    SamplerSpec("vase", np.exp(np.linspace(-2.0, 2.0, 8)), 3000, seed=31),
+    SamplerSpec("vase", np.arange(1.0, 13.0), 2000, seed=32),
+    SamplerSpec("vase", np.geomspace(1e-3, 1e3, 16), 1000, seed=33),
+    SamplerSpec("plank", np.exp(np.linspace(-1.5, 1.5, 8)), 3000, seed=34),
+    SamplerSpec("plank", np.arange(1.0, 11.0), 2000, seed=35),
+    SamplerSpec("plank", np.geomspace(0.01, 100.0, 14), 1000, seed=36),
+]
+
+_SAMPLERS = {"vase": (sample_vase, oracle_vase), "plank": (sample_plank_dart, oracle_plank)}
+
+
+class _NearOneGenerator:
+    """Stands in for np.random.Generator: every uniform is 1 - 2**-53, the
+    largest double below 1 that Generator.random returns."""
+
+    def random(self, size):
+        return np.full(size, 1.0 - 2.0**-53)
+
+
+class TestSamplerOracle:
+    """The draw-major samplers against the former row-major ones."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from(["vase", "plank"]), st.integers(1, 5000),
+           st.integers(0, 2**63 - 1))
+    def test_counts_equal_row_major_oracle(self, data, model, draws, seed):
+        m = data.draw(st.integers(2, 7) if model == "vase" else st.sampled_from([2, 4, 6]))
+        weights = data.draw(st.lists(st.floats(1e-6, 1e6), min_size=m, max_size=m))
+        spec = SamplerSpec(model, np.array(weights), draws, seed=seed)
+        new, old = _SAMPLERS[model]
+        assert new(spec) == old(spec)
+
+    @pytest.mark.parametrize("spec", WIDE_SPECS,
+                             ids=lambda s: f"{s.model}-{s.weights.size}")
+    def test_wide_specs_equal_row_major_oracle(self, spec):
+        new, old = _SAMPLERS[spec.model]
+        assert new(spec) == old(spec)
+
+    def test_total_is_the_last_cumulative_sum(self):
+        # numpy sums 8 values pairwise: 1 + 3 * 2**-52 here, while the
+        # running sum stays at 1, so the oracle's u = (1 - 2**-53) * total
+        # passes every cumulative sum and picks item 8 of 8
+        weights = np.array([1.0] + [2.0**-53] * 7)
+        assert weights.sum() > np.cumsum(weights)[-1]
+        assert oracle_rows(_NearOneGenerator(), weights[None, :]).tolist() == [8]
+        pick = _categorical_columns(_NearOneGenerator(), weights[:, None])
+        assert pick.shape == (1,)
+        assert 0 <= pick[0] < 8 and weights[pick[0]] > 0
+        # a zeroed tail (items already drawn) is never picked either
+        live = np.array([0.0, 3.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])[:, None]
+        assert _categorical_columns(_NearOneGenerator(), live).tolist() == [2]
+
+
+class TestSamplerSpecWeights:
+    """Weights the categorical draws cannot use are rejected up front."""
+
+    @pytest.mark.parametrize("model, weights, match", [
+        ("vase", [1.0, np.nan], "weights must be finite"),
+        ("plank", [1.0, np.nan], "weights must be finite"),
+        ("vase", [1.0, np.inf], "weights must be finite"),
+        ("plank", [1.0, np.inf], "weights must be finite"),
+        ("vase", [1e308, 1e308], "sum of the weights overflows"),
+        ("plank", [1e308, 1e308], "sum of the weights overflows"),
+        ("vase", [1e-320, 1e-320], "least normal float"),
+        ("plank", [1e-320, 1.0], "least normal float"),
+        ("plank", [1e308, 1.0], "lengths 1/w must be at least"),
+        ("plank", [2.3e-308] * 6, "sum of the lengths 1/w overflows"),
+        ("vase", [], "at least one weight"),
+    ])
+    def test_unusable_weights_rejected(self, model, weights, match):
+        # built only: a NaN plank spec was once accepted, and its sampler
+        # never returned
+        with pytest.raises(ValueError, match=match):
+            SamplerSpec(model, np.array(weights), draws=10)
+
+    def test_extreme_normal_weights_sample(self):
+        tiny = np.finfo(float).tiny
+        for spec in (SamplerSpec("vase", np.array([tiny, tiny, 1e300]), 2000, seed=37),
+                     SamplerSpec("plank", np.array([1e-300, 1.0, 2.0, 1e300]), 2000, seed=38)):
+            counts = _SAMPLERS[spec.model][0](spec)
+            assert sum(counts.values()) == spec.draws
+            assert all(sorted(key) == list(range(spec.weights.size)) for key in counts)
