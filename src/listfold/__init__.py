@@ -10,14 +10,12 @@ panel generator.
 
 from .data import (
     DataError,
-    EmptyUniverseError,
     FactorPanel,
     ParseError,
     RankedBatch,
     WindowPlan,
     build_ranked_batch,
     decile_labels,
-    filter_by_missing,
     fit_norm_params,
     generate_synthetic_panel,
     load_panel,
@@ -41,11 +39,9 @@ from .losses import (
 )
 from .metrics import (
     RankEval,
-    binary_classification_loss,
     ndcg_at_k,
     ndcg_at_minus_k,
     ndcg_pm_k,
-    perm_zero_one,
     spearman_ic,
 )
 from .neural import (

@@ -41,6 +41,9 @@ __all__ = [
     "BacktestConfig",
     "BacktestResult",
     "MODEL_SPECS",
+    "STRATEGY_NAMES",
+    "STANDARD_MODELS",
+    "strategy_lineup",
     "standard_strategies",
     "build_long_short",
     "build_short_average",
@@ -229,20 +232,41 @@ class StrategySpec:
         _check_k(self.k, n_stocks, sides=1 if self.mode == "sa" else 2)
 
 
+# strategy model key -> its name in the stats table; a short-average book
+# adds "-sa". list2mle pairs the listmle and listmle-rvs models.
+STRATEGY_NAMES = {
+    "listfold-exp": "ListFold-exp",
+    "listfold-sgm": "ListFold-sgm",
+    "listmle": "ListMLE",
+    "listmle-rvs": "ListMLE-rvs",
+    "naive-pt": "NaivePt",
+    "mlp": "MLP",
+    "list2mle": "List2MLE",
+}
+STANDARD_MODELS = ("listfold-exp", "listfold-sgm", "listmle", "list2mle", "mlp")
+
+
+def strategy_lineup(models, modes, k: int) -> list[StrategySpec]:
+    """Model by model, its long-short strategy if modes holds "ls" and then
+    its short-average one if modes holds "sa". list2mle dictates its own
+    short leg, so it gives one strategy whatever the modes."""
+    out = []
+    for model in models:
+        name = STRATEGY_NAMES[model]
+        if model == "list2mle":
+            out.append(StrategySpec(name, "listmle", "list2mle", k))
+            continue
+        if "ls" in modes:
+            out.append(StrategySpec(name, model, "ls", k))
+        if "sa" in modes:
+            out.append(StrategySpec(name + "-sa", model, "sa", k))
+    return out
+
+
 def standard_strategies(k: int = 8) -> list[StrategySpec]:
-    """The standard lineup: five models long-short, plus the short-average
-    variants for all but list2mle (which dictates its own short leg)."""
-    return [
-        StrategySpec("ListFold-exp", "listfold-exp", "ls", k),
-        StrategySpec("ListFold-sgm", "listfold-sgm", "ls", k),
-        StrategySpec("ListMLE", "listmle", "ls", k),
-        StrategySpec("List2MLE", "listmle", "list2mle", k),
-        StrategySpec("MLP", "mlp", "ls", k),
-        StrategySpec("ListFold-exp-sa", "listfold-exp", "sa", k),
-        StrategySpec("ListFold-sgm-sa", "listfold-sgm", "sa", k),
-        StrategySpec("ListMLE-sa", "listmle", "sa", k),
-        StrategySpec("MLP-sa", "mlp", "sa", k),
-    ]
+    """The standard lineup, the CLI's default: the STANDARD_MODELS in both
+    modes, nine strategies."""
+    return strategy_lineup(STANDARD_MODELS, ("ls", "sa"), k)
 
 
 @dataclass(frozen=True)
@@ -437,8 +461,9 @@ def _model_rank_metrics(scores: np.ndarray, returns: np.ndarray, k: int,
 
 
 def cutoff_heatmap(scores_by_model: dict[str, dict[str, np.ndarray]], panel: FactorPanel,
-                   k_range, test_dates: list[str] | None = None):
-    """Mean weekly gross long-short return in bps per (model, k) cell.
+                   k_range, test_dates: list[str]):
+    """Mean weekly gross long-short return in bps per (model, k) cell, over
+    the test_dates.
 
     Scores may come from a backtest result or be synthesized (feeding the
     realized returns as scores gives the perfect-foresight ceiling, which
@@ -446,8 +471,6 @@ def cutoff_heatmap(scores_by_model: dict[str, dict[str, np.ndarray]], panel: Fac
     """
     models = sorted(scores_by_model)
     ks = list(k_range)
-    if test_dates is None:
-        test_dates = sorted(next(iter(scores_by_model.values())))
     for k in ks:
         _check_k(k, panel.n_stocks)
     k_max = max(ks, default=0)

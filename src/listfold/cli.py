@@ -25,10 +25,13 @@ from . import consistency
 from .backtest import (
     BacktestConfig,
     MODEL_SPECS,
+    STANDARD_MODELS,
+    STRATEGY_NAMES,
     StrategySpec,
     cutoff_heatmap,
     model_train_config,
     run_backtest,
+    strategy_lineup,
     train_window,
     write_batchgrid_csv,
     write_heatmap_csv,
@@ -79,7 +82,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-_KNOWN_MODELS = tuple(MODEL_SPECS) + ("list2mle",)
+_KNOWN_MODELS = tuple(STRATEGY_NAMES)
 
 
 @dataclass
@@ -88,7 +91,7 @@ class RunConfig:
 
     panel: str = ""
     out: str = "out"
-    strategies: str = "listfold-exp,listfold-sgm,listmle,list2mle,mlp"
+    strategies: str = ",".join(STANDARD_MODELS)
     modes: str = "ls,sa"
     k: int = 8
     batch_sizes: str = ""  # e.g. "8,16,32,64,128": also emit batchgrid.csv
@@ -175,26 +178,7 @@ def _split(csv_text: str) -> list[str]:
 
 
 def _strategy_list(cfg: RunConfig) -> list[StrategySpec]:
-    pretty = {
-        "listfold-exp": "ListFold-exp",
-        "listfold-sgm": "ListFold-sgm",
-        "listmle": "ListMLE",
-        "listmle-rvs": "ListMLE-rvs",
-        "naive-pt": "NaivePt",
-        "mlp": "MLP",
-        "list2mle": "List2MLE",
-    }
-    modes = _split(cfg.modes)
-    out: list[StrategySpec] = []
-    for name in _split(cfg.strategies):
-        if name == "list2mle":
-            # list2mle dictates its own short leg; no short-average variant
-            out.append(StrategySpec(pretty[name], "listmle", "list2mle", cfg.k))
-            continue
-        if "ls" in modes:
-            out.append(StrategySpec(pretty[name], name, "ls", cfg.k))
-        if "sa" in modes:
-            out.append(StrategySpec(pretty[name] + "-sa", name, "sa", cfg.k))
+    out = strategy_lineup(_split(cfg.strategies), _split(cfg.modes), cfg.k)
     if not out:
         raise ConfigError("field strategies: empty strategy list")
     return out
@@ -339,6 +323,10 @@ def cmd_simulate(args) -> int:
         weights = np.asarray([float(tok) for tok in _split(args.weights)])
     except ValueError:
         raise ConfigError(f"bad weights {args.weights!r}") from None
+    if weights.size > consistency.ENUMERATION_CAP:
+        # the z table lists all m! orderings: 9 weights take seconds, 12 hours
+        raise ConfigError(f"at most {consistency.ENUMERATION_CAP} weights, "
+                          f"got {weights.size}")
     try:
         spec = consistency.SamplerSpec(args.model, weights, args.draws, args.seed)
     except ValueError as exc:
@@ -455,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo the vase or plank-dart model")
     p.add_argument("--model", choices=("vase", "plank"), required=True)
-    p.add_argument("--weights", required=True, help="comma list of positive weights")
+    p.add_argument("--weights", required=True,
+                   help=f"comma list of at most {consistency.ENUMERATION_CAP} positive weights")
     p.add_argument("--draws", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out")

@@ -1,4 +1,4 @@
-"""Executable checks of the loss-consistency claims: brute-force permutation
+"""Executable checks of the loss-consistency claims: permutation
 enumeration, minimizer classification, counterexample search, and Monte
 Carlo samplers for the two generative stories behind the losses.
 
@@ -7,11 +7,13 @@ loss over all orders is needed (the counterexample search and the
 unrestricted theorem-2 check), an exact dynamic program over subsets finds
 it in 2^m states, so the search reaches list length SEARCH_CAP = 14. Where
 every order or every near-tied order is needed (minimizer sets, theorem 1,
-the restricted uniqueness check, the probe, an injected black-box loss),
-the checks enumerate permutations, capped at ENUMERATION_CAP = 8 items
-(8! = 40320 rows). Minimizers are grouped within an absolute tolerance of
-1e-9 so genuinely tied sets (the sigmoid case produces them) come out as
-sets.
+the restricted uniqueness check, the probe), the checks enumerate
+permutations, capped at ENUMERATION_CAP = 8 items (8! = 40320 rows).
+Minimizers are grouped within an absolute tolerance of 1e-9 so genuinely
+tied sets (the sigmoid case produces them) come out as sets, and _classify
+names a minimizer set by the true loss it is consistent with:
+descending-unique for the permutation 0-1 loss, binary-class-set for the
+half-split binary classification loss.
 """
 
 from __future__ import annotations
@@ -80,9 +82,6 @@ class EnumerationReport:
     minimizers: frozenset[tuple[float, ...]]
     min_value: float
     classification: str
-
-    def loss_of(self, perm) -> float:
-        return self.losses[self.permutations.index(tuple(perm))]
 
     def probability_mass(self) -> float:
         """sum of multiplicity * exp(-loss): 1 for the likelihood losses."""
@@ -427,38 +426,22 @@ def _sample_scores(rng: np.random.Generator, size: int, distribution: str) -> np
 
 
 def counterexample_search(budget: int, size: int, distribution: str = "uniform",
-                          seed: int = 0, loss_fn=None) -> list[Witness]:
+                          seed: int = 0) -> list[Witness]:
     """Hunt for multisets where descending does not globally minimize the
     exponential listfold loss. Returns every witness found (expected none).
 
     A draw's witness is a least-loss order, found by the exact subset DP,
-    which lets size reach SEARCH_CAP. loss_fn(scores_array) -> float
-    overrides the evaluated loss; it is a black box per order, so it is
-    called on every row of the permutation table of the sorted scores
-    (size <= ENUMERATION_CAP) and the witness is the argmin row, the first
-    on a tie. Injecting a broken loss is the harness self-test and must
-    produce witnesses.
+    which lets size reach SEARCH_CAP.
     """
-    cap = SEARCH_CAP if loss_fn is None else ENUMERATION_CAP
-    if size % 2 != 0 or not 2 <= size <= cap:
-        raise ValueError(f"size must be even and in [2, {cap}]")
+    if size % 2 != 0 or not 2 <= size <= SEARCH_CAP:
+        raise ValueError(f"size must be even and in [2, {SEARCH_CAP}]")
     if budget < 1:
         return []
     rng = np.random.default_rng(seed)
     draws = np.array([_sample_scores(rng, size, distribution) for _ in range(budget)])
     descending = np.sort(draws, axis=1)[:, ::-1]
-    if loss_fn is None:
-        spec = LossSpec("listfold", Transform("exponential"))
-        base = _table_losses(spec, descending)
-        least, orders = _least_listfold_exp(descending)
-    else:
-        index = _perm_table(size)  # row 0 is the identity
-        least, base = np.empty(budget), np.empty(budget)
-        orders = np.empty((budget, size), dtype=np.intp)
-        for r, f in enumerate(descending):
-            losses = np.array([float(loss_fn(row)) for row in f[index]])
-            j = int(np.argmin(losses))
-            least[r], base[r], orders[r] = losses[j], losses[0], index[j]
+    base = _table_losses(LossSpec("listfold", Transform("exponential")), descending)
+    least, orders = _least_listfold_exp(descending)
     return [Witness(tuple(draws[r].tolist()), tuple(descending[r, orders[r]].tolist()),
                     float(least[r]), float(base[r]))
             for r in np.flatnonzero(least < base - MINIMIZER_TOL)]
@@ -660,9 +643,12 @@ def vase_probability(weights, sequence) -> float:
 def plank_probability(weights, sequence) -> float:
     """Closed-form probability of a marked plank sequence.
 
-    Stage i keeps planks at positions i..2n-1-i of the sequence; the chance
-    of marking (A_i, B_i) is w_A * l_B over the cross product of remaining
-    widths and lengths l = 1/w minus the same-plank mass.
+    Stage i keeps the k planks at positions i..2n-1-i of the sequence; the
+    chance of marking (A_i, B_i) is w_A * l_B over the cross product of
+    remaining widths and lengths l = 1/w minus the same-plank mass k. It is
+    taken as (w_A / W)(l_B / L) / (1 - k / W / L), which stays finite where
+    the product W * L of the remaining sums overflows; k / W / L <= 1/k
+    since W * L >= k^2.
     """
     w = np.asarray(weights, dtype=float)
     l = 1.0 / w
@@ -675,19 +661,23 @@ def plank_probability(weights, sequence) -> float:
         sw = sum(w[i] for i in window)
         sl = sum(l[i] for i in window)
         a, b = seq[stage], seq[m - 1 - stage]
-        prob *= w[a] * l[b] / (sw * sl - len(window))
+        prob *= (w[a] / sw) * (l[b] / sl) / (1.0 - len(window) / sw / sl)
     return float(prob)
 
 
 def frequency_zscores(counts: dict[tuple[int, ...], int], draws: int,
                       prob_fn) -> dict[tuple[int, ...], tuple[float, float, float]]:
     """Per-permutation (empirical, analytic, z) where z uses the binomial
-    standard error, so a failure names the offending permutation."""
+    standard error, so a failure names the offending permutation. An
+    analytic p that is not a number in [0, 1] raises ValueError naming its
+    permutation."""
     out = {}
     keys = set(counts)
     m = len(next(iter(keys))) if keys else 0
     for perm in itertools.permutations(range(m)):
         p = prob_fn(perm)
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"analytic probability of {perm} is {p!r}, not in [0, 1]")
         emp = counts.get(perm, 0) / draws
         se = math.sqrt(p * (1.0 - p) / draws) if 0 < p < 1 else float("inf")
         z = (emp - p) / se if se > 0 and math.isfinite(se) else 0.0

@@ -1,9 +1,13 @@
-"""Factor panels: CSV ingestion, missing-data filtering, window plans,
-min-max normalization, rank labels, and a synthetic panel generator.
+"""Factor panels: CSV ingestion, window plans, min-max normalization, rank
+labels, and a synthetic panel generator.
 
 On-disk format is a flat CSV, one row per (date, stock):
 
     date,stock,fwd_ret,<factor_1>,...,<factor_F>
+
+Every column other than date, stock and fwd_ret is a factor. A missing
+cell is NaN in the panel; a week that a ranked list is built from must
+have none.
 
 Dates are ISO-8601 (YYYY-MM-DD) week identifiers, missing cells are empty
 strings, decimal point is ``.``, encoding UTF-8. ``save_panel`` writes the
@@ -22,13 +26,11 @@ import numpy as np
 __all__ = [
     "DataError",
     "ParseError",
-    "EmptyUniverseError",
     "FactorPanel",
     "RankedBatch",
     "WindowPlan",
     "load_panel",
     "save_panel",
-    "filter_by_missing",
     "fit_norm_params",
     "apply_norm_params",
     "minmax_normalize",
@@ -46,10 +48,6 @@ class DataError(Exception):
 
 
 class ParseError(DataError):
-    pass
-
-
-class EmptyUniverseError(DataError):
     pass
 
 
@@ -166,8 +164,6 @@ class WindowPlan:
         tl, te = self.train_len, self.test_len
         return WindowPlan((0, tl), (tl, tl + te), self.norm_params)
 
-
-_DEFAULT_SCHEMA = {"date": "date", "stock": "stock", "fwd_ret": "fwd_ret"}
 
 # Rows per chunk, read or written: bounds the memory the CSV I/O holds at once.
 _CHUNK_ROWS = 1024
@@ -319,23 +315,17 @@ def _is_utf8(line: bytes) -> bool:
     return True
 
 
-def load_panel(path, schema: dict | None = None) -> FactorPanel:
+def load_panel(path) -> FactorPanel:
     """Read a CSV into a FactorPanel, grouping rows into weekly cross-sections.
 
-    schema may remap the date/stock/fwd_ret column names and, via a
-    'factors' entry, restrict which columns are factors; any column not
-    claimed is ignored. A header that names a column twice raises
-    ParseError naming the column. Duplicate (date, stock) rows, rows with
-    fewer fields than the header, non-numeric cells, non-UTF-8 bytes and
-    fields over the csv module's field size limit raise ParseError naming
-    the first offending row. A UTF-8 byte order mark before the header is
-    skipped.
+    The date, stock and fwd_ret columns may sit anywhere in the header;
+    every other column is a factor. A header that names a column twice
+    raises ParseError naming the column. Duplicate (date, stock) rows,
+    rows with fewer fields than the header, non-numeric cells, non-UTF-8
+    bytes and fields over the csv module's field size limit raise
+    ParseError naming the first offending row. A UTF-8 byte order mark
+    before the header is skipped.
     """
-    colmap = dict(_DEFAULT_SCHEMA)
-    explicit_factors = None
-    if schema:
-        explicit_factors = schema.get("factors")
-        colmap.update({k: v for k, v in schema.items() if k in _DEFAULT_SCHEMA})
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
@@ -354,23 +344,17 @@ def load_panel(path, schema: dict | None = None) -> FactorPanel:
             # col_pos keeps a repeated name's last position only
             dup = next(name for i, name in enumerate(header) if col_pos[name] != i)
             raise ParseError(f"{path}: duplicate column {dup!r} in the header")
-        for key in ("date", "stock", "fwd_ret"):
-            if colmap[key] not in col_pos:
-                raise ParseError(f"{path}: missing required column {colmap[key]!r}")
-        if explicit_factors is not None:
-            factor_names = list(explicit_factors)
-            for name in factor_names:
-                if name not in col_pos:
-                    raise ParseError(f"{path}: missing factor column {name!r}")
-        else:
-            claimed = {colmap["date"], colmap["stock"], colmap["fwd_ret"]}
-            factor_names = [c for c in header if c not in claimed]
+        required = ("date", "stock", "fwd_ret")
+        for key in required:
+            if key not in col_pos:
+                raise ParseError(f"{path}: missing required column {key!r}")
+        factor_names = [c for c in header if c not in required]
         if not factor_names:
             raise ParseError(f"{path}: no factor columns found")
-        di, si, ri = (col_pos[colmap[k]] for k in ("date", "stock", "fwd_ret"))
+        di, si, ri = (col_pos[k] for k in required)
         cols = [ri, *(col_pos[c] for c in factor_names)]
         dates, stocks, rows, values, error = _read_rows(
-            path, source, header, di, si, cols, [colmap["fwd_ret"], *factor_names])
+            path, source, header, di, si, cols, ["fwd_ret", *factor_names])
 
     if rows:
         date_ids, d_inv = np.unique(np.array(dates, dtype=object), return_inverse=True)
@@ -442,38 +426,6 @@ def save_panel(panel: FactorPanel, path) -> None:
                 cells[r][k] = _MISSING
             fh.writelines(f"{dates[i]},{stocks[j]},{','.join(map(repr, row))}\r\n"
                           for i, j, row in zip(ii.tolist(), jj.tolist(), cells))
-
-
-def filter_by_missing(panel: FactorPanel, threshold: float) -> FactorPanel:
-    """Keep stocks whose missing factor-cell fraction is strictly below
-    threshold, then repair surviving gaps by forward fill along dates and
-    zero fill where no prior value exists (no lookahead)."""
-    if not 0.0 <= threshold <= 1.0:
-        raise DataError(f"threshold must be in [0, 1], got {threshold}")
-    missing = np.isnan(panel.factors)
-    frac = missing.mean(axis=(0, 2))
-    keep = np.where(frac < threshold)[0]
-    if keep.size == 0:
-        raise EmptyUniverseError(
-            f"no stock has missing fraction below {threshold}; universe is empty"
-        )
-    factors = panel.factors[:, keep, :].copy()
-    for j in range(factors.shape[1]):
-        for k in range(factors.shape[2]):
-            col = factors[:, j, k]
-            nan = np.isnan(col)
-            if not nan.any():
-                continue
-            idx = np.where(~nan, np.arange(col.size), -1)
-            np.maximum.accumulate(idx, out=idx)
-            col[:] = np.where(idx >= 0, col[np.maximum(idx, 0)], 0.0)
-    return FactorPanel(
-        dates=panel.dates,
-        stocks=tuple(panel.stocks[j] for j in keep),
-        factor_names=panel.factor_names,
-        factors=factors,
-        fwd_return=panel.fwd_return[:, keep],
-    )
 
 
 def fit_norm_params(panel: FactorPanel, plan: WindowPlan) -> WindowPlan:
@@ -573,7 +525,7 @@ def build_ranked_batch(panel: FactorPanel, date: str, require_even: bool = False
     if np.any(np.isnan(rets)):
         raise DataError(f"week {date}: missing forward returns")
     if np.any(np.isnan(feats)):
-        raise DataError(f"week {date}: missing factor cells (filter/normalize first)")
+        raise DataError(f"week {date}: missing factor cells")
     if require_even and rets.size % 2 != 0:
         order = np.argsort(-rets, kind="stable")
         drop = order[rets.size // 2]

@@ -45,15 +45,6 @@ _FAMILIES = ("listfold", "listmle", "naive_pt", "mse")
 _KINDS = ("exponential", "sigmoid")
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 @dataclass(frozen=True)
 class Transform:
     """Positive-valued map psi applied inside the listwise likelihoods."""
@@ -63,12 +54,6 @@ class Transform:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown transform kind: {self.kind!r}")
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "exponential":
-            return np.exp(x)
-        return _stable_sigmoid(x)
 
     def log_terms(self, x):
         """(log psi(x), log psi'(x)), finite at every finite x.

@@ -1,5 +1,7 @@
-"""Rank-quality metrics: Spearman IC, NDCG at both ends of the list,
-permutation 0-1 loss, and the half-split binary classification loss.
+"""Rank-quality metrics of the backtest: Spearman IC and NDCG at both ends
+of the list. The paper's true losses, the permutation 0-1 loss and the
+half-split binary classification loss, are judged on minimizer sets by
+``listfold.consistency._classify``.
 
 NDCG@-k scores the bottom of a list by reversing the predicted order and
 complementing the labels as (L+1) - l, so the scheme works for any number
@@ -22,8 +24,6 @@ __all__ = [
     "ndcg_at_k",
     "ndcg_at_minus_k",
     "ndcg_pm_k",
-    "perm_zero_one",
-    "binary_classification_loss",
     "average_ranks",
 ]
 
@@ -126,30 +126,3 @@ def ndcg_pm_k(rank_eval: RankEval, levels: int):
     top = ndcg_at_k(rank_eval)
     bottom = ndcg_at_minus_k(rank_eval, levels)
     return 0.5 * (top + bottom)
-
-
-def perm_zero_one(predicted, truth) -> int:
-    p = np.asarray(predicted)
-    t = np.asarray(truth)
-    if p.size != t.size:
-        raise ValueError("length mismatch")
-    return 0 if np.array_equal(p, t) else 1
-
-
-def binary_classification_loss(predicted, truth) -> tuple[int, int]:
-    """Label the top half +1 and bottom half -1 under each permutation.
-
-    Returns (loss, mismatches): loss is 0 iff every item gets the same label
-    under both permutations, mismatches counts the disagreeing items.
-    """
-    p = np.asarray(predicted)
-    t = np.asarray(truth)
-    if p.size != t.size:
-        raise ValueError("length mismatch")
-    if p.size % 2 != 0:
-        raise ValueError("even length required")
-    half = p.size // 2
-    p_top = set(p[:half].tolist())
-    t_top = set(t[:half].tolist())
-    mismatches = len(p_top ^ t_top)
-    return (0 if mismatches == 0 else 1), mismatches

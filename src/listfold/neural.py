@@ -30,7 +30,6 @@ __all__ = [
     "forward",
     "forward_cached",
     "backward",
-    "list_loss_and_grad",
     "make_optimizer",
     "train_step",
     "train",
@@ -64,15 +63,6 @@ class ScoringNet:
     biases: list[np.ndarray]
     final_relu: bool
     seed: int
-
-    def copy(self) -> "ScoringNet":
-        return ScoringNet(
-            layer_dims=list(self.layer_dims),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            final_relu=self.final_relu,
-            seed=self.seed,
-        )
 
     def parameters(self):
         for w, b in zip(self.weights, self.biases):
@@ -203,7 +193,9 @@ def backward(net: ScoringNet, cache, dscores: np.ndarray, workspace: dict | None
 def _batch_loss_and_grad(scores: np.ndarray, batch: list[RankedBatch], spec: LossSpec,
                          reverse_labels: bool):
     """Per-list losses (B,) and dLoss/dscore in *row* order, from one
-    evaluate_loss call on the (B, n) scores gathered into truth order."""
+    evaluate_loss call on the (B, n) scores gathered into truth order
+    (reversed when reverse_labels trains a bottom-up model); the gradient
+    is scattered back to the rows the network produced."""
     if len({b.list_length for b in batch}) != 1:
         raise ValueError("every list in a batch must have the same length")
     order = np.stack([b.truth_order for b in batch])
@@ -217,18 +209,6 @@ def _batch_loss_and_grad(scores: np.ndarray, batch: list[RankedBatch], spec: Los
     dscores = np.empty_like(rows)
     np.put_along_axis(dscores, order, res.gradient, axis=1)
     return res.value, dscores.ravel()
-
-
-def list_loss_and_grad(net: ScoringNet, scores: np.ndarray, batch: RankedBatch,
-                       spec: LossSpec, reverse_labels: bool = False):
-    """Per-list loss and dLoss/dscore in *row* order.
-
-    The loss sees the scores in truth order (reversed when training a
-    bottom-up model); the returned gradient is scattered back to the rows
-    the network produced.
-    """
-    values, dscores = _batch_loss_and_grad(scores, [batch], spec, reverse_labels)
-    return float(values[0]), dscores
 
 
 @dataclass

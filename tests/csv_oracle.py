@@ -15,9 +15,6 @@ import numpy as np
 
 from listfold.data import DataError, FactorPanel, ParseError
 
-_DEFAULT_SCHEMA = {"date": "date", "stock": "stock", "fwd_ret": "fwd_ret"}
-
-
 def _parse_cell(text: str, row_num: int, col: str) -> float:
     if text == "":
         return np.nan
@@ -27,12 +24,7 @@ def _parse_cell(text: str, row_num: int, col: str) -> float:
         raise ParseError(f"row {row_num}: column {col!r}: non-numeric value {text!r}") from None
 
 
-def load_panel(path, schema: dict | None = None) -> FactorPanel:
-    colmap = dict(_DEFAULT_SCHEMA)
-    explicit_factors = None
-    if schema:
-        explicit_factors = schema.get("factors")
-        colmap.update({k: v for k, v in schema.items() if k in _DEFAULT_SCHEMA})
+def load_panel(path) -> FactorPanel:
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -48,19 +40,12 @@ def load_panel(path, schema: dict | None = None) -> FactorPanel:
             dup = next(name for i, name in enumerate(header) if col_pos[name] != i)
             raise ParseError(f"{path}: duplicate column {dup!r} in the header")
         for key in ("date", "stock", "fwd_ret"):
-            if colmap[key] not in col_pos:
-                raise ParseError(f"{path}: missing required column {colmap[key]!r}")
-        if explicit_factors is not None:
-            factor_names = list(explicit_factors)
-            for name in factor_names:
-                if name not in col_pos:
-                    raise ParseError(f"{path}: missing factor column {name!r}")
-        else:
-            claimed = {colmap["date"], colmap["stock"], colmap["fwd_ret"]}
-            factor_names = [c for c in header if c not in claimed]
+            if key not in col_pos:
+                raise ParseError(f"{path}: missing required column {key!r}")
+        factor_names = [c for c in header if c not in ("date", "stock", "fwd_ret")]
         if not factor_names:
             raise ParseError(f"{path}: no factor columns found")
-        di, si, ri = (col_pos[colmap[k]] for k in ("date", "stock", "fwd_ret"))
+        di, si, ri = (col_pos[k] for k in ("date", "stock", "fwd_ret"))
         fi = [col_pos[c] for c in factor_names]
 
         cells: dict[tuple[str, str], tuple[float, list[float]]] = {}
@@ -74,7 +59,7 @@ def load_panel(path, schema: dict | None = None) -> FactorPanel:
             key = (date, stock)
             if key in cells:
                 raise ParseError(f"row {row_num}: duplicate (date, stock) = {key}")
-            ret = _parse_cell(row[ri], row_num, colmap["fwd_ret"])
+            ret = _parse_cell(row[ri], row_num, "fwd_ret")
             vals = [_parse_cell(row[j], row_num, header[j]) for j in fi]
             cells[key] = (ret, vals)
 

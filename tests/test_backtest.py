@@ -490,10 +490,10 @@ class TestCutoffHeatmap:
         panel = FactorPanel(("2020-01-03",), stocks, ("f",), np.zeros((1, 4, 1)), fwd)
         scores = {"m": {"2020-01-03": np.array([3.0, 2.0, 1.0, 0.0])}}
         # k = 1 holds S2 and S3 only; k = 2 also holds S1, whose return is missing
-        _, _, grid = cutoff_heatmap(scores, panel, [1])
+        _, _, grid = cutoff_heatmap(scores, panel, [1], panel.dates)
         assert grid[0, 0] == pytest.approx(1e4 * 0.5 * (0.03 + 0.02), abs=1e-9)
         with pytest.raises(DataError, match="S1 on 2020-01-03"):
-            cutoff_heatmap(scores, panel, [1, 2])
+            cutoff_heatmap(scores, panel, [1, 2], panel.dates)
 
 
 class TestTrainWindow:

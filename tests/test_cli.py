@@ -353,6 +353,43 @@ class TestSimulateCommand:
         assert main(["simulate", "--model", "vase", "--weights", "1,-1",
                      "--out", str(tmp_path / "s")]) == 1
 
+    @pytest.mark.parametrize("model", ["vase", "plank"])
+    def test_more_weights_than_the_enumeration_cap_exit_one(self, model, tmp_path,
+                                                             monkeypatch, capsys):
+        # the z table lists all m! orderings: 12 weights once ran for hours
+        def no_sampling(spec):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(cli.consistency, "sample_vase", no_sampling)
+        monkeypatch.setattr(cli.consistency, "sample_plank_dart", no_sampling)
+        out = tmp_path / "s"
+        weights = ",".join(["1"] * 12)
+        assert main(["simulate", "--model", model, "--weights", weights,
+                     "--out", str(out)]) == 1
+        assert "at most 8 weights, got 12" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eight_weights_accepted(self, tmp_path):
+        out = tmp_path / "s"
+        assert main(["simulate", "--model", "plank", "--weights", "1,2,3,4,5,6,7,8",
+                     "--draws", "100", "--out", str(out)]) == 0
+        with open(out / "simulate_plank.csv") as fh:
+            assert sum(1 for _ in fh) == 1 + 40320
+
+    def test_plank_weights_whose_sum_product_overflows(self, tmp_path, capsys):
+        # widths and lengths both sum to ~1e200: the analytic cells were nan
+        # and the report read max |z| = 0.00
+        out = tmp_path / "s"
+        assert main(["simulate", "--model", "plank", "--weights", "1e200,1e-200,1,1",
+                     "--draws", "20000", "--out", str(out)]) == 0
+        with open(out / "simulate_plank.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        analytic = [float(r["analytic"]) for r in rows]
+        assert all(np.isfinite(analytic))
+        assert sum(analytic) == pytest.approx(1.0, abs=1e-12)
+        assert max(abs(float(r["z"])) for r in rows) < 4
+        assert "max |z| = 0.00" not in capsys.readouterr().out
+
     @pytest.mark.parametrize("model, weights", [
         ("vase", "1,nan"), ("vase", "1,inf"), ("plank", "1,inf"),
     ])

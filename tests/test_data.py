@@ -1,4 +1,4 @@
-"""Panel ingestion, filtering, normalization, labels, windows, synthetic data."""
+"""Panel ingestion, normalization, labels, windows, synthetic data."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from listfold.data import (
     DataError,
-    EmptyUniverseError,
     FactorPanel,
     ParseError,
     RankedBatch,
     build_ranked_batch,
     decile_labels,
-    filter_by_missing,
     fit_norm_params,
     generate_synthetic_panel,
     load_panel,
@@ -92,29 +90,6 @@ class TestLoadSave:
         with pytest.raises(DataError):
             load_panel(tmp_path / "nope.csv")
 
-    def test_schema_remaps_required_columns(self, tmp_path):
-        p = tmp_path / "alt.csv"
-        p.write_text(
-            "week,ticker,ret1w,alpha\n"
-            "2020-01-03,A,0.01,1.5\n"
-            "2020-01-10,A,0.02,1.0\n"
-        )
-        panel = load_panel(p, schema={"date": "week", "stock": "ticker",
-                                      "fwd_ret": "ret1w"})
-        assert panel.dates == ("2020-01-03", "2020-01-10")
-        assert panel.factor_names == ("alpha",)
-        np.testing.assert_allclose(panel.fwd_return[:, 0], [0.01, 0.02])
-
-    def test_unknown_columns_ignored_with_explicit_factors(self, tmp_path):
-        p = tmp_path / "extra.csv"
-        p.write_text(
-            "date,stock,fwd_ret,alpha,note\n"
-            "2020-01-03,A,0.01,1.5,3.0\n"
-            "2020-01-03,B,0.02,0.5,4.0\n"
-        )
-        panel = load_panel(p, schema={"factors": ["alpha"]})
-        assert panel.factor_names == ("alpha",)
-
     def test_missing_cells_become_nan(self, tmp_path):
         p = tmp_path / "gap.csv"
         p.write_text(
@@ -148,47 +123,6 @@ class TestLoadSave:
         np.testing.assert_array_equal(back.factors, panel.factors)
         np.testing.assert_array_equal(back.fwd_return, panel.fwd_return)
         assert back.dates == panel.dates and back.stocks == panel.stocks
-
-
-class TestFilterByMissing:
-    def make_panel_with_missing(self, rates, weeks=40, factors=5):
-        rng = np.random.default_rng(0)
-        factors_arr = rng.standard_normal((weeks, len(rates), factors))
-        for j, rate in enumerate(rates):
-            cells = int(round(rate * weeks * factors))
-            flat = rng.choice(weeks * factors, size=cells, replace=False)
-            for c in flat:
-                factors_arr[c // factors, j, c % factors] = np.nan
-        fwd = rng.standard_normal((weeks, len(rates)))
-        return tiny_panel(factors_arr, fwd)
-
-    def test_clean_stock_retained(self):
-        panel = self.make_panel_with_missing([0.0, 0.5])
-        out = filter_by_missing(panel, 0.001)
-        assert out.stocks == ("S0",)
-
-    def test_dirty_stock_dropped(self):
-        panel = self.make_panel_with_missing([0.10])
-        with pytest.raises(EmptyUniverseError):
-            filter_by_missing(panel, 0.001)
-
-    def test_planted_rates_partition_exactly(self):
-        # 2000 cells per stock: rates 0, 0.0005, 0.05 against threshold 0.001
-        panel = self.make_panel_with_missing([0.0, 0.0005, 0.05], weeks=400)
-        out = filter_by_missing(panel, 0.001)
-        assert out.stocks == ("S0", "S1")
-        assert not np.isnan(out.factors).any()
-
-    def test_forward_fill_then_zero(self):
-        factors = np.array([[[np.nan]], [[2.0]], [[np.nan]], [[5.0]], [[np.nan]]])
-        fwd = np.zeros((5, 1))
-        out = filter_by_missing(tiny_panel(factors, fwd), 0.9)
-        np.testing.assert_array_equal(out.factors[:, 0, 0], [0.0, 2.0, 2.0, 5.0, 5.0])
-
-    def test_threshold_validated(self):
-        panel = self.make_panel_with_missing([0.0])
-        with pytest.raises(DataError):
-            filter_by_missing(panel, 1.5)
 
 
 class TestMinMaxNormalize:

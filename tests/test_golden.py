@@ -1,7 +1,11 @@
-"""Reduced-scale golden run: `listfold synth` then `listfold backtest` on a
-48-week panel with an odd universe of 13 stocks and 6 factors (three
-rolling windows of 24 training and 8 test weeks, the five standard models,
-k = 3), pinned by the SHA-256 of every table the backtest writes.
+"""Reduced-scale golden runs, pinned by the SHA-256 of every file they write:
+
+- `listfold synth` then `listfold backtest` on a 48-week panel with an odd
+  universe of 13 stocks and 6 factors (three rolling windows of 24
+  training and 8 test weeks, the five standard models, k = 3);
+- `listfold verify --trials 20 --sizes 2,4,6,8 --budget 200 --seed 0`
+  (about 1 s): the golden losses, the three theorem reports, the probe,
+  the counterexample search and the enumeration table.
 
 Nothing else pins a whole backtest's numbers from one change to the next.
 A change that moves these hashes changes results and must say why. The
@@ -30,6 +34,23 @@ GOLDEN = {
 }
 
 
+VERIFY_GOLDEN = {
+    "enumeration_5410.csv": "dec5d749893d54d8d91e2e24e7aa6b75d34d15f5cc195e4925e206c8ae352eaf",
+    "verify_report.txt": "943248a9f26058978bd8555e17335e9cc9939852cd1aa4a283388da9ece583df",
+}
+
+
+def sha256_of_files(out):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
+def test_verify_outputs_match_golden_hashes(tmp_path):
+    out = tmp_path / "verify"
+    assert main(["verify", "--trials", "20", "--sizes", "2,4,6,8", "--budget", "200",
+                 "--seed", "0", "--out", str(out)]) == 0
+    assert sha256_of_files(out) == VERIFY_GOLDEN
+
+
 def test_backtest_tables_match_golden_hashes(tmp_path):
     panel = tmp_path / "panel.csv"
     assert main(["synth", "--out", str(panel), "--seed", "11", "--weeks", "48",
@@ -39,5 +60,4 @@ def test_backtest_tables_match_golden_hashes(tmp_path):
     assert main(["backtest", "--panel", str(panel), "--out", str(out),
                  "--train-len", "24", "--test-len", "8", "--k", "3", "--batch-size", "4",
                  "--total-batches", "12", "--seed", "11"]) == 0
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
-    assert got == GOLDEN
+    assert sha256_of_files(out) == GOLDEN

@@ -58,14 +58,21 @@ def _psi(kind):
 
 class TestTransforms:
     def test_positive_everywhere(self):
-        x = np.linspace(-30, 30, 1001)
-        assert np.all(EXP(x) > 0)
-        assert np.all(SGM(x) > 0)
+        # psi > 0 and psi' > 0 is a finite log of each, even where the
+        # sigmoid itself underflows
+        x = np.linspace(-800, 800, 1001)
+        for tr in (EXP, SGM):
+            log_psi, log_dpsi = tr.log_terms(x)
+            assert np.all(np.isfinite(log_psi)) and np.all(np.isfinite(log_dpsi))
 
     def test_sigmoid_symmetry(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(-20, 20, 1000)
-        np.testing.assert_allclose(SGM(x) + SGM(-x), 1.0, atol=1e-12)
+        log_up, log_dpsi = SGM.log_terms(x)
+        log_down, _ = SGM.log_terms(-x)
+        np.testing.assert_allclose(np.exp(log_up) + np.exp(log_down), 1.0, atol=1e-12)
+        # sigma'(x) = sigma(x) sigma(-x)
+        np.testing.assert_allclose(log_dpsi, log_up + log_down, atol=1e-12)
 
     def test_aliases(self):
         assert make_transform("exp").kind == "exponential"

@@ -9,15 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metrics_oracle as oracle
+from listfold.consistency import _classify
 from listfold.data import decile_labels
 from listfold.metrics import (
     RankEval,
     average_ranks,
-    binary_classification_loss,
     ndcg_at_k,
     ndcg_at_minus_k,
     ndcg_pm_k,
-    perm_zero_one,
     spearman_ic,
 )
 
@@ -228,32 +227,44 @@ class TestBlocksAgainstOracle:
 
 
 class TestTrueLosses:
+    """The permutation 0-1 and half-split binary classification losses,
+    which the consistency lab applies to a loss's minimizer set through
+    consistency._classify."""
+
+    TRUTH = np.array([3.0, 2.0, 1.0, 0.0])
+
     def test_perm_zero_one(self):
-        assert perm_zero_one([0, 1, 2], [0, 1, 2]) == 0
-        assert perm_zero_one([1, 0, 2], [0, 1, 2]) == 1
-        assert perm_zero_one([2, 1, 0], [0, 1, 2]) == 1
+        assert _classify(self.TRUTH, frozenset({(3.0, 2.0, 1.0, 0.0)})) == "descending-unique"
+        for other in [(2.0, 3.0, 1.0, 0.0), (0.0, 1.0, 2.0, 3.0)]:
+            assert _classify(self.TRUTH, frozenset({other})) != "descending-unique"
 
     def test_binary_identical(self):
-        assert binary_classification_loss([0, 1, 2, 3], [0, 1, 2, 3]) == (0, 0)
+        # the descending order is a zero of the binary loss too: beside the
+        # within-half shuffles it leaves the set a binary class set
+        family = frozenset({(3.0, 2.0, 1.0, 0.0), (2.0, 3.0, 1.0, 0.0),
+                            (3.0, 2.0, 0.0, 1.0), (2.0, 3.0, 0.0, 1.0)})
+        assert _classify(self.TRUTH, family) == "binary-class-set"
 
     def test_binary_within_half_shuffle_is_free(self):
-        assert binary_classification_loss([1, 0, 3, 2], [0, 1, 2, 3]) == (0, 0)
+        shuffles = frozenset({(2.0, 3.0, 1.0, 0.0), (3.0, 2.0, 0.0, 1.0),
+                              (2.0, 3.0, 0.0, 1.0)})
+        assert _classify(self.TRUTH, shuffles) == "binary-class-set"
 
     def test_binary_cross_half_swap_mislabels_two(self):
-        loss, mism = binary_classification_loss([0, 3, 2, 1], [0, 1, 2, 3])
-        assert (loss, mism) == (1, 2)
+        assert _classify(self.TRUTH, frozenset({(3.0, 0.0, 1.0, 2.0)})) == "other"
+        # one cross-half member spoils the whole set
+        assert _classify(self.TRUTH, frozenset({(2.0, 3.0, 1.0, 0.0),
+                                                (3.0, 1.0, 2.0, 0.0)})) == "other"
 
     def test_binary_odd_rejected(self):
-        with pytest.raises(ValueError):
-            binary_classification_loss([0, 1, 2], [2, 1, 0])
+        f = np.array([2.0, 1.0, 0.0])
+        assert _classify(f, frozenset({(1.0, 2.0, 0.0)})) == "other"
 
     def test_binary_zero_implies_perfect_two_level_pm(self):
         rng = np.random.default_rng(3)
         truth = rng.permutation(8)
         # shuffle within halves only
         predicted = np.concatenate([rng.permutation(truth[:4]), rng.permutation(truth[4:])])
-        loss, _ = binary_classification_loss(predicted, truth)
-        assert loss == 0
         labels = np.empty(8, dtype=int)
         labels[truth[:4]] = 2
         labels[truth[4:]] = 1

@@ -24,7 +24,6 @@ from listfold.neural import (
     forward,
     forward_cached,
     init_network,
-    list_loss_and_grad,
     load_checkpoint,
     load_checkpoint_norm,
     save_checkpoint,
@@ -120,9 +119,9 @@ class TestBackward:
         batch = build_batch_from_rows(feats, rets)
         net = init_network(3, 7)
         scores = forward(net, feats)
-        value, dscores = list_loss_and_grad(net, scores, batch, FOLD_EXP)
+        values, dscores = neural._batch_loss_and_grad(scores, [batch], FOLD_EXP, False)
         direct = evaluate_loss(FOLD_EXP, scores[batch.truth_order])
-        assert value == pytest.approx(direct.value)
+        assert values[0] == pytest.approx(direct.value)
         np.testing.assert_allclose(dscores[batch.truth_order], direct.gradient, atol=1e-15)
 
     def test_parameter_gradients_match_finite_differences(self):
@@ -138,7 +137,7 @@ class TestBackward:
             return evaluate_loss(FOLD_EXP, scores[batch.truth_order]).value
 
         scores, cache = forward_cached(net, feats)
-        _, dscores = list_loss_and_grad(net, scores, batch, FOLD_EXP)
+        _, dscores = neural._batch_loss_and_grad(scores, [batch], FOLD_EXP, False)
         for h, w, b in zip(cache, net.weights, net.biases):
             assert np.min(np.abs(h @ w + b)) > 1e-6  # no kink within the step
         grad_w, grad_b = backward(net, cache, dscores)
@@ -213,7 +212,9 @@ class TestBatchedLoss:
         per_list = []
         for b in batch:
             scores = forward(net, b.features)
-            per_list.append(list_loss_and_grad(net, scores, b, spec, reverse)[0])
+            order = b.truth_order[::-1] if reverse else b.truth_order
+            returns = b.returns[order] if spec.family == "mse" else None
+            per_list.append(evaluate_loss(spec, scores[order], returns).value)
         got = train_step(net, batch, spec, SgdState(lr=0.0), reverse_labels=reverse)
         assert got == pytest.approx(np.mean(per_list), rel=1e-12)
 

@@ -23,21 +23,21 @@ IDS = st.text(alphabet='AB,"\n\r é', min_size=1, max_size=4)
 CHUNKS = st.sampled_from([1, 2, 3, data._CHUNK_ROWS])
 
 
-def outcome(load, path, schema=None):
+def outcome(load, path):
     """What loading path gives: the panel with its arrays as bit patterns, or
     the ParseError message."""
     try:
-        p = load(path, schema)
+        p = load(path)
     except ParseError as exc:
         return ("ParseError", str(exc))
     return (p.dates, p.stocks, p.factor_names,
             p.factors.view(np.uint64).tolist(), p.fwd_return.view(np.uint64).tolist())
 
 
-def same_as_oracle(path, chunk=data._CHUNK_ROWS, schema=None):
+def same_as_oracle(path, chunk=data._CHUNK_ROWS):
     with mock.patch.object(data, "_CHUNK_ROWS", chunk):
-        got = outcome(load_panel, path, schema)
-    assert got == outcome(csv_oracle.load_panel, path, schema)
+        got = outcome(load_panel, path)
+    assert got == outcome(csv_oracle.load_panel, path)
     return got
 
 
@@ -153,15 +153,15 @@ class TestMalformedAsOracle:
         text = body(8).replace("\n", ",7,,z\n").replace("alpha,7,,z", "alpha", 1)
         assert same_as_oracle(write(tmp_path, text))[0] != "ParseError"
 
-    def test_non_default_schema(self, tmp_path):
-        text = "alpha,ret1w,note,ticker,week\n" + "".join(
-            f"{k * 0.5!r},{k * 0.01!r},n,S{k % 3},2020-01-0{k // 3 + 1}\n" for k in range(9))
-        schema = {"date": "week", "stock": "ticker", "fwd_ret": "ret1w", "factors": ["alpha"]}
-        got = same_as_oracle(write(tmp_path, text), schema=schema)
+    def test_required_columns_in_any_position(self, tmp_path):
+        text = "alpha,fwd_ret,beta,stock,date\n" + "".join(
+            f"{k * 0.5!r},{k * 0.01!r},{-k!r},S{k % 3},2020-01-0{k // 3 + 1}\n"
+            for k in range(9))
+        got = same_as_oracle(write(tmp_path, text))
         assert got[:3] == (("2020-01-01", "2020-01-02", "2020-01-03"), ("S0", "S1", "S2"),
-                           ("alpha",))
-        bad = text + "x,0.5,n,S9,2020-01-09\n"
-        assert same_as_oracle(write(tmp_path, bad), schema=schema) == (
+                           ("alpha", "beta"))
+        bad = text + "x,0.5,1,S9,2020-01-09\n"
+        assert same_as_oracle(write(tmp_path, bad)) == (
             "ParseError", "row 11: column 'alpha': non-numeric value 'x'")
 
     @pytest.mark.parametrize("token, value", [("1_0", 10.0), ("１", 1.0),
