@@ -426,7 +426,8 @@ def run_backtest(panel: FactorPanel, strategies: list[StrategySpec],
         stats[strat.name] = compute_stats(pnl[strat.name], config.rf_annual)
 
     scores = {m: dict(zip(test_dates, stacked[m])) for m in models}
-    rank_metrics = {m: _model_rank_metrics(stacked[m], returns, k=k, levels=config.levels)
+    rank_metrics = {m: _model_rank_metrics(stacked[m], returns, panel.stocks, k=k,
+                                           levels=config.levels)
                     for m in models}
     return BacktestResult(strategies, pnl, stats, rank_metrics, scores, test_dates, overlap)
 
@@ -439,23 +440,29 @@ def _common_k(strategies: list[StrategySpec]) -> int:
     return ks[0] if ks else 8
 
 
-def _model_rank_metrics(scores: np.ndarray, returns: np.ndarray, k: int,
+def _model_rank_metrics(scores: np.ndarray, returns: np.ndarray, stocks, k: int,
                         levels: int) -> dict[str, float]:
     """Weekly IC and NDCG family of one model's (weeks, N) scores against the
     realized (weeks, N) returns, averaged over the weeks. Scores are
-    expected return oriented (higher = better)."""
+    expected return oriented (higher = better).
+
+    Both ends rank as the books do: NDCG@k reads the long leg's order
+    _rank(scores) and NDCG@-k the short leg's _rank(-scores), so on tied
+    scores each end scores the names its leg holds."""
     n = returns.shape[1]
-    levels = min(levels, n)
-    order = np.argsort(-scores, axis=1, kind="stable")
+    k, levels = min(k, n), min(levels, n)
+    top = _rank(scores, stocks)
+    # ndcg_at_minus_k reverses the order it is given
+    bottom_last = _rank(-scores, stocks)[:, ::-1]
     labels = decile_labels(returns, levels=levels)
-    ev_full = metrics.RankEval(order, labels, n)
-    ev_k = metrics.RankEval(order, labels, min(k, n))
+    at_k = metrics.ndcg_at_k(metrics.RankEval(top, labels, k))
+    at_minus_k = metrics.ndcg_at_minus_k(metrics.RankEval(bottom_last, labels, k), levels)
     weekly = {
         "ic": metrics.spearman_ic(scores, returns),
-        "ndcg": metrics.ndcg_at_k(ev_full),
-        "ndcg_at_k": metrics.ndcg_at_k(ev_k),
-        "ndcg_at_minus_k": metrics.ndcg_at_minus_k(ev_k, levels=levels),
-        "ndcg_pm_k": metrics.ndcg_pm_k(ev_k, levels=levels),
+        "ndcg": metrics.ndcg_at_k(metrics.RankEval(top, labels, n)),
+        "ndcg_at_k": at_k,
+        "ndcg_at_minus_k": at_minus_k,
+        "ndcg_pm_k": 0.5 * (at_k + at_minus_k),
     }
     return {name: float(np.mean(values)) for name, values in weekly.items()}
 

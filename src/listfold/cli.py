@@ -332,12 +332,11 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if args.model == "vase":
-        counts = consistency.sample_vase(spec)
-        prob_fn = lambda perm: consistency.vase_probability(weights, perm)
+        sample, probability = consistency.sample_vase, consistency.vase_probability
     else:
-        counts = consistency.sample_plank_dart(spec)
-        prob_fn = lambda perm: consistency.plank_probability(weights, perm)
-    table = consistency.frequency_zscores(counts, args.draws, prob_fn)
+        sample, probability = consistency.sample_plank_dart, consistency.plank_probability
+    table = consistency.frequency_zscores(sample(spec), args.draws,
+                                          lambda perms: probability(weights, perms))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"simulate_{args.model}.csv"

@@ -14,6 +14,11 @@ tied sets (the sigmoid case produces them) come out as sets, and _classify
 names a minimizer set by the true loss it is consistent with:
 descending-unique for the permutation 0-1 loss, binary-class-set for the
 half-split binary classification loss.
+
+The Monte Carlo samplers draw the two generative stories behind the
+likelihood losses, whose probabilities are those losses: exp(-ListMLE-exp)
+for the vase story and exp(-ListFold-exp) for the plank-dart story, of the
+log weights, evaluated over a whole block of orderings in one call.
 """
 
 from __future__ import annotations
@@ -628,58 +633,58 @@ def sample_plank_dart(spec: SamplerSpec) -> dict[tuple[int, ...], int]:
     return _order_counts(out)
 
 
-def vase_probability(weights, sequence) -> float:
-    """Closed-form sequential-selection probability of a full ordering."""
-    w = np.asarray(weights, dtype=float)
-    seq = list(sequence)
-    prob = 1.0
-    remaining = w.sum()
-    for item in seq:
-        prob *= w[item] / remaining
-        remaining -= w[item]
-    return float(prob)
+_VASE_LOSS = LossSpec("listmle", Transform("exponential"))
+_PLANK_LOSS = LossSpec("listfold", Transform("exponential"))
 
 
-def plank_probability(weights, sequence) -> float:
-    """Closed-form probability of a marked plank sequence.
+def _story_probability(spec: LossSpec, weights, sequences):
+    """exp(-loss) of the log weights in each sequence's order, along the
+    last axis: a float for one sequence, one probability per row of an
+    (r, m) block."""
+    f = np.log(np.asarray(weights, dtype=float))[np.asarray(sequences)]
+    p = np.exp(-_table_losses(spec, f.reshape(-1, f.shape[-1])))
+    return float(p[0]) if f.ndim == 1 else p.reshape(f.shape[:-1])
 
-    Stage i keeps the k planks at positions i..2n-1-i of the sequence; the
-    chance of marking (A_i, B_i) is w_A * l_B over the cross product of
-    remaining widths and lengths l = 1/w minus the same-plank mass k. It is
-    taken as (w_A / W)(l_B / L) / (1 - k / W / L), which stays finite where
-    the product W * L of the remaining sums overflows; k / W / L <= 1/k
-    since W * L >= k^2.
-    """
-    w = np.asarray(weights, dtype=float)
-    l = 1.0 / w
-    seq = list(sequence)
-    m = len(seq)
-    n = m // 2
-    prob = 1.0
-    for stage in range(n):
-        window = seq[stage : m - stage]
-        sw = sum(w[i] for i in window)
-        sl = sum(l[i] for i in window)
-        a, b = seq[stage], seq[m - 1 - stage]
-        prob *= (w[a] / sw) * (l[b] / sl) / (1.0 - len(window) / sw / sl)
-    return float(prob)
+
+def vase_probability(weights, sequences):
+    """Probability of each full ordering under sequential selection
+    proportional to the remaining weights, exp(-ListMLE-exp of log w):
+    a float for one ordering, an array for an (r, m) block."""
+    return _story_probability(_VASE_LOSS, weights, sequences)
+
+
+def plank_probability(weights, sequences):
+    """Probability of each marked plank sequence (A_1..A_n, B_n..B_1) with
+    widths w and lengths 1/w, exp(-ListFold-exp of log w): a float for one
+    sequence, an array for an (r, m) block. The log domain keeps it finite
+    where the product of the remaining width and length sums overflows."""
+    return _story_probability(_PLANK_LOSS, weights, sequences)
 
 
 def frequency_zscores(counts: dict[tuple[int, ...], int], draws: int,
                       prob_fn) -> dict[tuple[int, ...], tuple[float, float, float]]:
-    """Per-permutation (empirical, analytic, z) where z uses the binomial
-    standard error, so a failure names the offending permutation. An
-    analytic p that is not a number in [0, 1] raises ValueError naming its
-    permutation."""
-    out = {}
-    keys = set(counts)
-    m = len(next(iter(keys))) if keys else 0
-    for perm in itertools.permutations(range(m)):
-        p = prob_fn(perm)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"analytic probability of {perm} is {p!r}, not in [0, 1]")
-        emp = counts.get(perm, 0) / draws
-        se = math.sqrt(p * (1.0 - p) / draws) if 0 < p < 1 else float("inf")
-        z = (emp - p) / se if se > 0 and math.isfinite(se) else 0.0
-        out[perm] = (emp, p, z)
-    return out
+    """Per-ordering (empirical, analytic, z) over every ordering of
+    range(m), as Python floats, where z uses the binomial standard error,
+    so a failure names the offending ordering.
+
+    prob_fn maps the (m!, m) table of orderings, in lexicographic order, to
+    their m! analytic probabilities in one call. A result of another shape
+    raises ValueError, and so does a p that is not a number in [0, 1],
+    naming the first such ordering.
+    """
+    m = len(next(iter(counts))) if counts else 0
+    table = _perm_table(m)
+    p = np.asarray(prob_fn(table), dtype=float)
+    if p.shape != (len(table),):
+        raise ValueError(f"prob_fn gave shape {p.shape} for {len(table)} orderings")
+    bad = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
+    if bad.size:
+        perm = tuple(table[bad[0]].tolist())
+        raise ValueError(f"analytic probability of {perm} is {p[bad[0]].item()!r}, "
+                         "not in [0, 1]")
+    perms = list(map(tuple, table.tolist()))
+    emp = np.array([counts.get(perm, 0) for perm in perms]) / draws
+    se = np.sqrt(p * (1.0 - p) / draws)
+    # a p of 0 or 1, or a standard error that underflows, gives z = 0
+    z = np.divide(emp - p, se, out=np.zeros_like(p), where=(p > 0.0) & (p < 1.0) & (se > 0.0))
+    return dict(zip(perms, zip(emp.tolist(), p.tolist(), z.tolist())))

@@ -538,19 +538,16 @@ def build_ranked_batch(panel: FactorPanel, date: str, require_even: bool = False
     return RankedBatch(features=feats, truth_order=order, returns=rets)
 
 
-def ranked_train_weeks(panel: FactorPanel, window: WindowPlan, require_even: bool = False,
-                       access_log: list | None = None) -> list[RankedBatch]:
+def ranked_train_weeks(panel: FactorPanel, window: WindowPlan,
+                       require_even: bool = False) -> list[RankedBatch]:
     """One RankedBatch per week of window.train_range, in week order.
 
     The batches hold views of the panel's arrays unless a median stock is
-    dropped, so models trained on one window can share them. Pass
-    access_log to record every week index read.
+    dropped, so models trained on one window can share them.
     """
     lo, hi = window.train_range
     if hi <= lo:
         raise DataError("empty train range")
-    if access_log is not None:
-        access_log.extend(range(lo, hi))
     return [build_ranked_batch(panel, panel.dates[idx], require_even=require_even)
             for idx in range(lo, hi)]
 

@@ -311,22 +311,19 @@ def train_step(net: ScoringNet, batch: list[RankedBatch], spec: LossSpec,
 
 
 def train(panel: FactorPanel, window: WindowPlan, config: TrainConfig,
-          access_log: list | None = None,
           lists: list[RankedBatch] | None = None) -> ScoringNet:
     """Train a fresh network on the window's training weeks.
 
     One RankedBatch per training week; week order reshuffles with the
     seeded RNG whenever the pool is exhausted, until exactly total_batches
     batches have been consumed. Training never reads a week outside
-    train_range (pass access_log to record every index touched). lists
-    takes the window's prebuilt ranked_train_weeks, so models trained on
+    train_range. lists takes the window's prebuilt ranked_train_weeks, so models trained on
     one window share them; the median stock of an odd universe must
     already be dropped for the listfold and naive_pt families. Every step
     reuses one workspace of arrays that this call owns.
     """
     if lists is None:
-        lists = ranked_train_weeks(panel, window, require_even=config.loss.even_length,
-                                   access_log=access_log)
+        lists = ranked_train_weeks(panel, window, require_even=config.loss.even_length)
     net = init_network(panel.n_factors, config.seed, final_relu=config.final_relu)
     if config.total_batches == 0:
         return net

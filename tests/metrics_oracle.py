@@ -3,8 +3,8 @@ kept only as a test oracle for the block forms in ``listfold.metrics``,
 ``listfold.data.decile_labels`` and ``listfold.backtest._model_rank_metrics``.
 
 Each function takes one list (one test week); ``model_rank_metrics`` walks
-the weeks one at a time, building two ``RankEval``s and making four metric
-calls per week. The block versions must give the same bits row by row.
+the weeks one at a time, sorting each week's columns by score and stock id
+and making four metric calls per week. The block versions must give the same bits row by row.
 """
 
 from __future__ import annotations
@@ -109,21 +109,25 @@ def decile_labels(returns, levels: int = 10) -> np.ndarray:
     return labels
 
 
-def model_rank_metrics(scores, returns, k: int, levels: int) -> dict[str, float]:
+def model_rank_metrics(scores, returns, stocks, k: int, levels: int) -> dict[str, float]:
     """The weekly IC and NDCG family of (weeks, N) scores against (weeks, N)
-    returns, one week at a time, averaged over the weeks."""
+    returns, one week at a time, averaged over the weeks. Both ends break
+    score ties by the lexically smaller stock id, as the books do: the top
+    order sorts by (-score, id), and NDCG@-k reads the reverse of the
+    bottom order, which sorts by (score, id)."""
     ics, ndcg_full, ndcg_k, ndcg_mk, ndcg_pm = [], [], [], [], []
     for implied, rets in zip(scores, returns):
         ics.append(spearman_ic(implied, rets))
-        order = np.argsort(-implied, kind="stable")
+        cols = range(rets.size)
+        top = np.array(sorted(cols, key=lambda j: (-implied[j], stocks[j])))
+        bottom = np.array(sorted(cols, key=lambda j: (implied[j], stocks[j])))
         labels = decile_labels(rets, levels=min(levels, rets.size))
         n = rets.size
-        ev_full = RankEval(order, labels, n)
-        ev_k = RankEval(order, labels, min(k, n))
-        ndcg_full.append(ndcg_at_k(ev_full))
-        ndcg_k.append(ndcg_at_k(ev_k))
-        ndcg_mk.append(ndcg_at_minus_k(ev_k, levels=min(levels, n)))
-        ndcg_pm.append(ndcg_pm_k(ev_k, levels=min(levels, n)))
+        ndcg_full.append(ndcg_at_k(RankEval(top, labels, n)))
+        ndcg_k.append(ndcg_at_k(RankEval(top, labels, min(k, n))))
+        ndcg_mk.append(ndcg_at_minus_k(RankEval(bottom[::-1], labels, min(k, n)),
+                                       levels=min(levels, n)))
+        ndcg_pm.append(0.5 * (ndcg_k[-1] + ndcg_mk[-1]))
     return {
         "ic": float(np.mean(ics)),
         "ndcg": float(np.mean(ndcg_full)),

@@ -1,5 +1,8 @@
-"""The former row-major vase and plank-dart samplers, kept only as a test
-oracle for ``listfold.consistency.sample_vase`` and ``sample_plank_dart``.
+"""Test oracles for the vase and plank-dart stories of
+``listfold.consistency``: the former row-major samplers, for
+``sample_vase`` and ``sample_plank_dart``, and the exact rational
+probability of one ordering under each story, for ``vase_probability`` and
+``plank_probability``.
 
 The live weights are stored ``(draws, m)``, one row per draw, and each
 stage draws through ``_categorical_rows``: a row total from
@@ -12,6 +15,8 @@ last cumulative sum (and then ``_categorical_rows`` can return m).
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -71,3 +76,33 @@ def sample_plank_dart(spec: SamplerSpec) -> dict[tuple[int, ...], int]:
         live_l[rows, a] = 0.0
         live_l[rows, b] = 0.0
     return _order_counts(out)
+
+
+def vase_probability_exact(weights, sequence) -> Fraction:
+    """Sequential selection proportional to the remaining weights, in exact
+    rational arithmetic on the float weights."""
+    w = [Fraction(float(x)) for x in weights]
+    prob, remaining = Fraction(1), sum(w)
+    for item in sequence:
+        prob *= w[item] / remaining
+        remaining -= w[item]
+    return prob
+
+
+def plank_probability_exact(weights, sequence) -> Fraction:
+    """The two-dart story in exact rational arithmetic: stage i marks
+    A_i = sequence[i] by width and B_i = sequence[m - 1 - i] by length
+    1/w among the k planks still unmarked, with probability
+    w_A l_B / (W L - k), where W and L sum the remaining widths and lengths
+    and the k same-plank pairs are the rejected throws."""
+    w = [Fraction(float(x)) for x in weights]
+    seq = list(sequence)
+    m = len(seq)
+    prob = Fraction(1)
+    for stage in range(m // 2):
+        window = seq[stage : m - stage]
+        width = sum(w[i] for i in window)
+        length = sum(1 / w[i] for i in window)
+        a, b = seq[stage], seq[m - 1 - stage]
+        prob *= w[a] / w[b] / (width * length - len(window))
+    return prob

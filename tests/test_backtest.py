@@ -1,12 +1,14 @@
 """Portfolios, pnl accounting, stats fixtures, and the full rolling harness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metrics_oracle
-from listfold import backtest
+from listfold import backtest, metrics
 from listfold.backtest import (
     BacktestConfig,
     PnlSeries,
@@ -324,6 +326,60 @@ def small_backtest():
     return panel, cfg, strategies, run_backtest(panel, strategies, cfg)
 
 
+# 90 weeks in 5 rolling windows of 40 training and 10 test weeks
+LOOKAHEAD_CONFIG = BacktestConfig(train_len=40, test_len=10, batch_size=4, total_batches=6,
+                                  seed=3)
+
+
+def run_with_books(panel, monkeypatch):
+    """run_backtest on the standard lineup at k = 2, and every (long, short)
+    book it built, in build order."""
+    books = []
+    for name in ("build_long_short", "build_short_average", "build_list2mle"):
+        def spy(*args, _build=getattr(backtest, name), **kwargs):
+            books.append(_build(*args, **kwargs))
+            return books[-1]
+        monkeypatch.setattr(backtest, name, spy)
+    return run_backtest(panel, standard_strategies(k=2), LOOKAHEAD_CONFIG), books
+
+
+@pytest.fixture(scope="module")
+def lookahead_base():
+    panel = generate_synthetic_panel(41, weeks=90, stocks=12, factors=5,
+                                     signal_strength=1.0, noise_scale=0.5)
+    with pytest.MonkeyPatch.context() as mp:
+        return (panel, *run_with_books(panel, mp))
+
+
+class TestNoLookahead:
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(40, 89), st.integers(0, 2**32 - 1))
+    def test_a_test_week_reads_nothing_after_it(self, lookahead_base, t, seed):
+        # noise in every factor after week t and in every return from the
+        # first test week of t's window on leaves t's scores and books as
+        # they were: normalization, training, scoring and the books all
+        # stop short of it
+        panel, base, base_books = lookahead_base
+        cfg = LOOKAHEAD_CONFIG
+        test_start = t - (t - cfg.train_len) % cfg.test_len
+        rng = np.random.default_rng(seed)
+        factors = panel.factors.copy()
+        factors[t + 1:] = rng.standard_normal(factors[t + 1:].shape)
+        returns = panel.fwd_return.copy()
+        returns[test_start:] = 0.02 * rng.standard_normal(returns[test_start:].shape)
+        with pytest.MonkeyPatch.context() as mp:
+            result, books = run_with_books(replace(panel, factors=factors, fwd_return=returns),
+                                           mp)
+        date = panel.dates[t]
+        row = base.test_dates.index(date)
+        for model, by_date in base.scores.items():
+            assert result.scores[model][date].tobytes() == by_date[date].tobytes(), model
+        assert len(books) == len(base_books) == 9
+        for (long, short), (base_long, base_short) in zip(books, base_books):
+            assert long[row].tobytes() == base_long[row].tobytes()
+            assert short[row].tobytes() == base_short[row].tobytes()
+
+
 class TestBacktestConfig:
     @pytest.mark.parametrize("field,value,message", [
         ("train_len", 0, "train_len: must be >= 1"),
@@ -427,8 +483,10 @@ class TestModelRankMetrics:
         # the five weekly averages of the (weeks, N) block equal the former
         # per-week loop's bit for bit: ties, zero bottoms, constant rows
         scores, returns, k, levels = case
-        got = backtest._model_rank_metrics(scores, returns, k=k, levels=levels)
-        want = metrics_oracle.model_rank_metrics(scores, returns, k=k, levels=levels)
+        # stock ids out of column order, so the tie rule is not column order
+        stocks = [f"S{j:03d}" for j in np.random.default_rng(k).permutation(scores.shape[1])]
+        got = backtest._model_rank_metrics(scores, returns, stocks, k=k, levels=levels)
+        want = metrics_oracle.model_rank_metrics(scores, returns, stocks, k=k, levels=levels)
         assert list(got) == list(want)
         for name in want:
             assert np.float64(got[name]).tobytes() == np.float64(want[name]).tobytes(), name
@@ -437,7 +495,54 @@ class TestModelRankMetrics:
         returns = np.arange(12.0).reshape(2, 6)
         returns[1, 3] = np.nan
         with pytest.raises(DataError, match="missing"):
-            backtest._model_rank_metrics(np.ones((2, 6)), returns, k=2, levels=3)
+            backtest._model_rank_metrics(np.ones((2, 6)), returns, list("abcdef"), k=2,
+                                         levels=3)
+
+
+class TestRankMetricsTieRule:
+    def test_each_end_scores_the_names_its_leg_holds(self, monkeypatch):
+        # the tables-book benchmark shape at seed 7919, where the token
+        # training leaves tied scores across the k cut in many test weeks
+        k = 8
+        panel = generate_synthetic_panel(7919, weeks=104, stocks=80, factors=68,
+                                         signal_strength=0.8, noise_scale=0.5)
+        cfg = BacktestConfig(train_len=40, test_len=32, batch_size=1, total_batches=4,
+                             seed=7919)
+        seen = []  # per model: its scores, the NDCG@k top-k and NDCG@-k bottom-k sets
+        depth = [0]  # ndcg_pm_k and ndcg_at_minus_k call ndcg_at_k themselves
+        real_model = backtest._model_rank_metrics
+
+        def model_spy(scores, *args, **kwargs):
+            seen.append((scores, [], []))
+            return real_model(scores, *args, **kwargs)
+
+        def end_spy(real, end, first_at_that_end):
+            def spy(rank_eval, *args, **kwargs):
+                if depth[0] == 0 and rank_eval.k == k:
+                    seen[-1][end].append(first_at_that_end(rank_eval.predicted_order)[:, :k])
+                depth[0] += 1
+                try:
+                    return real(rank_eval, *args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return spy
+
+        monkeypatch.setattr(backtest, "_model_rank_metrics", model_spy)
+        monkeypatch.setattr(metrics, "ndcg_at_k", end_spy(metrics.ndcg_at_k, 1, lambda o: o))
+        monkeypatch.setattr(metrics, "ndcg_at_minus_k",
+                            end_spy(metrics.ndcg_at_minus_k, 2, lambda o: o[:, ::-1]))
+        run_backtest(panel, standard_strategies(k=k), cfg)
+        assert len(seen) == 5
+        tied_weeks = 0
+        for scores, tops, bottoms in seen:
+            long, short = build_long_short(scores, panel.stocks, k)
+            assert tops and bottoms
+            for cut, leg in [(top, long) for top in tops] + [(bot, short) for bot in bottoms]:
+                for week, names in enumerate(cut):
+                    assert set(names.tolist()) == set(np.flatnonzero(leg[week]).tolist())
+            ordered = np.sort(scores, axis=1)
+            tied_weeks += int(np.sum(ordered[:, k - 1] == ordered[:, k]))
+        assert tied_weeks > 0
 
 
 class TestCutoffHeatmap:

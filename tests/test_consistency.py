@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from loss_oracle import listfold_loss as fold_oracle
 from sampler_oracle import _categorical_rows as oracle_rows
+from sampler_oracle import plank_probability_exact, vase_probability_exact
 from sampler_oracle import sample_plank_dart as oracle_plank
 from sampler_oracle import sample_vase as oracle_vase
 
@@ -39,7 +41,7 @@ from listfold.consistency import (
     verify_theorem1,
     verify_theorem2,
 )
-from listfold.losses import LossSpec, Transform, evaluate_loss, listfold_loss, listmle_loss
+from listfold.losses import LossSpec, Transform, evaluate_loss, listfold_loss
 
 FOLD_EXP = LossSpec("listfold", Transform("exponential"))
 FOLD_SGM = LossSpec("listfold", Transform("sigmoid"))
@@ -299,7 +301,7 @@ class TestVaseSampler:
         spec = SamplerSpec("vase", np.ones(3), draws=60_000, seed=3)
         counts = sample_vase(spec)
         table = frequency_zscores(counts, spec.draws,
-                                  lambda p: vase_probability(spec.weights, p))
+                                  lambda perms: vase_probability(spec.weights, perms))
         assert len(table) == 6
         assert all(abs(z) < 3 for _, _, z in table.values())
 
@@ -314,8 +316,8 @@ class TestVaseSampler:
         counts = sample_vase(spec)
         f = np.log(w)
 
-        def likelihood(perm):
-            return math.exp(-listmle_loss(f[list(perm)], Transform("exponential")).value)
+        def likelihood(perms):
+            return np.exp(-evaluate_loss(MLE_EXP, f[perms], with_gradient=False).value)
 
         table = frequency_zscores(counts, spec.draws, likelihood)
         assert all(abs(z) < 3 for _, _, z in table.values())
@@ -343,8 +345,8 @@ class TestPlankSampler:
         counts = sample_plank_dart(spec)
         f = np.log(w)
 
-        def likelihood(seq):
-            return math.exp(-listfold_loss(f[list(seq)], Transform("exponential")).value)
+        def likelihood(seqs):
+            return np.exp(-evaluate_loss(FOLD_EXP, f[seqs], with_gradient=False).value)
 
         table = frequency_zscores(counts, spec.draws, likelihood)
         assert len(table) == 24
@@ -374,9 +376,29 @@ class TestPlankSampler:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.25, 1.5])
     def test_zscores_reject_an_analytic_p_outside_the_unit_interval(self, bad):
         counts = {(0, 1): 3, (1, 0): 1}
-        prob = lambda perm: bad if perm == (1, 0) else 0.5
+        prob = lambda perms: np.where((perms == (1, 0)).all(axis=1), bad, 0.5)
         with pytest.raises(ValueError, match=r"\(1, 0\)"):
             frequency_zscores(counts, 4, prob)
+
+    @pytest.mark.parametrize("prob", [lambda perms: 0.5, lambda perms: np.full(3, 0.5),
+                                      lambda perms: np.full((2, 1), 0.5)])
+    def test_zscores_reject_a_block_result_of_the_wrong_shape(self, prob):
+        with pytest.raises(ValueError, match=r"shape"):
+            frequency_zscores({(0, 1): 3, (1, 0): 1}, 4, prob)
+
+    def test_zscores_call_prob_fn_once_and_return_python_floats(self):
+        w = np.array([1.5, 1.0, 0.7, 0.4])
+        calls = []
+
+        def prob(perms):
+            calls.append(perms.shape)
+            return plank_probability(w, perms)
+
+        counts = sample_plank_dart(SamplerSpec("plank", w, 2000, seed=9))
+        table = frequency_zscores(counts, 2000, prob)
+        assert calls == [(24, 4)]
+        assert list(table) == list(itertools.permutations(range(4)))
+        assert all(type(x) is float for row in table.values() for x in row)
 
     def test_deterministic_given_seed(self):
         spec = SamplerSpec("plank", np.array([1.4, 1.0, 0.8, 0.5]), draws=5000, seed=8)
@@ -388,11 +410,55 @@ class TestPlankSampler:
 
         def rms_dev(draws, seed):
             counts = sample_plank_dart(SamplerSpec("plank", w, draws, seed=seed))
-            table = frequency_zscores(counts, draws, lambda p: plank_probability(w, p))
+            table = frequency_zscores(counts, draws, lambda seqs: plank_probability(w, seqs))
             return float(np.sqrt(np.mean([(emp - p) ** 2 for emp, p, _ in table.values()])))
 
         ratios = [rms_dev(16_000, seed + 100) / rms_dev(64_000, seed) for seed in (1, 2, 3)]
         assert 1.4 < float(np.mean(ratios)) < 2.8
+
+
+_CLOSED_FORMS = {"vase": (vase_probability, vase_probability_exact),
+                 "plank": (plank_probability, plank_probability_exact)}
+
+
+def _close_to_exact(p: float, exact: Fraction) -> bool:
+    """Within 1e-12 relative of the exact rational; below the least normal
+    float, where exp(-loss) loses bits to underflow, within 1e-12 times
+    that float."""
+    return abs(Fraction(p) - exact) <= Fraction(1, 10**12) * max(exact, Fraction(2.0**-1022))
+
+
+class TestClosedFormsExact:
+    """vase_probability and plank_probability against the two stories in
+    exact rational arithmetic. A linear-domain vase loop that subtracts
+    each drawn weight from the remaining sum cancels: on weights in
+    1e-6..1e6 it was off by up to 1.8e-4 relative."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from(["vase", "plank"]))
+    def test_probabilities_match_the_exact_stories(self, data, model):
+        m = data.draw(st.integers(1, 8) if model == "vase" else st.sampled_from([2, 4, 6, 8]))
+        w = 10.0 ** np.array(data.draw(st.lists(st.floats(-6.0, 6.0), min_size=m, max_size=m)))
+        closed, exact = _CLOSED_FORMS[model]
+        table = _perm_table(m)
+        rows = (range(len(table)) if m <= 5 else
+                data.draw(st.lists(st.integers(0, len(table) - 1), min_size=1, max_size=24,
+                                   unique=True)))
+        seqs = table[list(rows)]
+        for seq in seqs:
+            assert _close_to_exact(closed(w, tuple(seq.tolist())), exact(w, seq.tolist()))
+        for seq, p in zip(seqs.tolist(), closed(w, seqs).tolist()):
+            assert _close_to_exact(p, exact(w, seq))
+        assert abs(math.fsum(closed(w, table).tolist()) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("model", ["vase", "plank"])
+    def test_exact_where_the_sum_product_overflows(self, model):
+        w = np.array([1e200, 1e-200, 1.0, 1.0])
+        closed, exact = _CLOSED_FORMS[model]
+        table = _perm_table(4)
+        probs = closed(w, table).tolist()
+        assert all(_close_to_exact(p, exact(w, seq)) for seq, p in zip(table.tolist(), probs))
+        assert abs(math.fsum(probs) - 1.0) <= 1e-12
 
 
 # Weight vectors of 8 or more items on which the draw-major samplers were

@@ -29,7 +29,7 @@ GOLDEN = {
     "pnl_ListMLE.csv": "ef4a977e462fcc0b97f1acd980835873ed9ddc6691df62f78fbe981efd1eb54f",
     "pnl_MLP-sa.csv": "dc3e8afd45bf2716ca67eb7710a5262201467dfe9ec13bbb25f4cdcc049b27c4",
     "pnl_MLP.csv": "f6a0668a3fb11b4012d07785348c1adbca42f2f38dd2f745917f167396d96dd1",
-    "rankmetrics.csv": "88b82c7449cca83df690ef965c0c7f926089981d8eb877af3b0290f16a5596a8",
+    "rankmetrics.csv": "1a313631c9bfc1f35007399b7c389251dbe8b96133234272c0ba349b583ede2b",
     "stats.csv": "9dd6001868325c7b824b9bff8623d2fa19311d0d60c25baa18802dffb0c175b1",
 }
 

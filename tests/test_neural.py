@@ -262,14 +262,6 @@ class TestTrain:
         for p, q in zip(a.parameters(), b.parameters()):
             assert p.tobytes() == q.tobytes()
 
-    def test_never_touches_test_weeks(self):
-        wp, local = normalized_window()
-        accesses: list = []
-        cfg = TrainConfig(loss=FOLD_EXP, batch_size=4, total_batches=10, seed=9)
-        train(wp, local, cfg, access_log=accesses)
-        assert accesses
-        assert set(accesses) <= set(range(*local.train_range))
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_after_ten_bad_batches(self):
         wp, local = normalized_window()
