@@ -342,8 +342,7 @@ def cmd_simulate(args) -> int:
     path = out_dir / f"simulate_{args.model}.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("permutation,empirical,analytic,z\n")
-        for perm in sorted(table):
-            emp, p, z = table[perm]
+        for perm, (emp, p, z) in table.items():
             fh.write("\"" + " ".join(str(i) for i in perm) + f"\",{emp!r},{p!r},{z!r}\n")
     worst = max((abs(z) for _, _, z in table.values()), default=0.0)
     print(f"{args.model}: {len(table)} sequences, max |z| = {worst:.2f}, table at {path}")

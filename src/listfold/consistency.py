@@ -57,6 +57,10 @@ ENUMERATION_CAP = 8
 SEARCH_CAP = 14
 MINIMIZER_TOL = 1e-9
 
+# the theorem-2 loss and the plank story's; ListMLE-exp is the vase story's
+_LISTFOLD_EXP = LossSpec("listfold", Transform("exponential"))
+_LISTMLE_EXP = LossSpec("listmle", Transform("exponential"))
+
 
 def _as_scores(scores) -> np.ndarray:
     f = np.asarray(scores, dtype=float).ravel()
@@ -165,17 +169,11 @@ def theorem1_minimizer_family(scores) -> frozenset[tuple[float, ...]]:
     as s_1 >= ... >= s_2n, the pairs (s_j, s_{n+j}) are each placed larger
     first at some mirrored position pair (i, 2n+1-i); the assignment of
     pairs to position pairs is free, giving n! members."""
-    s = np.sort(np.asarray(scores, dtype=float))[::-1].tolist()
-    n = len(s) // 2
-    pairs = [(s[j], s[n + j]) for j in range(n)]
-    family = set()
-    for sigma in itertools.permutations(range(n)):
-        seq = [0.0] * len(s)
-        for slot, j in enumerate(sigma):
-            seq[slot] = pairs[j][0]
-            seq[len(s) - 1 - slot] = pairs[j][1]
-        family.add(tuple(seq))
-    return frozenset(family)
+    s = np.sort(np.asarray(scores, dtype=float))[::-1]
+    n = s.size // 2
+    # row sigma puts s[sigma_i] at slot i and s[n + sigma_i] at its mirror
+    sigma = _perm_table(n)
+    return frozenset(map(tuple, np.hstack([s[sigma], s[n + sigma[:, ::-1]]]).tolist()))
 
 
 @dataclass
@@ -354,6 +352,16 @@ def _least_listfold_exp(scores: np.ndarray):
     return least, order
 
 
+def _dp_witnesses(descending: np.ndarray):
+    """(row, order, its loss, descending loss) for each row of a (draws, m)
+    block of descending scores whose least exponential listfold loss, by
+    the subset DP, beats the descending order's by more than MINIMIZER_TOL."""
+    base = _table_losses(_LISTFOLD_EXP, descending)
+    least, orders = _least_listfold_exp(descending)
+    return [(r, descending[r, orders[r]], least[r], base[r])
+            for r in np.flatnonzero(least < base - MINIMIZER_TOL)]
+
+
 def verify_theorem2(trials: int, n_range, seed: int, restricted: bool = True) -> TheoremReport:
     """Check that exponential listfold is minimized by the descending sequence.
 
@@ -368,7 +376,6 @@ def verify_theorem2(trials: int, n_range, seed: int, restricted: bool = True) ->
     n_range = tuple(int(n) for n in n_range)
     if max(n_range) * 2 > ENUMERATION_CAP:
         raise ValueError(f"n values must satisfy 2n <= {ENUMERATION_CAP}")
-    spec = LossSpec("listfold", Transform("exponential"))
     mode = "restricted" if restricted else "unrestricted"
     report = TheoremReport(f"theorem2-exponential-{mode}", seed, trials, n_range)
     trials_by_n = itertools.groupby(_distinct_trials(report, np.random.default_rng(seed)),
@@ -380,16 +387,13 @@ def verify_theorem2(trials: int, n_range, seed: int, restricted: bool = True) ->
         if restricted:
             index = _half_respecting_table(n)  # row 0 is the identity
             for r, row in enumerate(descending):
-                losses = _table_losses(spec, row[index])
+                losses = _table_losses(_LISTFOLD_EXP, row[index])
                 # uniqueness: no other half-respecting order may tie or beat it
                 ties = np.flatnonzero(losses[1:] <= losses[0] + MINIMIZER_TOL) + 1
                 if ties.size:
                     hits.append((r, row[index[ties[0]]], losses[ties[0]], losses[0]))
         else:
-            base = _table_losses(spec, descending)
-            least, orders = _least_listfold_exp(descending)
-            hits = [(r, descending[r, orders[r]], least[r], base[r])
-                    for r in np.flatnonzero(least < base - MINIMIZER_TOL)]
+            hits = _dp_witnesses(descending)
         for r, perm, loss, base_loss in hits:
             report.violations.append(
                 {"scores": tuple(draws[r].tolist()), "permutation": tuple(perm.tolist()),
@@ -444,12 +448,8 @@ def counterexample_search(budget: int, size: int, distribution: str = "uniform",
         return []
     rng = np.random.default_rng(seed)
     draws = np.array([_sample_scores(rng, size, distribution) for _ in range(budget)])
-    descending = np.sort(draws, axis=1)[:, ::-1]
-    base = _table_losses(LossSpec("listfold", Transform("exponential")), descending)
-    least, orders = _least_listfold_exp(descending)
-    return [Witness(tuple(draws[r].tolist()), tuple(descending[r, orders[r]].tolist()),
-                    float(least[r]), float(base[r]))
-            for r in np.flatnonzero(least < base - MINIMIZER_TOL)]
+    return [Witness(tuple(draws[r].tolist()), tuple(perm.tolist()), float(loss), float(base))
+            for r, perm, loss, base in _dp_witnesses(np.sort(draws, axis=1)[:, ::-1])]
 
 
 @dataclass(frozen=True)
@@ -459,42 +459,28 @@ class SwapRecord:
     delta: float
 
 
-def _discordant_pairs(seq: tuple[float, ...]) -> int:
-    return sum(
-        1
-        for i in range(len(seq))
-        for j in range(i + 1, len(seq))
-        if seq[i] < seq[j]
-    )
-
-
 def order_sensitivity_probe(scores, spec: LossSpec) -> list[SwapRecord]:
     """Find every transposition that moves a permutation toward the truth
-    (strictly fewer discordant pairs) yet *increases* the loss.
+    (strictly fewer discordant pairs, i < j with perm[i] < perm[j]) yet
+    *increases* the loss.
 
-    An order-sensitive loss yields an empty list; the exponential listfold
-    loss deliberately does not.
+    Such a swap removes the pair's own discordance, and that of each item
+    between them valued in [perm[i], perm[j]], and adds none, so no recount
+    is needed. An order-sensitive loss yields an empty list; the
+    exponential listfold loss deliberately does not.
     """
-    f = _as_scores(scores)
-    if spec.even_length and f.size % 2 != 0:
-        raise ValueError(f"{spec.family} requires an even list length")
-    perms = list(dict.fromkeys(itertools.permutations(f.tolist())))
-    losses = _table_losses(spec, np.array(perms), np.sort(f)[::-1])
+    enum = enumerate_losses(scores, spec)
     # every transposition of a permutation is another permutation of the multiset
-    loss_of = dict(zip(perms, losses.tolist()))
+    loss_of = dict(zip(enum.permutations, enum.losses))
     records: list[SwapRecord] = []
-    for perm in perms:
-        base_disc = _discordant_pairs(perm)
-        for i in range(len(perm)):
-            for j in range(i + 1, len(perm)):
+    for perm in dict.fromkeys(itertools.permutations(enum.scores)):
+        for i, j in itertools.combinations(range(len(perm)), 2):
+            if perm[i] < perm[j]:
                 swapped = list(perm)
                 swapped[i], swapped[j] = swapped[j], swapped[i]
-                swapped = tuple(swapped)
-                if _discordant_pairs(swapped) >= base_disc:
-                    continue
-                delta = loss_of[swapped] - loss_of[perm]
+                delta = loss_of[tuple(swapped)] - loss_of[perm]
                 if delta > MINIMIZER_TOL:
-                    records.append(SwapRecord(perm, (i, j), float(delta)))
+                    records.append(SwapRecord(perm, (i, j), delta))
     return records
 
 
@@ -633,10 +619,6 @@ def sample_plank_dart(spec: SamplerSpec) -> dict[tuple[int, ...], int]:
     return _order_counts(out)
 
 
-_VASE_LOSS = LossSpec("listmle", Transform("exponential"))
-_PLANK_LOSS = LossSpec("listfold", Transform("exponential"))
-
-
 def _story_probability(spec: LossSpec, weights, sequences):
     """exp(-loss) of the log weights in each sequence's order, along the
     last axis: a float for one sequence, one probability per row of an
@@ -650,7 +632,7 @@ def vase_probability(weights, sequences):
     """Probability of each full ordering under sequential selection
     proportional to the remaining weights, exp(-ListMLE-exp of log w):
     a float for one ordering, an array for an (r, m) block."""
-    return _story_probability(_VASE_LOSS, weights, sequences)
+    return _story_probability(_LISTMLE_EXP, weights, sequences)
 
 
 def plank_probability(weights, sequences):
@@ -658,7 +640,7 @@ def plank_probability(weights, sequences):
     widths w and lengths 1/w, exp(-ListFold-exp of log w): a float for one
     sequence, an array for an (r, m) block. The log domain keeps it finite
     where the product of the remaining width and length sums overflows."""
-    return _story_probability(_PLANK_LOSS, weights, sequences)
+    return _story_probability(_LISTFOLD_EXP, weights, sequences)
 
 
 def frequency_zscores(counts: dict[tuple[int, ...], int], draws: int,

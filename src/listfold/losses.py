@@ -7,7 +7,8 @@ evaluates both on every mini batch and they share intermediates.
 
 One evaluator, ``evaluate_loss``, serves every family on a single list or
 a (lists, length) batch. ListFold and ListMLE run in O(length) per list
-through running log-sum-exps, so they stay finite at any score spread; the
+through running log-sum-exps, so they stay finite far past where the
+linear domain overflows (see ``evaluate_loss`` for the limits); the
 single-list functions below are thin wrappers around it.
 
 Families
@@ -288,8 +289,12 @@ def evaluate_loss(spec: LossSpec, scores_in_truth_order, returns_in_truth_order=
     """Loss value and score gradient of one list (n,) or a batch (B, n).
 
     Every family is evaluated for the whole batch at once in O(B n), in
-    the log domain, so values and gradients stay finite at any finite
-    score spread. mse needs the aligned returns, (n,) or (B, n).
+    the log domain, so the rank losses' values and gradients stay finite
+    for scores up to about 1e306 in magnitude. The exception is the
+    exponential listfold gradient: its exponents are differences of
+    log-sums rounded at the scale of the scores, and from magnitudes near
+    1e19 they can pass 709 and overflow. The mse value overflows past
+    about 1e154. mse needs the aligned returns, (n,) or (B, n).
     with_gradient=False skips the gradient (gradient is None).
     """
     f = np.asarray(scores_in_truth_order, dtype=float)

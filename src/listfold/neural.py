@@ -285,9 +285,11 @@ def train_step(net: ScoringNet, batch: list[RankedBatch], spec: LossSpec,
     Lists must share one length. They are stacked into a single
     forward/backward pass and one batched loss evaluation; losses and
     parameter gradients are averaged over the batch. Raises
-    NonFiniteLossError (before touching the parameters) when the averaged
-    loss is not finite. workspace is passed on to forward_cached and
-    backward, and also holds the stacked features.
+    NonFiniteLossError (before touching the parameters) when the scores,
+    the averaged loss or the loss gradient is not finite: the exponential
+    listfold gradient overflows at scores near 1e19 in magnitude while its
+    value stays finite. workspace is passed on to forward_cached and backward, and
+    also holds the stacked features.
     """
     if not batch:
         raise ValueError("empty batch")
@@ -297,10 +299,14 @@ def train_step(net: ScoringNet, batch: list[RankedBatch], spec: LossSpec,
     feats = np.concatenate([b.features for b in batch],
                            out=_buffer(workspace, "features", 0, shape))
     scores, cache = forward_cached(net, feats, workspace=workspace)
+    if not np.all(np.isfinite(scores)):
+        raise NonFiniteLossError("batch scores are not finite")
     values, dscores = _batch_loss_and_grad(scores, batch, spec, reverse_labels)
     mean_loss = float(np.mean(values))
     if not np.isfinite(mean_loss):
         raise NonFiniteLossError(f"batch loss is not finite: {mean_loss}")
+    if not np.all(np.isfinite(dscores)):
+        raise NonFiniteLossError("batch loss gradient is not finite")
     grad_w, grad_b = backward(net, cache, dscores / len(batch), workspace=workspace)
     params, grads = [], []
     for w, b, gw, gb in zip(net.weights, net.biases, grad_w, grad_b):

@@ -172,6 +172,27 @@ class TestBacktestCommand:
         assert rc == 2
         assert "absent.csv" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("optimizer, rate", [("sgd", "1e8"), ("adam", "1e30"),
+                                                 ("sgd", "1e30")])
+    def test_huge_learning_rate_exits_three(self, optimizer, rate, base_config, tmp_path,
+                                            capsys):
+        # an overflowing step is skipped, not written into the parameters,
+        # so the run ends in ten bad batches in a row, not a traceback
+        rc = main(["backtest", "--config", str(base_config), "--out", str(tmp_path / "o"),
+                   "--optimizer", optimizer, "--learning-rate", rate])
+        assert rc == 3
+        assert "training diverged" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_isolated_overflowing_batches_are_skipped(self, base_config, tmp_path):
+        # adam at 1e8 overflows 10 of ListFold-exp's 30 batches here, never
+        # ten in a row: the run skips them and finishes
+        out = tmp_path / "o"
+        assert main(["backtest", "--config", str(base_config), "--out", str(out),
+                     "--learning-rate", "1e8"]) == 0
+        assert "nan" not in (out / "pnl_ListFold-exp.csv").read_text()
+
     def test_bad_field_exit_one_names_field(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("panel = x.csv\noptimizer = newton\n")

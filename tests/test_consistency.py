@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import consistency_oracle
 from loss_oracle import listfold_loss as fold_oracle
 from sampler_oracle import _categorical_rows as oracle_rows
 from sampler_oracle import plank_probability_exact, vase_probability_exact
@@ -46,6 +47,12 @@ from listfold.losses import LossSpec, Transform, evaluate_loss, listfold_loss
 FOLD_EXP = LossSpec("listfold", Transform("exponential"))
 FOLD_SGM = LossSpec("listfold", Transform("sigmoid"))
 MLE_EXP = LossSpec("listmle", Transform("exponential"))
+ALL_SPECS = [FOLD_EXP, FOLD_SGM, MLE_EXP, LossSpec("mse"),
+             LossSpec("naive_pt", Transform("exponential"))]
+
+# integer ties, signed zeros and plain floats, mixed within one list
+_LAB_SCORES = st.one_of(st.integers(-2, 2).map(float), st.sampled_from([0.0, -0.0]),
+                        st.floats(-5.0, 5.0, allow_nan=False))
 
 
 class TestEnumerate:
@@ -138,6 +145,15 @@ class TestTheorem1:
         fam = theorem1_minimizer_family(scores)
         # enlarged set is allowed; the family is still contained in it
         assert fam <= rep.minimizers or fam == rep.minimizers
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(_LAB_SCORES, min_size=2 * n,
+                                                         max_size=2 * n)))
+    def test_family_matches_loop_oracle(self, scores):
+        # repr keeps which signed zero a member holds; tuple equality ignores it
+        got = theorem1_minimizer_family(scores)
+        want = consistency_oracle.theorem1_minimizer_family(scores)
+        assert sorted(map(repr, got)) == sorted(map(repr, want))
 
     def test_report_summary_reproducible(self):
         a = verify_theorem1(10, [1, 2], seed=7).summary()
@@ -259,6 +275,20 @@ class TestOrderSensitivityProbe:
     def test_two_items_no_violations(self):
         for spec in (FOLD_EXP, FOLD_SGM, MLE_EXP):
             assert order_sensitivity_probe([1.0, 0.0], spec) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from(ALL_SPECS))
+    def test_matches_recount_oracle(self, data, spec):
+        # the same records in the same order, each delta bit-equal
+        sizes = [2, 4, 6] if spec.even_length else [2, 3, 4, 5, 6]
+        m = data.draw(st.sampled_from(sizes))
+        scores = data.draw(st.lists(_LAB_SCORES, min_size=m, max_size=m))
+        got = order_sensitivity_probe(scores, spec)
+        assert repr(got) == repr(consistency_oracle.order_sensitivity_probe(scores, spec))
+
+    def test_rejects_odd_length_for_even_families(self):
+        with pytest.raises(ValueError, match="even list length"):
+            order_sensitivity_probe([2.0, 1.0, 0.0], FOLD_EXP)
 
 
 def _row_loop_counts(out):

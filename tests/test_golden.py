@@ -5,7 +5,9 @@
   training and 8 test weeks, the five standard models, k = 3);
 - `listfold verify --trials 20 --sizes 2,4,6,8 --budget 200 --seed 0`
   (about 1 s): the golden losses, the three theorem reports, the probe,
-  the counterexample search and the enumeration table.
+  the counterexample search and the enumeration table;
+- `listfold simulate` of both stories with weights 2,1,0.7,0.4, 20000
+  draws and seed 0: the sampled counts and the z table.
 
 Nothing else pins a whole backtest's numbers from one change to the next.
 A change that moves these hashes changes results and must say why. The
@@ -40,6 +42,12 @@ VERIFY_GOLDEN = {
 }
 
 
+SIMULATE_GOLDEN = {
+    "simulate_plank.csv": "9df49613927fb02a69b09b2cc225300314cef02b788a7dff457eddb4e7c7cad6",
+    "simulate_vase.csv": "1a6b9ffeb3e70f0f03579e77f90b658507da4967c670adbcc684f6fb76e30a37",
+}
+
+
 def sha256_of_files(out):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
 
@@ -49,6 +57,14 @@ def test_verify_outputs_match_golden_hashes(tmp_path):
     assert main(["verify", "--trials", "20", "--sizes", "2,4,6,8", "--budget", "200",
                  "--seed", "0", "--out", str(out)]) == 0
     assert sha256_of_files(out) == VERIFY_GOLDEN
+
+
+def test_simulate_tables_match_golden_hashes(tmp_path):
+    out = tmp_path / "simulate"
+    for model in ("vase", "plank"):
+        assert main(["simulate", "--model", model, "--weights", "2,1,0.7,0.4",
+                     "--draws", "20000", "--seed", "0", "--out", str(out)]) == 0
+    assert sha256_of_files(out) == SIMULATE_GOLDEN
 
 
 def test_backtest_tables_match_golden_hashes(tmp_path):

@@ -189,6 +189,36 @@ class TestTrainStep:
         for p, q in zip(net.parameters(), before):
             np.testing.assert_array_equal(p, q)
 
+    @staticmethod
+    def _identity_net():
+        """One linear unit of weight 1: the scores are the single feature."""
+        return ScoringNet([1, 1], [np.ones((1, 1))], [np.zeros(1)], final_relu=False, seed=0)
+
+    @pytest.mark.parametrize("optimizer", [SgdState(lr=1e-3), AdamState(lr=1e-3)])
+    def test_overflowing_gradient_leaves_parameters_untouched(self, optimizer):
+        # near 1e19 the stage log-sums round by more than 709, so e^(f + ...)
+        # overflows in the exponential listfold gradient; the value stays finite
+        rng = np.random.default_rng(0)
+        batch = [build_batch_from_rows(rng.uniform(-1e19, 1e19, (8, 1)), rng.normal(size=8))
+                 for _ in range(8)]
+        with np.errstate(all="ignore"):
+            result = evaluate_loss(FOLD_EXP, np.stack([b.features[b.truth_order, 0]
+                                                       for b in batch]))
+        assert np.all(np.isfinite(result.value))
+        assert not np.all(np.isfinite(result.gradient))
+        net = self._identity_net()
+        with pytest.raises(neural.NonFiniteLossError, match="gradient"):
+            with np.errstate(all="ignore"):
+                train_step(net, batch, FOLD_EXP, optimizer)
+        assert [p.tolist() for p in net.parameters()] == [[[1.0]], [0.0]]
+
+    def test_non_finite_scores_raise_before_the_loss(self):
+        wp, _ = normalized_window()
+        net = init_network(wp.n_factors, 3)
+        net.biases[-1][:] = np.nan
+        with pytest.raises(neural.NonFiniteLossError, match="scores"):
+            train_step(net, [build_ranked_batch(wp, wp.dates[0])], FOLD_EXP, SgdState(lr=1e-3))
+
     def test_adam_moves_parameters(self):
         wp, local = normalized_window()
         batch = build_ranked_batch(wp, wp.dates[0])
