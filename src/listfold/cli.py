@@ -234,12 +234,13 @@ def cmd_backtest(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        sizes = [int(tok) for tok in _split(args.sizes)]
+        # a repeated size is searched once
+        sizes = list(dict.fromkeys(int(tok) for tok in _split(args.sizes)))
     except ValueError:
         raise ConfigError(
             f"sizes must be a comma list of integers, got {args.sizes!r}") from None
-    if any(s > consistency.SEARCH_CAP or s < 2 or s % 2 for s in sizes):
-        raise ConfigError(f"sizes must be even and <= {consistency.SEARCH_CAP}")
+    if not sizes or any(s > consistency.SEARCH_CAP or s < 2 or s % 2 for s in sizes):
+        raise ConfigError(f"sizes must be one or more even sizes <= {consistency.SEARCH_CAP}")
     if args.trials < 1 or args.budget < 0:
         raise ConfigError("trials must be >= 1 and budget >= 0")
     out_dir = Path(args.out)
@@ -261,17 +262,9 @@ def cmd_verify(args) -> int:
         lines.append(f"  L{seq} = {value:.6f} target {target} -> {'ok' if ok else 'MISMATCH'}")
 
     n_values = sorted({s // 2 for s in sizes})
-    # Only the search takes sizes past 8, on the subset DP. Theorem 1 builds
-    # each draw's full order table and minimizer set in Python
-    # (enumerate_losses), so it stops at n = 3; restricted theorem 2
-    # enumerates the 576 half-respecting orders at n = 4. Unrestricted
-    # theorem 2 runs on the subset DP but keeps the restricted check's n so
-    # both report on the same draws.
-    t1_ns = [n for n in n_values if n <= 3] or [1]
-    t2_ns = [n for n in n_values if 2 * n <= consistency.ENUMERATION_CAP] or [1]
-    t1 = consistency.verify_theorem1(args.trials, t1_ns, args.seed)
-    t2r = consistency.verify_theorem2(args.trials, t2_ns, args.seed, restricted=True)
-    t2u = consistency.verify_theorem2(args.trials, t2_ns, args.seed, restricted=False)
+    t1 = consistency.verify_theorem1(args.trials, n_values, args.seed)
+    t2r = consistency.verify_theorem2(args.trials, n_values, args.seed, restricted=True)
+    t2u = consistency.verify_theorem2(args.trials, n_values, args.seed, restricted=False)
     lines += ["", t1.summary(), "", t2r.summary(), "", t2u.summary()]
 
     probe = consistency.order_sensitivity_probe(
@@ -284,10 +277,10 @@ def cmd_verify(args) -> int:
 
     witnesses = []
     for size in sizes:
-        for dist in ("uniform", "normal", "clustered", "near-ties"):
-            witnesses += consistency.counterexample_search(
-                args.budget // 4 or 1, size, dist, seed=args.seed
-            )
+        for i, dist in enumerate(("uniform", "normal", "clustered", "near-ties")):
+            # the budget's remainder goes one draw each to the first distributions
+            draws = args.budget // 4 + (i < args.budget % 4)
+            witnesses += consistency.counterexample_search(draws, size, dist, seed=args.seed)
     lines.append("")
     lines.append(f"counterexample search witnesses: {len(witnesses)}")
     for w in witnesses[:10]:
@@ -432,9 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="enumeration and subset-DP checks of the consistency claims")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--sizes", default="2,4,6",
-                   help="even list lengths, max 14 (theorem checks use those up to 8)")
+                   help="even list lengths, max 14, for the theorem checks and the search")
     p.add_argument("--budget", type=int, default=2000,
-                   help="counterexample samples per size (split over distributions)")
+                   help="counterexample samples per size, split over four distributions")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_verify)

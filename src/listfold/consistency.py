@@ -2,18 +2,18 @@
 enumeration, minimizer classification, counterexample search, and Monte
 Carlo samplers for the two generative stories behind the losses.
 
-Two engines answer the questions. Where only the least exponential listfold
-loss over all orders is needed (the counterexample search and the
-unrestricted theorem-2 check), an exact dynamic program over subsets finds
-it in 2^m states, so the search reaches list length SEARCH_CAP = 14. Where
-every order or every near-tied order is needed (minimizer sets, theorem 1,
-the restricted uniqueness check, the probe), the checks enumerate
-permutations, capped at ENUMERATION_CAP = 8 items (8! = 40320 rows).
-Minimizers are grouped within an absolute tolerance of 1e-9 so genuinely
-tied sets (the sigmoid case produces them) come out as sets, and _classify
-names a minimizer set by the true loss it is consistent with:
-descending-unique for the permutation 0-1 loss, binary-class-set for the
-half-split binary classification loss.
+One engine answers every minimizer question of the theorem checks and the
+counterexample search: an exact dynamic program over subsets (Held-Karp)
+finds the least listfold loss over all orders, or over the half-respecting
+ones, in 2^m states for either transform, and a walk down its table lists
+every order within MINIMIZER_TOL = 1e-9 of that least loss. So every check
+reaches list length SEARCH_CAP = 14. enumerate_losses evaluates every
+permutation, capped at ENUMERATION_CAP = 8 items (8! = 40320 rows), for the
+enumeration table, the probe and the tests. Minimizers are grouped within
+the tolerance so genuinely tied sets (the sigmoid case produces them) come
+out as sets, and _classify names a minimizer set by the true loss it is
+consistent with: descending-unique for the permutation 0-1 loss,
+binary-class-set for the half-split binary classification loss.
 
 The Monte Carlo samplers draw the two generative stories behind the
 likelihood losses, whose probabilities are those losses: exp(-ListMLE-exp)
@@ -23,6 +23,7 @@ log weights, evaluated over a whole block of orderings in one call.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -203,63 +204,53 @@ class TheoremReport:
         return "\n".join(lines)
 
 
-def _distinct_trials(report: TheoremReport, rng: np.random.Generator):
-    """Yield (n, scores) for report.trials_per_n uniform(-3, 3) draws of 2n
-    scores per n, counting every draw in report.trials_run and a tied draw
-    as report.degenerate (a tied draw is not yielded)."""
-    for n in report.n_values:
-        for _ in range(report.trials_per_n):
-            f = rng.uniform(-3.0, 3.0, size=2 * n)
-            report.trials_run += 1
-            if np.unique(f).size < f.size:
-                report.degenerate += 1
-                continue
-            yield n, f
+def _distinct_draws(report: TheoremReport, rng: np.random.Generator):
+    """Yield (n, draws) for each n of report.n_values: report.trials_per_n
+    uniform(-3, 3) draws of 2n scores, less the tied ones. Every draw
+    counts in report.trials_run and a tied one in report.degenerate.
+    ValueError unless there is an n and every n has 1 <= n, 2n <= SEARCH_CAP."""
+    ns = report.n_values
+    if not ns or min(ns) < 1 or 2 * max(ns) > SEARCH_CAP:
+        raise ValueError(f"n values must satisfy 1 <= n and 2n <= {SEARCH_CAP}, got {list(ns)}")
+    for n in ns:
+        draws = rng.uniform(-3.0, 3.0, size=(report.trials_per_n, 2 * n))
+        distinct = np.all(np.diff(np.sort(draws, axis=1), axis=1) != 0, axis=1)
+        report.trials_run += len(draws)
+        report.degenerate += len(draws) - int(distinct.sum())
+        if distinct.any():
+            yield n, draws[distinct]
 
 
 def verify_theorem1(trials: int, n_range, seed: int) -> TheoremReport:
-    """Enumerate sigmoid listfold on random distinct score sets and check
-    the minimizer set equals the predicted pairing family exactly.
+    """Check on random distinct score sets that the sigmoid listfold
+    minimizer set, every order within MINIMIZER_TOL of the least loss,
+    equals the predicted pairing family exactly. The subset DP finds the
+    set, so n_range takes any 1 <= n with 2n <= SEARCH_CAP.
 
     Tied inputs enlarge the minimizer set; they are counted as degenerate,
     not as violations.
     """
-    n_range = tuple(int(n) for n in n_range)
-    if max(n_range) * 2 > ENUMERATION_CAP:
-        raise ValueError(f"n values must satisfy 2n <= {ENUMERATION_CAP}")
-    spec = LossSpec("listfold", Transform("sigmoid"))
-    report = TheoremReport("theorem1-sigmoid", seed, trials, n_range)
-    for _, f in _distinct_trials(report, np.random.default_rng(seed)):
-        enum = enumerate_losses(f, spec)
-        predicted = theorem1_minimizer_family(f)
-        if enum.minimizers != predicted:
-            report.violations.append(
-                {
-                    "scores": tuple(f.tolist()),
-                    "found": sorted(enum.minimizers),
-                    "predicted": sorted(predicted),
-                }
-            )
+    report = TheoremReport("theorem1-sigmoid", seed, trials, tuple(int(n) for n in n_range))
+    for _, draws in _distinct_draws(report, np.random.default_rng(seed)):
+        _, near = _least_listfold(draws, Transform("sigmoid"))
+        for f, orders in zip(draws, near):
+            found = frozenset(map(tuple, f[orders].tolist()))
+            predicted = theorem1_minimizer_family(f)
+            if found != predicted:
+                report.violations.append(
+                    {
+                        "scores": tuple(f.tolist()),
+                        "found": sorted(found),
+                        "predicted": sorted(predicted),
+                    }
+                )
     return report
 
 
-_PERM_CACHE: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def _perm_table(m: int) -> np.ndarray:
     """All permutations of range(m) in lexicographic order, one per row."""
-    if m not in _PERM_CACHE:
-        _PERM_CACHE[m] = np.array(list(itertools.permutations(range(m))), dtype=np.intp)
-    return _PERM_CACHE[m]
-
-
-def _half_respecting_table(n: int) -> np.ndarray:
-    """Index rows that permute the top n positions among themselves and the
-    bottom n among themselves, top permutation varying slowest. Row 0 is
-    the identity."""
-    p = _perm_table(n)
-    k = p.shape[0]
-    return np.hstack([np.repeat(p, k, axis=0), np.tile(p + n, (k, 1))])
+    return np.array(list(itertools.permutations(range(m))), dtype=np.intp)
 
 
 # Elements per (draws, states, pairs) temporary of the subset DP: draws go
@@ -267,6 +258,7 @@ def _half_respecting_table(n: int) -> np.ndarray:
 _DP_ELEMENTS = 1 << 20
 
 
+@functools.cache
 def _subset_levels(m: int):
     """Index tables of the subset DP over range(m).
 
@@ -291,110 +283,125 @@ def _subset_levels(m: int):
     return pi, pj, rank, levels
 
 
-def _least_exp_chunk(f: np.ndarray, tables):
-    """_least_listfold_exp on one chunk of draws, given _subset_levels(m)."""
-    c, m = f.shape
-    pi, pj, rank, levels = tables
-    # log A(S), log B(S): log-sums of e^f and e^-f over every subset, one
-    # bit at a time (the subsets holding bit b extend those below 2^b)
-    log_a = np.full((c, 1 << m), -np.inf)
-    log_b = np.full((c, 1 << m), -np.inf)
-    for b in range(m):
-        log_a[:, 1 << b : 2 << b] = np.logaddexp(log_a[:, : 1 << b], f[:, b : b + 1])
-        log_b[:, 1 << b : 2 << b] = np.logaddexp(log_b[:, : 1 << b], -f[:, b : b + 1])
-    # the better orientation of pair (i, j) puts the larger score on top
-    gain = np.abs(f[:, pi] - f[:, pj])
-    least = np.zeros((c, 1 << m))  # V(S); V(empty set) = 0
-    choice = []
-    for k, states, pairs, rest in levels:
-        cand = least[:, rest] - gain[:, pairs]
-        arg = cand.argmin(axis=2)
-        # log D(S) = log(A B - |S|), as losses._listfold_exp_denominators
-        log_ab = log_a[:, states] + log_b[:, states]
-        log_d = log_ab + np.log1p(-k * np.exp(-log_ab))
-        least[:, states] = log_d + np.take_along_axis(cand, arg[..., None], axis=2)[..., 0]
-        choice.append(arg)
-    # backtrack the argmin pairs from the full set inwards
-    rows = np.arange(c)
-    state = np.full(c, (1 << m) - 1)
-    order = np.empty((c, m), dtype=np.intp)
-    for s, ((_, _, pairs, _), arg) in enumerate(zip(levels[::-1], choice[::-1])):
-        at = rank[state]
-        p = pairs[at, arg[rows, at]]
-        i, j = pi[p], pj[p]
-        i_top = f[rows, i] >= f[rows, j]
-        order[:, s] = np.where(i_top, i, j)
-        order[:, m - 1 - s] = np.where(i_top, j, i)
-        state = state ^ (1 << i) ^ (1 << j)
-    return least[:, -1], order
+def _least_listfold(scores: np.ndarray, transform: Transform, restricted: bool = False):
+    """Least listfold loss over the orders of each row of a (draws, m)
+    block (m even), and every order within MINIMIZER_TOL of it.
 
+    Returns (least, near): least is (draws,), and near[r] is a (k, m) array
+    of row r's near-minimizer orders, as indices into the row (k >= 1). k
+    reaches m! on a row of equal scores, and sigmoid pair terms under 1e-9
+    (score gaps over about 21) enlarge it alike.
 
-def _least_listfold_exp(scores: np.ndarray):
-    """Least exponential listfold loss over all orders of each row of a
-    (draws, m) block (m even), and one order reaching it, as (draws, m)
-    indices into the row.
-
-    Stage s's denominator D depends only on the set S of still unplaced
-    items, so the least loss over the orders of S is the Held-Karp subset
-    recursion V(S) = log D(S) + min over i != j in S of
-    [f_j - f_i + V(S - {i, j})], with i placed on top and j at the bottom:
-    2^m states instead of m! orders.
+    A stage's terms depend only on the set S of still unplaced items and
+    the pair it places: the stage term is log D(S) for exp and
+    log C(|S|, 2) for sgm, and placing i on top of j costs
+    -log psi(f_i - f_j). So the least loss over the orders of S is the
+    Held-Karp subset recursion V(S) = stage(S) + min over i != j in S of
+    [-log psi(f_i - f_j) + V(S - {i, j})]: 2^m states instead of m!
+    orders. restricted lets a stage pair only a top-half item (one of the
+    row's first m/2), on top, with a bottom-half one: the half-respecting
+    orders.
     """
     draws, m = scores.shape
-    tables = _subset_levels(m)
-    widest = max(pairs.size for _, _, pairs, _ in tables[3])
-    step = max(1, _DP_ELEMENTS // widest)
+    pi, pj, _, levels = _subset_levels(m)
+    step = max(1, _DP_ELEMENTS // max(pairs.size for _, _, pairs, _ in levels))
     least = np.empty(draws)
-    order = np.empty((draws, m), dtype=np.intp)
+    near = []
     for lo in range(0, draws, step):
-        least[lo : lo + step], order[lo : lo + step] = _least_exp_chunk(
-            scores[lo : lo + step], tables)
-    return least, order
+        f = scores[lo : lo + step]
+        # cost[r, i, j]: item i on top of item j; a barred pair costs inf
+        cost = -transform.log_terms(f[:, :, None] - f[:, None, :])[0]
+        if restricted:
+            top = np.arange(m) < m // 2
+            cost[:, ~(top[:, None] & ~top)] = np.inf
+        best = np.minimum(cost[:, pi, pj], cost[:, pj, pi])
+        if transform.kind == "exponential":
+            # log A(S), log B(S): log-sums of e^f and e^-f over every
+            # subset, one bit at a time (those holding bit b extend those below 2^b)
+            log_a = np.full((len(f), 1 << m), -np.inf)
+            log_b = np.full((len(f), 1 << m), -np.inf)
+            for b in range(m):
+                log_a[:, 1 << b : 2 << b] = np.logaddexp(log_a[:, : 1 << b], f[:, b : b + 1])
+                log_b[:, 1 << b : 2 << b] = np.logaddexp(log_b[:, : 1 << b], -f[:, b : b + 1])
+        v = np.zeros((len(f), 1 << m))  # V(empty set) = 0
+        for k, states, pairs, rest in levels:
+            if transform.kind == "exponential":
+                # log D(S) = log(A B - |S|), as losses._listfold_exp_denominators
+                log_ab = log_a[:, states] + log_b[:, states]
+                stage = log_ab + np.log1p(-k * np.exp(-log_ab))
+            else:
+                stage = math.log(k * (k - 1) / 2)
+            v[:, states] = stage + (v[:, rest] + best[:, pairs]).min(axis=2)
+        least[lo : lo + step] = v[:, -1]
+        near += _near_minimizers(v, cost)
+    return least, near
 
 
-def _dp_witnesses(descending: np.ndarray):
-    """(row, order, its loss, descending loss) for each row of a (draws, m)
-    block of descending scores whose least exponential listfold loss, by
-    the subset DP, beats the descending order's by more than MINIMIZER_TOL."""
+def _near_minimizers(v: np.ndarray, cost: np.ndarray) -> list[np.ndarray]:
+    """Every order of each row whose loss is within MINIMIZER_TOL of V(full
+    set), split by row, from _least_listfold's table V and pair costs.
+
+    The walk places pairs from the outside in, over all rows at once. A
+    branch's slack is its loss so far plus V(unplaced) less V(full set):
+    placing a pair adds that pair's recursion term less the least one, and
+    a branch is kept while its slack fits in MINIMIZER_TOL.
+    """
+    c, m = cost.shape[:2]
+    pi, pj, rank, levels = _subset_levels(m)
+    row = np.arange(c)
+    state = np.full(c, (1 << m) - 1)
+    slack = np.zeros(c)
+    order = np.zeros((c, m), dtype=np.intp)
+    for s, (_, _, pairs, rest) in enumerate(levels[::-1]):
+        at = rank[state]
+        # both orientations of each pair inside the state
+        top = np.hstack([pi[pairs[at]], pj[pairs[at]]])
+        bottom = np.hstack([pj[pairs[at]], pi[pairs[at]]])
+        term = cost[row[:, None], top, bottom] + v[row[:, None], np.tile(rest[at], 2)]
+        term = slack[:, None] + (term - term.min(axis=1, keepdims=True))
+        keep, k = np.nonzero(term <= MINIMIZER_TOL)
+        row, slack, order = row[keep], term[keep, k], order[keep]
+        order[:, s], order[:, m - 1 - s] = top[keep, k], bottom[keep, k]
+        state = state[keep] ^ (1 << order[:, s]) ^ (1 << order[:, m - 1 - s])
+    return np.split(order, np.flatnonzero(np.diff(row)) + 1)
+
+
+def _dp_witnesses(descending: np.ndarray, restricted: bool = False):
+    """(row, order, least loss, descending loss) for each row of a (draws,
+    m) block of descending scores where the descending order is not the
+    unique exponential listfold minimizer: among the half-respecting orders
+    (restricted), another order within MINIMIZER_TOL of the least loss;
+    among all orders, a least loss below descending's by more than
+    MINIMIZER_TOL."""
     base = _table_losses(_LISTFOLD_EXP, descending)
-    least, orders = _least_listfold_exp(descending)
-    return [(r, descending[r, orders[r]], least[r], base[r])
-            for r in np.flatnonzero(least < base - MINIMIZER_TOL)]
+    least, near = _least_listfold(descending, _LISTFOLD_EXP.transform, restricted)
+    hits = []
+    for r, orders in enumerate(near):
+        if restricted:
+            orders = orders[np.any(orders != np.arange(orders.shape[1]), axis=1)]
+        elif least[r] >= base[r] - MINIMIZER_TOL:
+            continue
+        if len(orders):
+            hits.append((r, descending[r, orders[0]], least[r], base[r]))
+    return hits
 
 
 def verify_theorem2(trials: int, n_range, seed: int, restricted: bool = True) -> TheoremReport:
     """Check that exponential listfold is minimized by the descending sequence.
 
-    restricted mode enumerates only permutations that keep the top half in
-    the top positions (the proven statement) and demands uniqueness: that
-    needs every near-tied order, so it stays on enumeration (576 rows at
-    n = 4). unrestricted mode (the conjectured statement) compares the
-    descending loss with the exact least loss over all orders from the
-    subset DP, but keeps 2n <= ENUMERATION_CAP so both modes report on
-    the same draws. All-tied inputs are flagged degenerate.
+    restricted mode (the proven statement) demands that the descending
+    order is the only half-respecting order (top half kept in the top
+    positions) within MINIMIZER_TOL of their least loss. unrestricted mode
+    (the conjectured statement) compares the descending loss with the
+    least loss over all orders. Both take the subset DP, so n_range takes
+    any 1 <= n with 2n <= SEARCH_CAP. Tied inputs are flagged degenerate.
     """
-    n_range = tuple(int(n) for n in n_range)
-    if max(n_range) * 2 > ENUMERATION_CAP:
-        raise ValueError(f"n values must satisfy 2n <= {ENUMERATION_CAP}")
     mode = "restricted" if restricted else "unrestricted"
-    report = TheoremReport(f"theorem2-exponential-{mode}", seed, trials, n_range)
-    trials_by_n = itertools.groupby(_distinct_trials(report, np.random.default_rng(seed)),
-                                    key=lambda trial: trial[0])
-    for n, group in trials_by_n:
-        draws = np.array([f for _, f in group])
+    report = TheoremReport(f"theorem2-exponential-{mode}", seed, trials,
+                           tuple(int(n) for n in n_range))
+    for _, draws in _distinct_draws(report, np.random.default_rng(seed)):
         descending = np.sort(draws, axis=1)[:, ::-1]
-        hits = []  # (draw, order, its loss, descending loss)
-        if restricted:
-            index = _half_respecting_table(n)  # row 0 is the identity
-            for r, row in enumerate(descending):
-                losses = _table_losses(_LISTFOLD_EXP, row[index])
-                # uniqueness: no other half-respecting order may tie or beat it
-                ties = np.flatnonzero(losses[1:] <= losses[0] + MINIMIZER_TOL) + 1
-                if ties.size:
-                    hits.append((r, row[index[ties[0]]], losses[ties[0]], losses[0]))
-        else:
-            hits = _dp_witnesses(descending)
-        for r, perm, loss, base_loss in hits:
+        for r, perm, loss, base_loss in _dp_witnesses(descending, restricted):
             report.violations.append(
                 {"scores": tuple(draws[r].tolist()), "permutation": tuple(perm.tolist()),
                  "loss": float(loss), "descending_loss": float(base_loss)}
@@ -439,8 +446,8 @@ def counterexample_search(budget: int, size: int, distribution: str = "uniform",
     """Hunt for multisets where descending does not globally minimize the
     exponential listfold loss. Returns every witness found (expected none).
 
-    A draw's witness is a least-loss order, found by the exact subset DP,
-    which lets size reach SEARCH_CAP.
+    The exact subset DP gives each draw's least loss, which lets size reach
+    SEARCH_CAP; a draw's witness is an order within MINIMIZER_TOL of it.
     """
     if size % 2 != 0 or not 2 <= size <= SEARCH_CAP:
         raise ValueError(f"size must be even and in [2, {SEARCH_CAP}]")

@@ -1,12 +1,16 @@
 """Test oracles for ``listfold.consistency``: the former order-sensitivity
 probe, which recounts the discordant pairs of every swapped order and
-evaluates the distinct orders of the multiset itself, and the former
-theorem-1 family, built one member at a time in a Python loop.
+evaluates the distinct orders of the multiset itself, the former
+theorem-1 family, built one member at a time in a Python loop, and the
+former table of half-respecting orders, which the restricted theorem-2
+check evaluated row by row.
 
 The live ``order_sensitivity_probe`` reads its orders and losses from
 ``enumerate_losses`` and tests ``perm[i] < perm[j]`` in place of the
-recount, and the live ``theorem1_minimizer_family`` fills its members from
-``_perm_table``. Both must return what these do.
+recount, the live ``theorem1_minimizer_family`` fills its members from
+``_perm_table``, and the subset DP's restricted near-minimizer sets must be
+the near-minimizer rows of ``half_respecting_table``. Each must return what
+these do.
 """
 
 from __future__ import annotations
@@ -15,7 +19,13 @@ import itertools
 
 import numpy as np
 
-from listfold.consistency import MINIMIZER_TOL, SwapRecord, _as_scores, _table_losses
+from listfold.consistency import (
+    MINIMIZER_TOL,
+    SwapRecord,
+    _as_scores,
+    _perm_table,
+    _table_losses,
+)
 from listfold.losses import LossSpec
 
 
@@ -67,3 +77,12 @@ def theorem1_minimizer_family(scores) -> frozenset[tuple[float, ...]]:
             seq[len(s) - 1 - slot] = pairs[j][1]
         family.add(tuple(seq))
     return frozenset(family)
+
+
+def half_respecting_table(n: int) -> np.ndarray:
+    """Index rows that permute the top n positions among themselves and the
+    bottom n among themselves, top permutation varying slowest. Row 0 is
+    the identity."""
+    p = _perm_table(n)
+    k = p.shape[0]
+    return np.hstack([np.repeat(p, k, axis=0), np.tile(p + n, (k, 1))])

@@ -313,9 +313,48 @@ class TestVerifyCommand:
                    "--seed", "2", "--out", str(out)])
         assert rc == 0
         text = (out / "verify_report.txt").read_text()
-        # the theorem checks keep to n = 2; only the search takes size 10
-        assert text.count("n_values=[2]") == 3
+        # every check runs at every requested size
+        assert text.count("n_values=[2, 5]") == 3
         assert "counterexample search witnesses: 0" in text
+
+    @pytest.mark.parametrize("budget", [0, 1, 6, 9])
+    def test_budget_draws_exactly_that_many_per_size(self, tmp_path, monkeypatch, budget):
+        from listfold import consistency
+
+        asked = []
+        search = consistency.counterexample_search
+
+        def recording(draws, size, distribution, seed=0):
+            asked.append((size, distribution, draws))
+            return search(draws, size, distribution, seed)
+
+        monkeypatch.setattr(consistency, "counterexample_search", recording)
+        assert main(["verify", "--trials", "1", "--sizes", "2,4", "--budget", str(budget),
+                     "--out", str(tmp_path / "v")]) == 0
+        for size in (2, 4):
+            draws = [d for s, _, d in asked if s == size]
+            assert sum(draws) == budget
+            # the remainder goes to the first distributions, one draw each
+            assert draws == sorted(draws, reverse=True) and max(draws) - min(draws) <= 1
+
+    def test_empty_sizes_is_a_config_error(self, tmp_path, capsys):
+        assert main(["verify", "--sizes", "", "--out", str(tmp_path / "v")]) == 1
+        assert "sizes" in capsys.readouterr().err
+
+    def test_repeated_size_is_searched_once(self, tmp_path, monkeypatch):
+        from listfold import consistency
+
+        sizes = []
+        search = consistency.counterexample_search
+
+        def recording(draws, size, distribution, seed=0):
+            sizes.append(size)
+            return search(draws, size, distribution, seed)
+
+        monkeypatch.setattr(consistency, "counterexample_search", recording)
+        assert main(["verify", "--trials", "1", "--sizes", "4,4", "--budget", "8",
+                     "--out", str(tmp_path / "v")]) == 0
+        assert sizes == [4, 4, 4, 4]  # one call per distribution
 
     def test_non_integer_size_is_a_config_error(self, tmp_path, capsys):
         assert main(["verify", "--sizes", "a", "--out", str(tmp_path / "v")]) == 1

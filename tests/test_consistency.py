@@ -25,7 +25,7 @@ from listfold.consistency import (
     _DISTRIBUTIONS,
     _categorical_columns,
     _classify,
-    _least_listfold_exp,
+    _least_listfold,
     _order_counts,
     _perm_table,
     _sample_scores,
@@ -53,6 +53,10 @@ ALL_SPECS = [FOLD_EXP, FOLD_SGM, MLE_EXP, LossSpec("mse"),
 # integer ties, signed zeros and plain floats, mixed within one list
 _LAB_SCORES = st.one_of(st.integers(-2, 2).map(float), st.sampled_from([0.0, -0.0]),
                         st.floats(-5.0, 5.0, allow_nan=False))
+
+# even-length lists on a 0.5 grid, so ties are common
+_GRID_SCORES = st.sampled_from([2, 4, 6, 8]).flatmap(
+    lambda m: st.lists(st.integers(-4, 4).map(lambda k: k / 2), min_size=m, max_size=m))
 
 
 class TestEnumerate:
@@ -160,6 +164,22 @@ class TestTheorem1:
         b = verify_theorem1(10, [1, 2], seed=7).summary()
         assert a == b
 
+    def test_no_violations_past_the_enumeration_cap(self):
+        report = verify_theorem1(3, [5, 6, 7], seed=102)
+        assert report.passed
+        assert report.trials_run == 9
+
+
+@pytest.mark.parametrize("check", [
+    verify_theorem1,
+    lambda trials, n_range, seed: verify_theorem2(trials, n_range, seed, restricted=True),
+    lambda trials, n_range, seed: verify_theorem2(trials, n_range, seed, restricted=False),
+])
+@pytest.mark.parametrize("n_range", [[], [0, 1], [2, 8]])
+def test_theorem_checks_name_the_size_bound(check, n_range):
+    with pytest.raises(ValueError, match=f"1 <= n and 2n <= {SEARCH_CAP}"):
+        check(1, n_range, 0)
+
 
 class TestTheorem2:
     def test_restricted_no_violations(self):
@@ -169,6 +189,29 @@ class TestTheorem2:
     def test_unrestricted_no_violations(self):
         report = verify_theorem2(40, [1, 2, 3, 4], seed=33, restricted=False)
         assert report.passed
+
+    @pytest.mark.parametrize("restricted", [True, False])
+    def test_no_violations_past_the_enumeration_cap(self, restricted):
+        report = verify_theorem2(3, [5, 6, 7], seed=34, restricted=restricted)
+        assert report.passed
+        assert report.trials_run == 9
+
+    def test_restricted_violation_names_the_other_near_minimizer(self, monkeypatch):
+        # an engine that finds a second half-respecting order as good as
+        # descending: uniqueness fails and the report shows that order
+        def rigged(descending, transform, restricted=False):
+            base = evaluate_loss(FOLD_EXP, descending, with_gradient=False).value
+            swap = [[1, 0, 2, 3]] if descending.shape[1] == 4 else [[0, 1]]
+            return base, [np.array([list(range(descending.shape[1]))] + swap)
+                          for _ in descending]
+
+        monkeypatch.setattr(consistency, "_least_listfold", rigged)
+        report = verify_theorem2(2, [2], seed=35, restricted=True)
+        assert len(report.violations) == 2
+        for v in report.violations:
+            top = sorted(v["scores"], reverse=True)
+            assert v["permutation"] == (top[1], top[0], top[2], top[3])
+            assert v["loss"] == v["descending_loss"]
 
     def test_all_equal_scores_degenerate(self):
         rep = enumerate_losses([1.0, 1.0, 1.0, 1.0], FOLD_EXP)
@@ -207,14 +250,14 @@ class TestCounterexampleSearch:
         assert counterexample_search(3, SEARCH_CAP, "normal", seed=17) == []
 
     def test_witness_is_the_dp_order(self, monkeypatch):
-        # a DP that reports the ascending order 1 below descending: the
+        # an engine that reports the ascending order 1 below descending: the
         # search must turn it into a witness with that order and loss
-        def rigged(descending):
+        def rigged(descending, transform, restricted=False):
             base = evaluate_loss(FOLD_EXP, descending, with_gradient=False).value
             m = descending.shape[1]
-            return base - 1.0, np.tile(np.arange(m)[::-1], (len(descending), 1))
+            return base - 1.0, [np.arange(m)[::-1][None, :] for _ in descending]
 
-        monkeypatch.setattr(consistency, "_least_listfold_exp", rigged)
+        monkeypatch.setattr(consistency, "_least_listfold", rigged)
         witnesses = counterexample_search(3, 6, "uniform", seed=18)
         assert len(witnesses) == 3
         for w in witnesses:
@@ -222,43 +265,82 @@ class TestCounterexampleSearch:
             assert w.gap == pytest.approx(1.0, abs=1e-12)
 
 
+def _near_values(f, orders):
+    """The near-minimizer orders of f as a set of value tuples."""
+    return frozenset(map(tuple, f[orders].tolist()))
+
+
 class TestSubsetDP:
-    """The exact subset DP against the enumeration oracle."""
+    """The exact subset DP and its near-minimizer walk against enumeration."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([2, 4, 6, 8]), st.sampled_from(_DISTRIBUTIONS),
-           st.integers(0, 2**32 - 1))
-    def test_minimum_and_order_match_enumeration(self, m, dist, seed):
+           st.sampled_from([FOLD_EXP, FOLD_SGM]), st.integers(0, 2**32 - 1))
+    def test_minimum_and_order_match_enumeration(self, m, dist, spec, seed):
         rng = np.random.default_rng(seed)
         draws = np.array([_sample_scores(rng, m, dist) for _ in range(3)])
-        least, order = _least_listfold_exp(draws)
-        rescored = evaluate_loss(FOLD_EXP, np.take_along_axis(draws, order, axis=1),
-                                 with_gradient=False).value
-        for f, v, o, r in zip(draws, least, order, rescored):
-            assert abs(_table_losses(FOLD_EXP, f[_perm_table(m)]).min() - v) <= 1e-12
-            assert sorted(o.tolist()) == list(range(m))
-            assert abs(r - v) <= 1e-12
+        least, near = _least_listfold(draws, spec.transform)
+        for f, v, orders in zip(draws, least, near):
+            assert abs(_table_losses(spec, f[_perm_table(m)]).min() - v) <= 1e-12
+            assert all(sorted(o) == list(range(m)) for o in orders.tolist())
+            rescored = _table_losses(spec, f[orders])
+            assert np.all(rescored <= v + MINIMIZER_TOL + 1e-12)
+            assert np.abs(rescored - v).min() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([FOLD_EXP, FOLD_SGM]), _GRID_SCORES)
+    def test_near_minimizer_sets_equal_enumeration_with_ties(self, spec, scores):
+        f = np.asarray(scores)
+        _, near = _least_listfold(f[None, :], spec.transform)
+        assert _near_values(f, near[0]) == enumerate_losses(f, spec).minimizers
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([FOLD_EXP, FOLD_SGM]), _GRID_SCORES)
+    def test_restricted_sets_equal_half_respecting_table(self, spec, scores):
+        # the near-minimizer rows of the table of half-respecting orders
+        f = np.asarray(scores)
+        index = consistency_oracle.half_respecting_table(f.size // 2)
+        losses = _table_losses(spec, f[index])
+        least, near = _least_listfold(f[None, :], spec.transform, restricted=True)
+        assert abs(losses.min() - least[0]) <= 1e-12
+        want = {tuple(row) for row in index[losses <= losses.min() + MINIMIZER_TOL].tolist()}
+        assert set(map(tuple, near[0].tolist())) == want
+
+    def test_sigmoid_family_at_length_fourteen(self):
+        f = np.random.default_rng(3).uniform(-3.0, 3.0, size=(2, 14))
+        _, near = _least_listfold(f, Transform("sigmoid"))
+        for row, orders in zip(f, near):
+            assert len(orders) == math.factorial(7)
+            assert _near_values(row, orders) == theorem1_minimizer_family(row)
 
     @pytest.mark.parametrize("m", [8, 14])
     def test_finite_at_extreme_spreads(self, m):
         rng = np.random.default_rng(m)
         draws = rng.uniform(-1e4, 1e4, size=(6, m))
         draws[:, 0] = [-1e4, 1e4, -1e4, 1e4, -1e4, 1e4]
-        least, order = _least_listfold_exp(draws)
-        assert np.all(np.isfinite(least))
-        rescored = evaluate_loss(FOLD_EXP, np.take_along_axis(draws, order, axis=1),
-                                 with_gradient=False).value
-        # each stage's log D and score gap are ~1e4 and cancel, so the two
-        # summation orders agree to 1e-12 of the spread, not absolutely
-        assert np.allclose(rescored, least, rtol=0.0, atol=1e-12 * 1e4)
+        # at such spreads every sigmoid pair term of a right-way-up pair
+        # rounds to 0, so the sigmoid near-minimizer set is most orders
+        for spec in [FOLD_EXP, FOLD_SGM] if m == 8 else [FOLD_EXP]:
+            least, near = _least_listfold(draws, spec.transform)
+            assert np.all(np.isfinite(least))
+            for f, v, orders in zip(draws, least, near):
+                assert all(sorted(o) == list(range(m)) for o in orders.tolist())
+                rescored = _table_losses(spec, f[orders])
+                # each stage's log D and score gap are ~1e4 and cancel, so the
+                # summation orders agree to 1e-12 of the spread, not absolutely
+                assert np.allclose(rescored, v, rtol=0.0, atol=1e-12 * 1e4 + MINIMIZER_TOL)
 
     def test_chunks_agree_with_one_block(self, monkeypatch):
         draws = np.random.default_rng(19).normal(0.0, 2.0, size=(7, 10))
-        whole = _least_listfold_exp(draws)
-        monkeypatch.setattr(consistency, "_DP_ELEMENTS", 1)
-        chunked = _least_listfold_exp(draws)
-        assert np.array_equal(whole[0], chunked[0])
-        assert np.array_equal(whole[1], chunked[1])
+        for restricted in (False, True):
+            whole = _least_listfold(draws, Transform("exponential"), restricted)
+            monkeypatch.setattr(consistency, "_DP_ELEMENTS", 1)
+            chunked = _least_listfold(draws, Transform("exponential"), restricted)
+            monkeypatch.undo()
+            assert np.array_equal(whole[0], chunked[0])
+            assert len(whole[1]) == len(chunked[1]) == len(draws)
+            for a, b in zip(whole[1], chunked[1]):
+                assert np.array_equal(a, b)
 
 
 class TestOrderSensitivityProbe:

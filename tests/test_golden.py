@@ -38,7 +38,7 @@ GOLDEN = {
 
 VERIFY_GOLDEN = {
     "enumeration_5410.csv": "dec5d749893d54d8d91e2e24e7aa6b75d34d15f5cc195e4925e206c8ae352eaf",
-    "verify_report.txt": "943248a9f26058978bd8555e17335e9cc9939852cd1aa4a283388da9ece583df",
+    "verify_report.txt": "b217668bb15eba452fbe52a3a8558e9f0c58135e1bfbd89f9c68806da240bfd7",
 }
 
 
