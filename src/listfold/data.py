@@ -447,7 +447,8 @@ def apply_norm_params(factors: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -
     span = maxs - mins
     degenerate = span == 0
     safe_span = np.where(degenerate, 1.0, span)
-    scaled = (factors - mins) / safe_span
+    scaled = factors - mins
+    scaled /= safe_span
     scaled[..., degenerate] = 0.5
     return scaled
 

@@ -133,6 +133,10 @@ def forward_cached(net: ScoringNet, features: np.ndarray, workspace: dict | None
     The activations are written into its arrays, so a later call with the
     same workspace overwrites the scores and cache of this one. Without a
     workspace every call gets fresh arrays.
+
+    backward spends the cache: it writes its deltas over the hidden
+    activations cache[1:-1]. The features cache[0] and the output cache[-1],
+    and so the returned scores, are left as they were.
     """
     if workspace is None:
         workspace = {}
@@ -165,10 +169,14 @@ def backward(net: ScoringNet, cache, dscores: np.ndarray, workspace: dict | None
     activations list forward_cached returned.
 
     ReLU subgradient at exactly 0 is taken as 0: the mask is activation > 0.
-    The gradients and the deltas between layers are written into workspace
-    arrays (see forward_cached), so a later call with the same workspace
-    overwrites the gradients this one returned. Without a workspace every
-    call gets fresh arrays.
+    The cache is spent: a hidden activation's last uses are its own mask
+    and its layer's weight gradient, after which the delta for that layer
+    is written over it. So cache[1:-1] holds deltas on return; cache[0]
+    (the features) and cache[-1] (the scores) are not touched. The top
+    layer's (rows, 1) delta, the masks and the gradients are written into
+    workspace arrays (see forward_cached), so a later call with the same
+    workspace overwrites the gradients this one returned. Without a
+    workspace every call gets fresh arrays.
     """
     if workspace is None:
         workspace = {}
@@ -176,17 +184,19 @@ def backward(net: ScoringNet, cache, dscores: np.ndarray, workspace: dict | None
     grad_w = [None] * len(net.weights)
     grad_b = [None] * len(net.biases)
     delta = np.asarray(dscores, dtype=float)[:, None]
+    if net.final_relu:
+        out = cache[-1]
+        mask = np.greater(out, 0.0, out=_buffer(workspace, "mask", last, out.shape, bool))
+        delta = np.multiply(delta, mask, out=_buffer(workspace, "delta", last, out.shape))
     for i in range(last, -1, -1):
-        if i < last or net.final_relu:
-            out = cache[i + 1]
-            mask = np.greater(out, 0.0, out=_buffer(workspace, "mask", i, out.shape, bool))
-            delta = np.multiply(delta, mask, out=_buffer(workspace, "delta", i, out.shape))
         w = net.weights[i]
         grad_w[i] = np.matmul(cache[i].T, delta, out=_buffer(workspace, "grad_w", i, w.shape))
         grad_b[i] = np.sum(delta, axis=0, out=_buffer(workspace, "grad_b", i, (w.shape[1],)))
         if i > 0:
-            delta = np.matmul(delta, w.T,
-                              out=_buffer(workspace, "delta", i - 1, (len(delta), w.shape[0])))
+            h = cache[i]
+            mask = np.greater(h, 0.0, out=_buffer(workspace, "mask", i - 1, h.shape, bool))
+            delta = np.matmul(delta, w.T, out=h)
+            np.multiply(delta, mask, out=delta)
     return grad_w, grad_b
 
 

@@ -1,5 +1,7 @@
 """Panel ingestion, normalization, labels, windows, synthetic data."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from listfold.data import (
     rolling_windows,
     save_panel,
     WindowPlan,
+    apply_norm_params,
 )
 from listfold.metrics import spearman_ic
 
@@ -152,6 +155,32 @@ class TestMinMaxNormalize:
         refit = fit_norm_params(panel.slice_weeks(0, 20), WindowPlan((0, 20), (20, 20)))
         np.testing.assert_array_equal(plan.norm_params[0], refit.norm_params[0])
         np.testing.assert_array_equal(plan.norm_params[1], refit.norm_params[1])
+
+    def test_apply_matches_expression_and_keeps_input(self):
+        rng = np.random.default_rng(3)
+        factors = rng.normal(size=(5, 4, 3))
+        factors[1, 2, 0] = np.nan
+        before = factors.copy()
+        mins, maxs = np.array([-1.0, 0.5, 2.0]), np.array([1.0, 0.5, 3.0])
+        out = apply_norm_params(factors, mins, maxs)
+        want = (factors - mins) / np.array([2.0, 1.0, 1.0])
+        want[..., 1] = 0.5
+        assert out.tobytes() == want.tobytes()
+        assert factors.tobytes() == before.tobytes()
+
+    def test_apply_peak_is_its_output(self):
+        # a 316-week window of the headline shape: the two-temporary
+        # expression peaked at 2.0x the output's bytes
+        factors = generate_synthetic_panel(1, weeks=316, stocks=80, factors=68,
+                                           signal_strength=0.5).factors
+        mins, maxs = np.nanmin(factors, axis=(0, 1)), np.nanmax(factors, axis=(0, 1))
+        tracemalloc.start()
+        try:
+            out = apply_norm_params(factors, mins, maxs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.nbytes
 
 
 class TestDecileLabels:

@@ -1,5 +1,7 @@
 """Network shapes, manual backprop, training loop contracts, checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from listfold.data import (
     fit_norm_params,
     generate_synthetic_panel,
     minmax_normalize,
+    ranked_train_weeks,
     rolling_windows,
 )
 from listfold.losses import LossSpec, Transform, evaluate_loss
@@ -387,10 +390,12 @@ class TestWorkspace:
         x[7, 2] = np.nan
         x[9, 0] = np.inf
         dscores = rng.normal(size=40)
-        want_scores, want_w, want_b = reference_backward(net, x, dscores)
+        y = rng.uniform(-1, 1, (40, 5))
         workspace: dict = {}
-        for _ in range(2):  # the second pass runs on reused buffers
-            scores, cache = forward_cached(net, x, workspace=workspace)
+        # later passes run on reused buffers whose activations backward spent
+        for feats in (x, y, x):
+            want_scores, want_w, want_b = reference_backward(net, feats, dscores)
+            scores, cache = forward_cached(net, feats, workspace=workspace)
             grad_w, grad_b = backward(net, cache, dscores, workspace=workspace)
             assert scores.tobytes() == want_scores.tobytes()
             for got, want in zip(grad_w + grad_b, want_w + want_b):
@@ -411,6 +416,48 @@ class TestWorkspace:
         s3, _ = forward_cached(net, x, workspace=workspace)
         s4, _ = forward_cached(net, x, workspace=workspace)
         assert np.shares_memory(s3, s4)
+
+    @pytest.mark.parametrize("final_relu", [True, False])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_backward_keeps_features_and_scores(self, final_relu, shared):
+        rng = np.random.default_rng(2)
+        net = init_network(6, 5, final_relu=final_relu)
+        x = rng.uniform(-1, 1, (30, 6))
+        workspace = {} if shared else None
+        scores, cache = forward_cached(net, x, workspace=workspace)
+        feats, want = cache[0].tobytes(), scores.tobytes()
+        backward(net, cache, rng.normal(size=30), workspace=workspace)
+        assert cache[0].tobytes() == feats
+        assert scores.tobytes() == want
+
+    def test_no_delta_buffer_beyond_the_top_layer(self):
+        net = init_network(6, 1)
+        workspace: dict = {}
+        _, cache = forward_cached(net, np.ones((30, 6)), workspace=workspace)
+        backward(net, cache, np.ones(30), workspace=workspace)
+        deltas = [shape for role, _, shape in workspace if role == "delta"]
+        assert deltas == [(30, 1)]
+
+    @pytest.mark.parametrize("model", ["listfold-exp", "mlp"])
+    @pytest.mark.parametrize("batches", [1, 2, 3])
+    def test_train_peak_is_features_plus_activations(self, model, batches):
+        # the backtest-train step: 32 weekly lists of 80 stocks, 68 factors.
+        # With a second set of per-layer delta buffers the peak was 2.2x
+        wp, local = normalized_window(weeks=40, stocks=80, factors=68,
+                                      train_len=32, test_len=8)
+        spec, reverse, final_relu = MODEL_SPECS[model]
+        lists = ranked_train_weeks(wp, local, require_even=spec.even_length)
+        cfg = TrainConfig(loss=spec, batch_size=32, total_batches=batches,
+                          final_relu=final_relu, seed=1, reverse_labels=reverse)
+        rows = 32 * 80
+        held = rows * sum(init_network(68, 0).layer_dims) * 8
+        tracemalloc.start()
+        try:
+            train(wp, local, cfg, lists=lists)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.4 * held
 
     @pytest.mark.parametrize("model", sorted(MODEL_SPECS))
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
