@@ -19,7 +19,6 @@ from .data import (
     fit_norm_params,
     generate_synthetic_panel,
     load_panel,
-    minmax_normalize,
     rolling_windows,
     save_panel,
 )

@@ -27,7 +27,6 @@ from .data import (
     WindowPlan,
     decile_labels,
     fit_norm_params,
-    minmax_normalize,
     ranked_train_weeks,
     rolling_windows,
 )
@@ -342,13 +341,20 @@ def train_window(panel: FactorPanel, plan: WindowPlan, models, config: BacktestC
                  window_index: int) -> tuple[FactorPanel, dict[str, ScoringNet]]:
     """Train every model of one rolling window.
 
-    The window is normalized once and its training lists are built once per
-    median-drop setting, then shared by all models. Returns the normalized
-    window panel (train and test weeks) and the networks by model. A
-    model's network does not depend on which other models train beside it,
-    so `listfold train` and `run_backtest` produce the same network.
+    The window's training lists are built once per median-drop setting from
+    raw views of the panel, then shared by all models. Each network carries
+    the plan's train-fitted norm_params (fitted here if the plan has none)
+    as its input map, so no normalized copy of the window is made. Returns
+    the window panel (raw views of the train and test weeks) and the
+    networks by model. A model's network does not depend on which other
+    models train beside it, so `listfold train` and `run_backtest` produce
+    the same network.
     """
-    wpanel = minmax_normalize(panel, plan)
+    if plan.norm_params is None:
+        plan = fit_norm_params(panel, plan)
+    if plan.test_range[0] != plan.train_range[1]:
+        raise DataError("test range must immediately follow train range")
+    wpanel = panel.slice_weeks(plan.train_range[0], plan.test_range[1])
     local = plan.localized()
     configs = {m: model_train_config(config, m, window_index) for m in models}
     # dropping the median stock changes nothing on an even universe
@@ -371,7 +377,7 @@ def train_window(panel: FactorPanel, plan: WindowPlan, models, config: BacktestC
 def _score_window(panel: FactorPanel, plan: WindowPlan, models, config: BacktestConfig,
                   window_index: int) -> tuple[list[str], dict[str, np.ndarray]]:
     """Test dates and (weeks, N) return-oriented scores of one window; the
-    window's normalized panel and training lists are freed on return."""
+    window's training lists are freed on return."""
     wpanel, nets = train_window(panel, plan, models, config, window_index)
     local = plan.localized()
     dates = list(wpanel.dates[local.test_range[0]:local.test_range[1]])
@@ -391,7 +397,7 @@ def run_backtest(panel: FactorPanel, strategies: list[StrategySpec],
     Scoring models are deduplicated across strategies and seeded per
     (model, window), so results do not depend on the strategy list's
     composition or on the thread count. Windows are trained and scored one
-    at a time, so only one normalized window is held in memory. A lineup
+    at a time, so only one window's training lists are held in memory. A lineup
     whose strategies carry more than one k raises ValueError, because the
     rank metrics are reported at a single k, and so does a k the panel's
     universe cannot hold; both are checked before any training.
@@ -399,8 +405,7 @@ def run_backtest(panel: FactorPanel, strategies: list[StrategySpec],
     k = _common_k(strategies)
     for strat in strategies:
         strat.check_universe(panel.n_stocks)
-    plans = [fit_norm_params(panel, p)
-             for p in rolling_windows(panel.n_weeks, config.train_len, config.test_len)]
+    plans = rolling_windows(panel.n_weeks, config.train_len, config.test_len)
     models = sorted({m for s in strategies for m in s.required_models()})
     parts = [_score_window(panel, plan, models, config, wi) for wi, plan in enumerate(plans)]
     test_dates = [d for dates, _ in parts for d in dates]

@@ -42,8 +42,6 @@ from .backtest import (
 )
 from .data import (
     DataError,
-    apply_norm_params,
-    fit_norm_params,
     generate_synthetic_panel,
     load_panel,
     rolling_windows,
@@ -55,7 +53,6 @@ from .neural import (
     config_digest,
     forward,
     load_checkpoint,
-    load_checkpoint_norm,
     save_checkpoint,
 )
 
@@ -367,14 +364,13 @@ def cmd_train(args) -> int:
     plans = rolling_windows(panel.n_weeks, config.train_len, config.test_len)
     if not 0 <= args.window < len(plans):
         raise DataError(f"window {args.window} out of range (0..{len(plans) - 1})")
-    plan = fit_norm_params(panel, plans[args.window])
-    # the same per-window training, seed and data the backtest uses
-    _, nets = train_window(panel, plan, [model], config, args.window)
+    # the same per-window training, seed, data and input map the backtest uses
+    _, nets = train_window(panel, plans[args.window], [model], config, args.window)
     net = nets[model]
     out = Path(args.checkpoint)
     out.parent.mkdir(parents=True, exist_ok=True)
     tc = model_train_config(config, model, args.window)
-    save_checkpoint(net, out, config_digest(tc), norm_params=plan.norm_params)
+    save_checkpoint(net, out, config_digest(tc))
     print(f"checkpoint written to {out}")
     return EXIT_OK
 
@@ -382,15 +378,12 @@ def cmd_train(args) -> int:
 def cmd_score(args) -> int:
     try:
         net = load_checkpoint(args.checkpoint)
-        norm = load_checkpoint_norm(args.checkpoint)
     except OSError as exc:
         raise DataError(f"cannot read checkpoint: {exc}") from exc
     try:
         panel = load_panel(args.panel)
-        feats = panel.week_features(args.week)
-        if norm is not None:
-            feats = apply_norm_params(feats, *norm)
-        scores = forward(net, feats)
+        # the checkpoint's input map scales the raw week
+        scores = forward(net, panel.week_features(args.week))
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     out = Path(args.out)

@@ -7,7 +7,7 @@ On-disk format is a flat CSV, one row per (date, stock):
 
 Every column other than date, stock and fwd_ret is a factor. A missing
 cell is NaN in the panel; a week that a ranked list is built from must
-have none.
+have none, and no infinite factor cell.
 
 Dates are ISO-8601 (YYYY-MM-DD) week identifiers, missing cells are empty
 strings, decimal point is ``.``, encoding UTF-8. ``save_panel`` writes the
@@ -440,14 +440,16 @@ def fit_norm_params(panel: FactorPanel, plan: WindowPlan) -> WindowPlan:
     return replace(plan, norm_params=(mins, maxs))
 
 
-def apply_norm_params(factors: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -> np.ndarray:
+def apply_norm_params(factors: np.ndarray, mins: np.ndarray, maxs: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """(x - min)/(max - min) along the last axis; constant factors map to
     the inert midpoint 0.5. Values outside the fitted range are allowed to
-    leave [0, 1]."""
+    leave [0, 1]. The result is written into out when given, which may be
+    factors itself."""
     span = maxs - mins
     degenerate = span == 0
     safe_span = np.where(degenerate, 1.0, span)
-    scaled = factors - mins
+    scaled = np.subtract(factors, mins, out=out)
     scaled /= safe_span
     scaled[..., degenerate] = 0.5
     return scaled
@@ -458,7 +460,9 @@ def minmax_normalize(panel: FactorPanel, plan: WindowPlan) -> FactorPanel:
     and return the panel sliced to the plan's train+test span.
 
     Test-window values may fall outside [0, 1]; constant factors map to the
-    inert midpoint 0.5.
+    inert midpoint 0.5. The backtest does not call this: its networks apply
+    the window's map to each row they read (ScoringNet.norm_params). This
+    whole-window copy is the reference that path is checked against.
     """
     if plan.norm_params is None:
         plan = fit_norm_params(panel, plan)
@@ -525,8 +529,9 @@ def build_ranked_batch(panel: FactorPanel, date: str, require_even: bool = False
     rets = panel.week_returns(date)
     if np.any(np.isnan(rets)):
         raise DataError(f"week {date}: missing forward returns")
-    if np.any(np.isnan(feats)):
-        raise DataError(f"week {date}: missing factor cells")
+    if not np.all(np.isfinite(feats)):
+        kind = "missing" if np.any(np.isnan(feats)) else "infinite"
+        raise DataError(f"week {date}: {kind} factor cells")
     if require_even and rets.size % 2 != 0:
         order = np.argsort(-rets, kind="stable")
         drop = order[rets.size // 2]

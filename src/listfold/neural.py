@@ -11,11 +11,13 @@ gradients are averaged over the batch.
 from __future__ import annotations
 
 import hashlib
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataError, FactorPanel, RankedBatch, WindowPlan, ranked_train_weeks
+from .data import (DataError, FactorPanel, RankedBatch, WindowPlan, apply_norm_params,
+                   ranked_train_weeks)
 from .losses import LossSpec, evaluate_loss
 
 __all__ = [
@@ -36,7 +38,6 @@ __all__ = [
     "score_week",
     "save_checkpoint",
     "load_checkpoint",
-    "load_checkpoint_norm",
 ]
 
 
@@ -49,20 +50,25 @@ class TrainingDivergenceError(RuntimeError):
 
 
 class CheckpointError(DataError):
-    """A checkpoint lacks a required array, or a parameter's shape disagrees
-    with its layer_dims."""
+    """A checkpoint is not an .npz of arrays, lacks a required array, or
+    holds an array whose shape disagrees with its layer_dims."""
 
 
 @dataclass
 class ScoringNet:
     """Shared scoring function: the same parameters map every stock's
-    factor vector to a scalar."""
+    factor vector to a scalar.
+
+    norm_params is the input map, the per-factor (min, max) of the window
+    the network was trained on: every row is min-max scaled with it
+    (apply_norm_params) before the first layer. None is the identity."""
 
     layer_dims: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     final_relu: bool
     seed: int
+    norm_params: tuple[np.ndarray, np.ndarray] | None = None
 
     def parameters(self):
         for w, b in zip(self.weights, self.biases):
@@ -122,12 +128,18 @@ def _buffer(workspace: dict, role: str, layer: int, shape: tuple, dtype=float) -
 
 
 def forward_cached(net: ScoringNet, features: np.ndarray, workspace: dict | None = None):
-    """Scores plus the cache backward needs.
+    """Scores plus the cache backward needs, from raw factor rows.
 
     The cache is the list of activations: cache[i] is the input of layer i
-    (cache[0] the features) and cache[-1] the network output, whose column
-    0 is the scores. No pre-activation is kept: a ReLU's mask is its output
-    > 0, which equals pre-activation > 0, NaN included.
+    (cache[0] the features after the net's input map) and cache[-1] the
+    network output, whose column 0 is the scores. No pre-activation is
+    kept: a ReLU's mask is its output > 0, which equals pre-activation > 0,
+    NaN included.
+
+    With an input map the mapped features are written into the workspace's
+    features array; when features is that array (as in train_step) it is
+    mapped in place, so no second copy of the rows is made. features is
+    otherwise left as it was.
 
     workspace is a dict of reusable arrays keyed by role, layer and shape.
     The activations are written into its arrays, so a later call with the
@@ -147,6 +159,9 @@ def forward_cached(net: ScoringNet, features: np.ndarray, workspace: dict | None
         raise ValueError(
             f"feature dimension {x.shape[1]} does not match network input {net.layer_dims[0]}"
         )
+    if net.norm_params is not None:
+        x = apply_norm_params(x, *net.norm_params,
+                              out=_buffer(workspace, "features", 0, x.shape))
     acts = [x]
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
@@ -299,7 +314,7 @@ def train_step(net: ScoringNet, batch: list[RankedBatch], spec: LossSpec,
     the averaged loss or the loss gradient is not finite: the exponential
     listfold gradient overflows at scores near 1e19 in magnitude while its
     value stays finite. workspace is passed on to forward_cached and backward, and
-    also holds the stacked features.
+    also holds the stacked features, which forward_cached maps in place.
     """
     if not batch:
         raise ValueError("empty batch")
@@ -337,10 +352,16 @@ def train(panel: FactorPanel, window: WindowPlan, config: TrainConfig,
     one window share them; the median stock of an odd universe must
     already be dropped for the listfold and naive_pt families. Every step
     reuses one workspace of arrays that this call owns.
+
+    The panel and lists hold raw factors. The network takes
+    window.norm_params as its input map, so it scales each row it reads,
+    in training and in every later forward pass; a window without
+    norm_params trains on the factors as they are.
     """
     if lists is None:
         lists = ranked_train_weeks(panel, window, require_even=config.loss.even_length)
     net = init_network(panel.n_factors, config.seed, final_relu=config.final_relu)
+    net.norm_params = window.norm_params
     if config.total_batches == 0:
         return net
     optimizer = make_optimizer(config.optimizer, config.learning_rate)
@@ -367,7 +388,7 @@ def train(panel: FactorPanel, window: WindowPlan, config: TrainConfig,
 
 
 def score_week(net: ScoringNet, panel: FactorPanel, week: str) -> np.ndarray:
-    """Scores aligned to panel.stocks for the given week."""
+    """Scores aligned to panel.stocks for the given week of a raw panel."""
     feats = panel.week_features(week)
     return forward(net, feats)
 
@@ -389,12 +410,14 @@ def config_digest(config: TrainConfig) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def save_checkpoint(net: ScoringNet, path, config_hash: str = "",
-                    norm_params=None) -> None:
-    """Flat .npz of layer dims and row-major parameter arrays; loading
-    reproduces forward outputs bit identically. When the model was trained
-    on min-max normalized factors, pass the fitted (min, max) pair so
-    scoring a raw panel later applies the same mapping."""
+# the checkpoint keys of a net's input map
+_NORM_KEYS = ("norm_min", "norm_max")
+
+
+def save_checkpoint(net: ScoringNet, path, config_hash: str = "") -> None:
+    """Flat .npz of layer dims and row-major parameter arrays, plus the
+    input map as norm_min and norm_max when the net has one; loading
+    reproduces forward outputs bit identically."""
     payload = {
         "layer_dims": np.asarray(net.layer_dims, dtype=np.int64),
         "final_relu": np.asarray([int(net.final_relu)], dtype=np.int64),
@@ -404,25 +427,42 @@ def save_checkpoint(net: ScoringNet, path, config_hash: str = "",
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         payload[f"w{i}"] = w
         payload[f"b{i}"] = b
-    if norm_params is not None:
-        payload["norm_min"], payload["norm_max"] = norm_params
+    if net.norm_params is not None:
+        payload.update(zip(_NORM_KEYS, net.norm_params))
     np.savez(path, **payload)
 
 
 def load_checkpoint(path) -> ScoringNet:
-    """The network saved by save_checkpoint. A missing array, or a w{i} /
-    b{i} whose shape disagrees with layer_dims, raises CheckpointError."""
-    with np.load(path, allow_pickle=False) as blob:
-        arrays = dict(blob)
+    """The network saved by save_checkpoint, its input map included. A file
+    that is not an .npz of plain arrays, a missing array, layer_dims of
+    fewer than two widths, a w{i} / b{i} whose shape disagrees with
+    layer_dims, and a norm_min without a norm_max (or the reverse) or of a
+    shape other than (layer_dims[0],) raise CheckpointError. A file that
+    cannot be opened raises OSError."""
+    try:
+        blob = np.load(path, allow_pickle=False)
+        if not isinstance(blob, np.lib.npyio.NpzFile):
+            raise ValueError("a single .npy array")
+        with blob:
+            arrays = dict(blob)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"{path}: not a checkpoint .npz ({exc})") from None
     missing = [key for key in ("layer_dims", "final_relu", "seed") if key not in arrays]
     if missing:
         raise CheckpointError(f"{path}: missing {', '.join(missing)}")
     dims = np.ravel(arrays["layer_dims"]).tolist()
+    if len(dims) < 2:
+        raise CheckpointError(f"{path}: layer_dims {dims} need an input and an output width")
+    shapes = {}
     for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        for key, shape in ((f"w{i}", (fan_in, fan_out)), (f"b{i}", (fan_out,))):
-            got = arrays[key].shape if key in arrays else "missing"
-            if got != shape:
-                raise CheckpointError(f"{path}: {key} is {got}, layer_dims {dims} need {shape}")
+        shapes[f"w{i}"], shapes[f"b{i}"] = (fan_in, fan_out), (fan_out,)
+    has_norm = any(key in arrays for key in _NORM_KEYS)
+    if has_norm:
+        shapes.update(dict.fromkeys(_NORM_KEYS, (dims[0],)))
+    for key, shape in shapes.items():
+        got = arrays[key].shape if key in arrays else "missing"
+        if got != shape:
+            raise CheckpointError(f"{path}: {key} is {got}, layer_dims {dims} need {shape}")
     n_layers = len(dims) - 1
     return ScoringNet(
         layer_dims=dims,
@@ -430,12 +470,5 @@ def load_checkpoint(path) -> ScoringNet:
         biases=[arrays[f"b{i}"] for i in range(n_layers)],
         final_relu=bool(arrays["final_relu"][0]),
         seed=int(arrays["seed"][0]),
+        norm_params=tuple(arrays[key] for key in _NORM_KEYS) if has_norm else None,
     )
-
-
-def load_checkpoint_norm(path):
-    """The (min, max) arrays stored with the checkpoint, or None."""
-    with np.load(path, allow_pickle=False) as blob:
-        if "norm_min" in blob:
-            return blob["norm_min"], blob["norm_max"]
-    return None

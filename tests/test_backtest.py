@@ -1,5 +1,6 @@
 """Portfolios, pnl accounting, stats fixtures, and the full rolling harness."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import metrics_oracle
 from listfold import backtest, metrics
 from listfold.backtest import (
+    MODEL_SPECS,
     BacktestConfig,
     PnlSeries,
     StrategySpec,
@@ -602,11 +604,18 @@ class TestCutoffHeatmap:
 
 
 class TestTrainWindow:
-    MODELS = ["listfold-exp", "listfold-sgm", "listmle", "listmle-rvs", "mlp"]
+    MODELS = sorted(MODEL_SPECS)
 
     def _setup(self, stocks):
+        """Window 1 (train weeks 10-59, test weeks 60-69) of a panel with a
+        factor constant over the training weeks, which maps to 0.5, and a
+        factor whose test weeks leave the fitted range."""
         panel = generate_synthetic_panel(36, weeks=70, stocks=stocks, factors=5,
                                          signal_strength=0.9, noise_scale=0.4)
+        factors = panel.factors.copy()
+        factors[10:60, :, 0] = 0.25
+        factors[60:, :, 1] *= 4.0
+        panel = replace(panel, factors=factors)
         cfg = BacktestConfig(train_len=50, test_len=10, batch_size=4, total_batches=6,
                              seed=2, levels=5)
         plan = fit_norm_params(panel, rolling_windows(panel.n_weeks, 50, 10)[1])
@@ -614,14 +623,28 @@ class TestTrainWindow:
 
     @pytest.mark.parametrize("stocks", [10, 11])
     def test_shared_lists_train_the_same_nets_as_standalone_training(self, stocks):
-        # on the odd universe the listfold models drop the median, the others do not
+        # the reference normalizes the window once and trains and scores
+        # networks without an input map on it; on the odd universe the
+        # listfold and naive-pt models drop the median, the others do not
         panel, cfg, plan = self._setup(stocks)
-        wpanel, nets = train_window(panel, plan, self.MODELS, cfg, 1)
+        _, nets = train_window(panel, plan, self.MODELS, cfg, 1)
+        dates, scores = backtest._score_window(panel, plan, self.MODELS, cfg, 1)
         alone = minmax_normalize(panel, plan)
+        test_block = alone.factors[plan.train_len:]
+        assert np.all(alone.factors[:, :, 0] == 0.5)
+        assert test_block.min() < 0.0 and test_block.max() > 1.0
+        plain = replace(plan.localized(), norm_params=None)
         for model in self.MODELS:
-            want = train(alone, plan.localized(), model_train_config(cfg, model, 1))
+            want = train(alone, plain, model_train_config(cfg, model, 1))
+            assert want.norm_params is None
+            assert nets[model].norm_params is plan.norm_params
             for p, q in zip(nets[model].parameters(), want.parameters()):
                 assert p.tobytes() == q.tobytes()
+            for t, date in enumerate(dates):
+                expected = forward(want, alone.week_features(date))
+                if MODEL_SPECS[model][1]:
+                    expected = -expected
+                assert scores[model][t].tobytes() == expected.tobytes()
 
     def test_model_does_not_depend_on_its_companions(self):
         panel, cfg, plan = self._setup(11)
@@ -629,6 +652,24 @@ class TestTrainWindow:
         _, alone = train_window(panel, plan, ["listmle"], cfg, 1)
         for p, q in zip(together["listmle"].parameters(), alone["listmle"].parameters()):
             assert p.tobytes() == q.tobytes()
+
+    def test_training_and_scoring_hold_no_copy_of_the_window(self):
+        # 400 training weeks of 40 stocks x 32 factors: the window's factors
+        # take 4.2 MB, a step's workspace on 2 lists of 40 rows under 0.1 MB.
+        # A normalized copy of the window peaked at 5.5 MB, 1.3x the window
+        panel = generate_synthetic_panel(3, weeks=410, stocks=40, factors=32,
+                                         signal_strength=0.9, noise_scale=0.4)
+        cfg = BacktestConfig(train_len=400, test_len=10, batch_size=2, total_batches=3,
+                             seed=1)
+        plan = rolling_windows(panel.n_weeks, 400, 10)[0]
+        window = panel.factors[plan.train_range[0]:plan.test_range[1]]
+        tracemalloc.start()
+        try:
+            backtest._score_window(panel, plan, ["listfold-exp", "mlp"], cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < window.nbytes
 
 
 class TestThreads:

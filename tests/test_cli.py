@@ -11,8 +11,8 @@ import pytest
 from listfold import cli
 from listfold.backtest import BacktestConfig, StrategySpec, run_backtest
 from listfold.cli import main, parse_config_file, build_run_config, ConfigError
-from listfold.data import DataError, apply_norm_params, load_panel, rolling_windows
-from listfold.neural import CheckpointError, forward, load_checkpoint, load_checkpoint_norm
+from listfold.data import DataError, load_panel, rolling_windows
+from listfold.neural import CheckpointError, forward, load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -495,9 +495,10 @@ class TestTrainScoreCommands:
             ck = tmp_path / f"{model}.npz"
             assert main(["train", "--config", str(base_config), "--model", model,
                          "--window", str(window), "--checkpoint", str(ck)]) == 0
-            net, norm = load_checkpoint(ck), load_checkpoint_norm(ck)
+            net = load_checkpoint(ck)
             for date in test_dates:
-                scores = forward(net, apply_norm_params(panel.week_features(date), *norm))
+                # the checkpoint carries the window's input map
+                scores = forward(net, panel.week_features(date))
                 # reverse-labeled models are stored return oriented, i.e. negated
                 assert (sign * scores).tobytes() == result.scores[model][date].tobytes()
 
@@ -525,6 +526,9 @@ class TestTrainScoreCommands:
     def _score_malformed(self, arrays, panel_csv, tmp_path):
         bad = tmp_path / "bad.npz"
         np.savez(bad, **arrays)
+        return self._score_bad_file(bad, panel_csv, tmp_path)
+
+    def _score_bad_file(self, bad, panel_csv, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(bad)
         panel = load_panel(panel_csv)
@@ -543,3 +547,39 @@ class TestTrainScoreCommands:
         assert self._score_malformed(checkpoint_arrays, panel_csv, tmp_path) == 2
         err = capsys.readouterr().err
         assert "data error:" in err and "w1" in err
+
+    @pytest.mark.parametrize("kind", ["text", "npy"])
+    def test_file_that_is_not_an_npz_is_a_data_error(self, kind, panel_csv, tmp_path,
+                                                      capsys):
+        # numpy's "pickled (object) data" ValueError ended in a traceback
+        bad = tmp_path / "bad.npz"
+        if kind == "text":
+            bad.write_text("date,stock\n")
+        else:
+            with open(bad, "wb") as fh:
+                np.save(fh, np.zeros(3))
+        assert self._score_bad_file(bad, panel_csv, tmp_path) == 2
+        assert "not a checkpoint .npz" in capsys.readouterr().err
+
+    def test_empty_layer_dims_is_a_data_error(self, checkpoint_arrays, panel_csv, tmp_path,
+                                              capsys):
+        # a net of no layers scored every stock by its first factor, exit 0
+        checkpoint_arrays["layer_dims"] = checkpoint_arrays["layer_dims"][:0]
+        assert self._score_malformed(checkpoint_arrays, panel_csv, tmp_path) == 2
+        assert "layer_dims [] need" in capsys.readouterr().err
+
+    def test_norm_min_without_norm_max_is_a_data_error(self, checkpoint_arrays, panel_csv,
+                                                       tmp_path, capsys):
+        # this ended in a KeyError traceback
+        del checkpoint_arrays["norm_max"]
+        assert self._score_malformed(checkpoint_arrays, panel_csv, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "data error:" in err and "norm_max is missing" in err
+
+    def test_norm_min_of_wrong_shape_is_a_data_error(self, checkpoint_arrays, panel_csv,
+                                                     tmp_path, capsys):
+        # this surfaced as numpy's broadcast message, naming no key
+        checkpoint_arrays["norm_min"] = checkpoint_arrays["norm_min"][:-1]
+        assert self._score_malformed(checkpoint_arrays, panel_csv, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "data error:" in err and "norm_min is (5,)" in err

@@ -167,6 +167,9 @@ class TestMinMaxNormalize:
         want[..., 1] = 0.5
         assert out.tobytes() == want.tobytes()
         assert factors.tobytes() == before.tobytes()
+        # the networks map their feature buffer in place
+        assert apply_norm_params(before, mins, maxs, out=before) is before
+        assert before.tobytes() == want.tobytes()
 
     def test_apply_peak_is_its_output(self):
         # a 316-week window of the headline shape: the two-temporary
@@ -316,6 +319,17 @@ class TestRankedBatch:
         fwd = np.array([[0.1, np.nan, 0.0, 0.2]])
         panel = tiny_panel(factors, fwd)
         with pytest.raises(DataError, match="missing forward returns"):
+            build_ranked_batch(panel, panel.dates[0])
+
+    @pytest.mark.parametrize("cell, kind", [(np.nan, "missing"), (np.inf, "infinite"),
+                                            (-np.inf, "infinite")])
+    def test_non_finite_factor_cell_rejected(self, cell, kind):
+        # the lists hold raw rows, so an infinite cell, which min-max
+        # scaling turns into NaN, is refused here as a missing one is
+        factors = np.zeros((1, 4, 2))
+        factors[0, 2, 1] = cell
+        panel = tiny_panel(factors, np.array([[0.1, 0.3, 0.0, 0.2]]))
+        with pytest.raises(DataError, match=f"{panel.dates[0]}: {kind} factor cells"):
             build_ranked_batch(panel, panel.dates[0])
 
     @pytest.mark.parametrize("stocks, require_even", [(1, False), (1, True), (0, False)])

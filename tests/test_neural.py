@@ -8,10 +8,10 @@ import pytest
 from listfold import neural
 from listfold.backtest import MODEL_SPECS
 from listfold.data import (
+    apply_norm_params,
     build_ranked_batch,
     fit_norm_params,
     generate_synthetic_panel,
-    minmax_normalize,
     ranked_train_weeks,
     rolling_windows,
 )
@@ -28,7 +28,6 @@ from listfold.neural import (
     forward_cached,
     init_network,
     load_checkpoint,
-    load_checkpoint_norm,
     save_checkpoint,
     score_week,
     train,
@@ -38,11 +37,13 @@ from listfold.neural import (
 FOLD_EXP = LossSpec("listfold", Transform("exponential"))
 
 
-def normalized_window(seed=0, weeks=90, stocks=12, factors=6, signal=1.0, noise=0.3,
-                      train_len=60, test_len=30):
+def raw_window(seed=0, weeks=90, stocks=12, factors=6, signal=1.0, noise=0.3,
+               train_len=60, test_len=30):
+    """The first window's raw panel and its localized plan, which carries the
+    train-fitted norm_params that train() gives the network as its input map."""
     panel = generate_synthetic_panel(seed, weeks, stocks, factors, signal, noise)
     plan = fit_norm_params(panel, rolling_windows(weeks, train_len, test_len)[0])
-    return minmax_normalize(panel, plan), plan.localized()
+    return panel.slice_weeks(0, train_len + test_len), plan.localized()
 
 
 class TestInit:
@@ -184,7 +185,7 @@ def build_batch_from_rows(features, returns):
 
 class TestTrainStep:
     def test_zero_learning_rate_keeps_parameters(self):
-        wp, local = normalized_window()
+        wp, local = raw_window()
         batch = build_ranked_batch(wp, wp.dates[0])
         net = init_network(wp.n_factors, 3)
         before = [p.copy() for p in net.parameters()]
@@ -216,14 +217,14 @@ class TestTrainStep:
         assert [p.tolist() for p in net.parameters()] == [[[1.0]], [0.0]]
 
     def test_non_finite_scores_raise_before_the_loss(self):
-        wp, _ = normalized_window()
+        wp, _ = raw_window()
         net = init_network(wp.n_factors, 3)
         net.biases[-1][:] = np.nan
         with pytest.raises(neural.NonFiniteLossError, match="scores"):
             train_step(net, [build_ranked_batch(wp, wp.dates[0])], FOLD_EXP, SgdState(lr=1e-3))
 
     def test_adam_moves_parameters(self):
-        wp, local = normalized_window()
+        wp, local = raw_window()
         batch = build_ranked_batch(wp, wp.dates[0])
         net = init_network(wp.n_factors, 3)
         before = [p.copy() for p in net.parameters()]
@@ -233,7 +234,7 @@ class TestTrainStep:
 
 class TestBatchedLoss:
     def _batch(self, weeks=4):
-        wp, _ = normalized_window()
+        wp, _ = raw_window()
         return wp, [build_ranked_batch(wp, wp.dates[i]) for i in range(weeks)]
 
     @pytest.mark.parametrize("spec", [FOLD_EXP, LossSpec("listmle", Transform("sigmoid")),
@@ -261,7 +262,7 @@ class TestBatchedLoss:
 
 class TestTrain:
     def test_zero_batches_returns_init(self):
-        wp, local = normalized_window()
+        wp, local = raw_window()
         cfg = TrainConfig(loss=FOLD_EXP, total_batches=0, seed=5)
         got = train(wp, local, cfg)
         want = init_network(wp.n_factors, 5)
@@ -269,7 +270,7 @@ class TestTrain:
             np.testing.assert_array_equal(p, q)
 
     def test_planted_signal_learned_out_of_window(self):
-        wp, local = normalized_window(seed=21, signal=1.0, noise=0.25)
+        wp, local = raw_window(seed=21, signal=1.0, noise=0.25)
         cfg = TrainConfig(loss=FOLD_EXP, batch_size=8, total_batches=60, seed=1)
         net = train(wp, local, cfg)
         ics = [
@@ -279,7 +280,7 @@ class TestTrain:
         assert float(np.mean(ics)) > 0.3
 
     def test_zero_signal_learns_nothing(self):
-        wp, local = normalized_window(seed=22, signal=0.0, noise=1.0)
+        wp, local = raw_window(seed=22, signal=0.0, noise=1.0)
         cfg = TrainConfig(loss=FOLD_EXP, batch_size=8, total_batches=60, seed=1)
         net = train(wp, local, cfg)
         ics = [
@@ -289,7 +290,7 @@ class TestTrain:
         assert abs(float(np.mean(ics))) < 0.1
 
     def test_deterministic_given_seed(self):
-        wp, local = normalized_window()
+        wp, local = raw_window()
         cfg = TrainConfig(loss=FOLD_EXP, batch_size=4, total_batches=15, seed=9)
         a, b = train(wp, local, cfg), train(wp, local, cfg)
         for p, q in zip(a.parameters(), b.parameters()):
@@ -297,7 +298,7 @@ class TestTrain:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_after_ten_bad_batches(self):
-        wp, local = normalized_window()
+        wp, local = raw_window()
         cfg = TrainConfig(loss=LossSpec("mse"), batch_size=4, total_batches=60,
                           learning_rate=1e25, optimizer="sgd", final_relu=False, seed=0)
         with pytest.raises(TrainingDivergenceError):
@@ -306,14 +307,14 @@ class TestTrain:
 
 class TestScoreWeek:
     def test_matches_forward_on_extracted_matrix(self):
-        wp, _ = normalized_window()
+        wp, _ = raw_window()
         net = init_network(wp.n_factors, 2)
         date = wp.dates[5]
         np.testing.assert_array_equal(score_week(net, wp, date),
                                       forward(net, wp.week_features(date)))
 
     def test_unknown_week_rejected(self):
-        wp, _ = normalized_window()
+        wp, _ = raw_window()
         from listfold.data import DataError
 
         with pytest.raises(DataError):
@@ -438,13 +439,33 @@ class TestWorkspace:
         deltas = [shape for role, _, shape in workspace if role == "delta"]
         assert deltas == [(30, 1)]
 
+    def test_input_map_writes_over_the_step_features(self):
+        # the step's stacked raw rows are scaled where they lie: one (rows, d)
+        # array per workspace, and the mapped rows are the whole-panel map's
+        wp, local = raw_window()
+        lists = ranked_train_weeks(wp, local)[:4]
+        net = init_network(wp.n_factors, 3)
+        net.norm_params = local.norm_params
+        workspace: dict = {}
+        train_step(net, lists, FOLD_EXP, SgdState(lr=0.0), workspace=workspace)
+        shape = (4 * wp.n_stocks, wp.n_factors)
+        assert [key for key in workspace if key[2] == shape] == [("features", 0, shape)]
+        feats = workspace[("features", 0, shape)]
+        want = apply_norm_params(np.concatenate([b.features for b in lists]),
+                                 *local.norm_params)
+        assert feats.tobytes() == want.tobytes()
+        # rows read from outside the workspace are left raw
+        raw = wp.week_features(wp.dates[0]).copy()
+        _, cache = forward_cached(net, raw)
+        assert cache[0].tobytes() == apply_norm_params(raw, *local.norm_params).tobytes()
+        assert raw.tobytes() == wp.week_features(wp.dates[0]).tobytes()
+
     @pytest.mark.parametrize("model", ["listfold-exp", "mlp"])
     @pytest.mark.parametrize("batches", [1, 2, 3])
     def test_train_peak_is_features_plus_activations(self, model, batches):
         # the backtest-train step: 32 weekly lists of 80 stocks, 68 factors.
         # With a second set of per-layer delta buffers the peak was 2.2x
-        wp, local = normalized_window(weeks=40, stocks=80, factors=68,
-                                      train_len=32, test_len=8)
+        wp, local = raw_window(weeks=40, stocks=80, factors=68, train_len=32, test_len=8)
         spec, reverse, final_relu = MODEL_SPECS[model]
         lists = ranked_train_weeks(wp, local, require_even=spec.even_length)
         cfg = TrainConfig(loss=spec, batch_size=32, total_batches=batches,
@@ -463,7 +484,7 @@ class TestWorkspace:
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     def test_shared_workspace_matches_fresh_workspace_per_step(self, model, optimizer,
                                                                 monkeypatch):
-        wp, local = normalized_window()
+        wp, local = raw_window()
         spec, reverse, final_relu = MODEL_SPECS[model]
         cfg = TrainConfig(loss=spec, batch_size=4, total_batches=8, learning_rate=1e-2,
                           optimizer=optimizer, final_relu=final_relu, seed=3,
@@ -485,14 +506,44 @@ class TestWorkspace:
 
 class TestCheckpoint:
     def test_roundtrip_reproduces_forward_bits(self, tmp_path):
-        wp, local = normalized_window()
+        wp, local = raw_window()
         cfg = TrainConfig(loss=FOLD_EXP, batch_size=4, total_batches=10, seed=4)
         net = train(wp, local, cfg)
+        assert net.norm_params is local.norm_params
         path = tmp_path / "model.npz"
-        save_checkpoint(net, path, "abc123", norm_params=(np.zeros(6), np.ones(6)))
+        save_checkpoint(net, path, "abc123")
         back = load_checkpoint(path)
         x = wp.week_features(wp.dates[0])
         assert forward(back, x).tobytes() == forward(net, x).tobytes()
-        mins, maxs = load_checkpoint_norm(path)
-        np.testing.assert_array_equal(mins, np.zeros(6))
-        np.testing.assert_array_equal(maxs, np.ones(6))
+        for got, want in zip(back.norm_params, local.norm_params):
+            assert got.tobytes() == want.tobytes()
+
+    def test_net_without_input_map_saves_none(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_checkpoint(init_network(6, 1), path)
+        with np.load(path) as blob:
+            assert "norm_min" not in blob and "norm_max" not in blob
+        assert load_checkpoint(path).norm_params is None
+
+    def test_earlier_layout_scores_the_same_bytes(self, tmp_path):
+        # a checkpoint written before the network carried its input map: the
+        # same npz keys, scored then by applying the stored map by hand
+        wp, local = raw_window()
+        cfg = TrainConfig(loss=FOLD_EXP, batch_size=4, total_batches=10, seed=4)
+        net = train(wp, local, cfg)
+        mins, maxs = local.norm_params
+        payload = {"layer_dims": np.asarray(net.layer_dims, dtype=np.int64),
+                   "final_relu": np.asarray([1], dtype=np.int64),
+                   "seed": np.asarray([net.seed], dtype=np.int64),
+                   "config_hash": np.asarray(["abc123"])}
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            payload[f"w{i}"], payload[f"b{i}"] = w, b
+        payload["norm_min"], payload["norm_max"] = mins, maxs
+        path = tmp_path / "old.npz"
+        np.savez(path, **payload)
+        back = load_checkpoint(path)
+        plain = ScoringNet(net.layer_dims, net.weights, net.biases, True, net.seed)
+        for date in wp.dates[local.test_range[0]:]:
+            raw = wp.week_features(date)
+            want = forward(plain, apply_norm_params(raw, mins, maxs))
+            assert forward(back, raw).tobytes() == want.tobytes()
