@@ -15,6 +15,7 @@ figure is the all-in round-trip cost per unit traded.
 from __future__ import annotations
 
 import concurrent.futures
+import math
 import zlib
 from dataclasses import dataclass, replace
 
@@ -25,6 +26,7 @@ from .data import (
     DataError,
     FactorPanel,
     WindowPlan,
+    _csv_fields,
     decile_labels,
     fit_norm_params,
     ranked_train_weeks,
@@ -213,12 +215,19 @@ MODEL_SPECS: dict[str, tuple[LossSpec, bool, bool]] = {
 class StrategySpec:
     """One row of the stats table: a scoring model, a portfolio mode and a
     cutoff. mode 'list2mle' ignores `model` and always pairs the listmle
-    and listmle-rvs models."""
+    and listmle-rvs models. A mode other than ls, sa or list2mle, or a model
+    that is not a MODEL_SPECS key, raises ValueError naming it."""
 
     name: str
     model: str
     mode: str  # "ls" | "sa" | "list2mle"
     k: int
+
+    def __post_init__(self):
+        if self.mode not in ("ls", "sa", "list2mle"):
+            raise ValueError(f"unknown portfolio mode {self.mode!r} (known: ls, sa, list2mle)")
+        if self.model not in MODEL_SPECS:
+            raise ValueError(f"unknown model {self.model!r} (known: {', '.join(MODEL_SPECS)})")
 
     def required_models(self) -> tuple[str, ...]:
         if self.mode == "list2mle":
@@ -298,6 +307,12 @@ class BacktestConfig:
         # decile_labels needs two relevance levels
         if self.levels < 2:
             raise ValueError("levels: must be >= 2")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate: must be finite and > 0")
+        if not (math.isfinite(self.cost_bps) and self.cost_bps >= 0):
+            raise ValueError("cost_bps: must be finite and >= 0")
+        if not math.isfinite(self.rf_annual):
+            raise ValueError("rf_annual: must be finite")
 
 
 @dataclass
@@ -417,15 +432,13 @@ def run_backtest(panel: FactorPanel, strategies: list[StrategySpec],
     overlap: dict[str, float] = {}
     for strat in strategies:
         if strat.mode == "list2mle":
-            long, short = build_list2mle(stacked["listmle"], stacked["listmle-rvs"],
-                                         panel.stocks, strat.k)
+            fwd, rvs = strat.required_models()
+            long, short = build_list2mle(stacked[fwd], stacked[rvs], panel.stocks, strat.k)
             overlap[strat.name] = float(np.mean(np.sum((long > 0) & (short > 0), axis=1)))
         elif strat.mode == "ls":
             long, short = build_long_short(stacked[strat.model], panel.stocks, strat.k)
-        elif strat.mode == "sa":
+        else:  # "sa"
             long, short = build_short_average(stacked[strat.model], panel.stocks, strat.k)
-        else:
-            raise ValueError(f"unknown portfolio mode {strat.mode!r}")
         pnl[strat.name] = book_pnl(long, short, returns, config.cost_bps, test_dates,
                                    panel.stocks)
         stats[strat.name] = compute_stats(pnl[strat.name], config.rf_annual)
@@ -514,47 +527,56 @@ def batch_size_grid(panel: FactorPanel, batch_sizes, strategies: list[StrategySp
     return names, sizes, grid
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _cell(value) -> str:
+    """A table cell that is not text: a float as its repr, so it reads back
+    bit for bit; an int as its digits; None (an undefined value) as empty;
+    a tuple (a permutation) as its entries' reprs, space separated and
+    always quoted."""
+    if value is None:
+        return ""
+    if isinstance(value, tuple):
+        return '"' + " ".join(map(repr, value)) + '"'
+    if isinstance(value, (int, np.integer)):
+        return str(value)
+    return repr(float(value))
+
+
+def _write_table(path, header, rows) -> None:
+    """Write a CSV table, its header row and then its rows, one line each
+    ended by a newline. A str cell is text, quoted where the csv module's
+    minimal rule needs it (as save_panel quotes ids and dates); every other
+    cell is written by _cell. Every results table listfold writes goes
+    through here; the panel CSV has its own writer, save_panel."""
+    table = [header, *rows]
+    quoted = iter(_csv_fields([v for row in table for v in row if isinstance(v, str)]))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(",".join(next(quoted) if isinstance(v, str) else _cell(v)
+                               for v in row) + "\n"
+                      for row in table)
 
 
 def write_stats_csv(path, stats: dict[str, StrategyStats]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("strategy,mu_excess,sigma,sharpe,mdd,trv\n")
-        for name in stats:
-            s = stats[name]
-            sharpe = _fmt(s.sharpe) if s.sharpe_defined else ""
-            fh.write(f"{name},{_fmt(s.mu_excess)},{_fmt(s.sigma)},{sharpe},"
-                     f"{_fmt(s.mdd)},{_fmt(s.trv)}\n")
+    _write_table(path, ["strategy", "mu_excess", "sigma", "sharpe", "mdd", "trv"],
+                 ([name, s.mu_excess, s.sigma, s.sharpe if s.sharpe_defined else None,
+                   s.mdd, s.trv] for name, s in stats.items()))
 
 
 def write_rankmetrics_csv(path, rank_metrics: dict[str, dict[str, float]]) -> None:
     cols = ["ic", "ndcg", "ndcg_at_k", "ndcg_at_minus_k", "ndcg_pm_k"]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("model," + ",".join(cols) + "\n")
-        for model in rank_metrics:
-            row = rank_metrics[model]
-            fh.write(model + "," + ",".join(_fmt(row[c]) for c in cols) + "\n")
+    _write_table(path, ["model", *cols],
+                 ([model, *(row[c] for c in cols)] for model, row in rank_metrics.items()))
 
 
 def write_pnl_csv(path, series: PnlSeries) -> None:
-    cum = series.cumulative
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("date,gross,cost,net,cumulative\n")
-        for i, date in enumerate(series.dates):
-            fh.write(f"{date},{_fmt(series.gross[i])},{_fmt(series.cost_paid[i])},"
-                     f"{_fmt(series.weekly_returns[i])},{_fmt(cum[i])}\n")
+    _write_table(path, ["date", "gross", "cost", "net", "cumulative"],
+                 zip(series.dates, series.gross, series.cost_paid, series.weekly_returns,
+                     series.cumulative))
 
 
 def write_heatmap_csv(path, models: list[str], ks: list[int], grid: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k," + ",".join(models) + "\n")
-        for row, k in enumerate(ks):
-            fh.write(str(k) + "," + ",".join(_fmt(v) for v in grid[row]) + "\n")
+    _write_table(path, ["k", *models], ([k, *cells] for k, cells in zip(ks, grid)))
 
 
 def write_batchgrid_csv(path, names: list[str], sizes: list[int], grid: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("batch_size," + ",".join(names) + "\n")
-        for row, bs in enumerate(sizes):
-            fh.write(str(bs) + "," + ",".join(_fmt(v) for v in grid[row]) + "\n")
+    _write_table(path, ["batch_size", *names],
+                 ([bs, *cells] for bs, cells in zip(sizes, grid)))

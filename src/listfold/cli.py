@@ -28,8 +28,8 @@ from .backtest import (
     STANDARD_MODELS,
     STRATEGY_NAMES,
     StrategySpec,
+    _write_table,
     cutoff_heatmap,
-    model_train_config,
     run_backtest,
     strategy_lineup,
     train_window,
@@ -50,7 +50,6 @@ from .data import (
 from .losses import LossSpec, Transform, listfold_loss
 from .neural import (
     TrainingDivergenceError,
-    config_digest,
     forward,
     load_checkpoint,
     save_checkpoint,
@@ -209,9 +208,8 @@ def cmd_backtest(args) -> int:
     write_rankmetrics_csv(out_dir / "rankmetrics.csv", result.rank_metrics)
     for name, series in result.pnl.items():
         write_pnl_csv(out_dir / f"pnl_{name}.csv", series)
-    hm_models = {m: result.scores[m] for m in result.scores}
     ks = list(range(1, panel.n_stocks // 2 + 1))
-    models, kvals, grid = cutoff_heatmap(hm_models, panel, ks, result.test_dates)
+    models, kvals, grid = cutoff_heatmap(result.scores, panel, ks, result.test_dates)
     write_heatmap_csv(out_dir / "heatmap.csv", models, kvals, grid)
     if cfg.batch_sizes:
         sizes = [int(tok) for tok in _split(cfg.batch_sizes)]
@@ -300,11 +298,9 @@ def enumerate_report_csv(out_dir: Path) -> Path:
     spec = LossSpec("listfold", Transform("exponential"))
     report = consistency.enumerate_losses(np.asarray([5.0, 4.0, 1.0, 0.0]), spec)
     path = out_dir / "enumeration_5410.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("permutation,loss,is_minimizer\n")
-        for perm, loss in zip(report.permutations, report.losses):
-            mark = int(perm in report.minimizers)
-            fh.write("\"" + " ".join(repr(v) for v in perm) + f"\",{loss!r},{mark}\n")
+    _write_table(path, ["permutation", "loss", "is_minimizer"],
+                 ((perm, loss, int(perm in report.minimizers))
+                  for perm, loss in zip(report.permutations, report.losses)))
     return path
 
 
@@ -330,10 +326,8 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"simulate_{args.model}.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("permutation,empirical,analytic,z\n")
-        for perm, (emp, p, z) in table.items():
-            fh.write("\"" + " ".join(str(i) for i in perm) + f"\",{emp!r},{p!r},{z!r}\n")
+    _write_table(path, ["permutation", "empirical", "analytic", "z"],
+                 ((perm, *row) for perm, row in table.items()))
     worst = max((abs(z) for _, _, z in table.values()), default=0.0)
     print(f"{args.model}: {len(table)} sequences, max |z| = {worst:.2f}, table at {path}")
     return EXIT_OK
@@ -369,8 +363,7 @@ def cmd_train(args) -> int:
     net = nets[model]
     out = Path(args.checkpoint)
     out.parent.mkdir(parents=True, exist_ok=True)
-    tc = model_train_config(config, model, args.window)
-    save_checkpoint(net, out, config_digest(tc))
+    save_checkpoint(net, out)
     print(f"checkpoint written to {out}")
     return EXIT_OK
 
@@ -388,10 +381,7 @@ def cmd_score(args) -> int:
         raise DataError(str(exc)) from exc
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("stock,score\n")
-        for stock, s in zip(panel.stocks, scores):
-            fh.write(f"{stock},{float(s)!r}\n")
+    _write_table(out, ["stock", "score"], zip(panel.stocks, scores))
     print(f"scores for {args.week} written to {out}")
     return EXIT_OK
 

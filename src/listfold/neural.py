@@ -10,7 +10,6 @@ gradients are averaged over the batch.
 
 from __future__ import annotations
 
-import hashlib
 import zipfile
 from dataclasses import dataclass, field
 
@@ -333,11 +332,9 @@ def train_step(net: ScoringNet, batch: list[RankedBatch], spec: LossSpec,
     if not np.all(np.isfinite(dscores)):
         raise NonFiniteLossError("batch loss gradient is not finite")
     grad_w, grad_b = backward(net, cache, dscores / len(batch), workspace=workspace)
-    params, grads = [], []
-    for w, b, gw, gb in zip(net.weights, net.biases, grad_w, grad_b):
-        params += [w, b]
-        grads += [gw, gb]
-    optimizer.update(params, grads)
+    # parameters() order: w0, b0, w1, b1, ...
+    optimizer.update(list(net.parameters()),
+                     [g for pair in zip(grad_w, grad_b) for g in pair])
     return mean_loss
 
 
@@ -393,28 +390,11 @@ def score_week(net: ScoringNet, panel: FactorPanel, week: str) -> np.ndarray:
     return forward(net, feats)
 
 
-def config_digest(config: TrainConfig) -> str:
-    text = repr(
-        (
-            config.loss.family,
-            None if config.loss.transform is None else config.loss.transform.kind,
-            config.batch_size,
-            config.total_batches,
-            config.learning_rate,
-            config.optimizer,
-            config.final_relu,
-            config.seed,
-            config.reverse_labels,
-        )
-    )
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
 # the checkpoint keys of a net's input map
 _NORM_KEYS = ("norm_min", "norm_max")
 
 
-def save_checkpoint(net: ScoringNet, path, config_hash: str = "") -> None:
+def save_checkpoint(net: ScoringNet, path) -> None:
     """Flat .npz of layer dims and row-major parameter arrays, plus the
     input map as norm_min and norm_max when the net has one; loading
     reproduces forward outputs bit identically."""
@@ -422,7 +402,6 @@ def save_checkpoint(net: ScoringNet, path, config_hash: str = "") -> None:
         "layer_dims": np.asarray(net.layer_dims, dtype=np.int64),
         "final_relu": np.asarray([int(net.final_relu)], dtype=np.int64),
         "seed": np.asarray([net.seed], dtype=np.int64),
-        "config_hash": np.asarray([config_hash]),
     }
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         payload[f"w{i}"] = w
@@ -438,7 +417,8 @@ def load_checkpoint(path) -> ScoringNet:
     fewer than two widths, a w{i} / b{i} whose shape disagrees with
     layer_dims, and a norm_min without a norm_max (or the reverse) or of a
     shape other than (layer_dims[0],) raise CheckpointError. A file that
-    cannot be opened raises OSError."""
+    cannot be opened raises OSError. Other keys, such as the config_hash
+    that earlier checkpoints carry, are ignored."""
     try:
         blob = np.load(path, allow_pickle=False)
         if not isinstance(blob, np.lib.npyio.NpzFile):

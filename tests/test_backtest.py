@@ -391,6 +391,15 @@ class TestBacktestConfig:
         ("total_batches", -1, "total_batches: must be >= 0"),
         ("optimizer", "newton", "optimizer: unknown optimizer 'newton'"),
         ("levels", 1, "levels: must be >= 2"),
+        ("learning_rate", float("nan"), "learning_rate: must be finite and > 0"),
+        ("learning_rate", float("inf"), "learning_rate: must be finite and > 0"),
+        ("learning_rate", 0.0, "learning_rate: must be finite and > 0"),
+        ("learning_rate", -1e-3, "learning_rate: must be finite and > 0"),
+        ("cost_bps", float("nan"), "cost_bps: must be finite and >= 0"),
+        ("cost_bps", float("inf"), "cost_bps: must be finite and >= 0"),
+        ("cost_bps", -50.0, "cost_bps: must be finite and >= 0"),
+        ("rf_annual", float("nan"), "rf_annual: must be finite"),
+        ("rf_annual", float("-inf"), "rf_annual: must be finite"),
     ])
     def test_out_of_range_value_names_field(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -398,7 +407,18 @@ class TestBacktestConfig:
 
     def test_edge_values_accepted(self):
         BacktestConfig(train_len=1, test_len=1, batch_size=1, threads=1, total_batches=0,
-                       optimizer="sgd", levels=2)
+                       optimizer="sgd", levels=2, learning_rate=1e-12, cost_bps=0.0,
+                       rf_annual=-0.01)
+
+
+class TestStrategySpec:
+    def test_unknown_mode_named_when_built(self):
+        with pytest.raises(ValueError, match="unknown portfolio mode 'long-only'"):
+            StrategySpec("ListMLE", "listmle", "long-only", 2)
+
+    def test_unknown_model_named_when_built(self):
+        with pytest.raises(ValueError, match="unknown model 'listfool'"):
+            StrategySpec("ListFool", "listfool", "ls", 2)
 
 
 class TestRunBacktest:

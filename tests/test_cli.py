@@ -11,8 +11,10 @@ import pytest
 from listfold import cli
 from listfold.backtest import BacktestConfig, StrategySpec, run_backtest
 from listfold.cli import main, parse_config_file, build_run_config, ConfigError
-from listfold.data import DataError, load_panel, rolling_windows
-from listfold.neural import CheckpointError, forward, load_checkpoint
+from listfold.data import (DataError, generate_synthetic_panel, load_panel, rolling_windows,
+                           save_panel)
+from listfold.neural import (CheckpointError, forward, init_network, load_checkpoint,
+                             save_checkpoint)
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +209,14 @@ class TestBacktestCommand:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "config error: field levels: must be >= 2" in capsys.readouterr().err
+
+    def test_nan_learning_rate_is_a_config_error_before_training(self, base_config, tmp_path,
+                                                                capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_backtest", lambda *args: pytest.fail("trained"))
+        rc = main(["backtest", "--config", str(base_config), "--learning-rate", "nan",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "config error: field learning_rate: must be finite" in capsys.readouterr().err
 
     def test_k_above_half_the_universe_is_a_config_error_before_training(
             self, base_config, tmp_path, capsys, monkeypatch):
@@ -501,6 +511,24 @@ class TestTrainScoreCommands:
                 scores = forward(net, panel.week_features(date))
                 # reverse-labeled models are stored return oriented, i.e. negated
                 assert (sign * scores).tobytes() == result.scores[model][date].tobytes()
+
+    def test_stock_id_with_a_comma_reads_back(self, tmp_path):
+        panel = generate_synthetic_panel(2, weeks=3, stocks=4, factors=3,
+                                         signal_strength=1.0)
+        panel = replace(panel, stocks=("ACME, Inc.", *panel.stocks[1:]))
+        path = tmp_path / "panel.csv"
+        save_panel(panel, path)
+        loaded = load_panel(path)
+        assert "ACME, Inc." in loaded.stocks
+        ck = tmp_path / "model.npz"
+        save_checkpoint(init_network(panel.n_factors, seed=1), ck)
+        out = tmp_path / "scores.csv"
+        assert main(["score", "--checkpoint", str(ck), "--panel", str(path),
+                     "--week", panel.dates[0], "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(row) == 2 for row in rows)
+        assert [row[0] for row in rows[1:]] == list(loaded.stocks)
 
     def test_unknown_week_exit_two(self, base_config, panel_csv, tmp_path):
         ck = tmp_path / "model.npz"

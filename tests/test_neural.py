@@ -511,7 +511,7 @@ class TestCheckpoint:
         net = train(wp, local, cfg)
         assert net.norm_params is local.norm_params
         path = tmp_path / "model.npz"
-        save_checkpoint(net, path, "abc123")
+        save_checkpoint(net, path)
         back = load_checkpoint(path)
         x = wp.week_features(wp.dates[0])
         assert forward(back, x).tobytes() == forward(net, x).tobytes()
