@@ -300,8 +300,10 @@ class BacktestConfig:
         for name in ("train_len", "test_len", "batch_size", "threads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}: must be >= 1")
-        if self.total_batches < 0:
-            raise ValueError("total_batches: must be >= 0")
+        # numpy seeds take no negative integer
+        for name in ("total_batches", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}: must be >= 0")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"optimizer: unknown optimizer {self.optimizer!r}")
         # decile_labels needs two relevance levels

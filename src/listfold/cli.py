@@ -454,6 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # a config file's seed is checked by BacktestConfig
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError("field seed: must be >= 0")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

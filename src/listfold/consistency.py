@@ -6,14 +6,20 @@ One engine answers every minimizer question of the theorem checks and the
 counterexample search: an exact dynamic program over subsets (Held-Karp)
 finds the least listfold loss over all orders, or over the half-respecting
 ones, in 2^m states for either transform, and a walk down its table lists
-every order within MINIMIZER_TOL = 1e-9 of that least loss. So every check
-reaches list length SEARCH_CAP = 14. enumerate_losses evaluates every
-permutation, capped at ENUMERATION_CAP = 8 items (8! = 40320 rows), for the
-enumeration table, the probe and the tests. Minimizers are grouped within
-the tolerance so genuinely tied sets (the sigmoid case produces them) come
-out as sets, and _classify names a minimizer set by the true loss it is
-consistent with: descending-unique for the permutation 0-1 loss,
-binary-class-set for the half-split binary classification loss.
+the orders within MINIMIZER_TOL = 1e-9 of that least loss. So every check
+reaches list length SEARCH_CAP = 14. Each check walks only what it reads:
+theorem 1 at most n! + 1 orders per row (enough to tell the set from the
+n!-member family), restricted theorem 2 at most 2 (a second order is a
+violation), and unrestricted theorem 2 and the search none, unless a row's
+least loss beats descending's, whose first order is the witness. A walk
+with no limit raises WalkBudgetError once its frontier passes
+_WALK_ELEMENTS, instead of allocating the set. enumerate_losses evaluates
+every permutation, capped at ENUMERATION_CAP = 8 items (8! = 40320 rows),
+for the enumeration table, the probe and the tests. Minimizers are grouped
+within the tolerance so genuinely tied sets (the sigmoid case produces
+them) come out as sets, and _classify names a minimizer set by the true
+loss it is consistent with: descending-unique for the permutation 0-1
+loss, binary-class-set for the half-split binary classification loss.
 
 The Monte Carlo samplers draw the two generative stories behind the
 likelihood losses, whose probabilities are those losses: exp(-ListMLE-exp)
@@ -39,6 +45,7 @@ __all__ = [
     "EnumerationReport",
     "SamplerSpec",
     "TheoremReport",
+    "WalkBudgetError",
     "Witness",
     "SwapRecord",
     "enumerate_losses",
@@ -142,8 +149,8 @@ def enumerate_losses(scores, spec: LossSpec) -> EnumerationReport:
     # and +-0.0 share a rank as they share a tuple key. return_index picks
     # each order's first index permutation, whose zeros keep their signs.
     _, rank = np.unique(f, return_inverse=True)
-    place = f.size ** np.arange(f.size - 1, -1, -1)
-    _, first, counts = np.unique(rank[index] @ place, return_index=True, return_counts=True)
+    _, first, counts = np.unique(rank[index] @ _place(f.size), return_index=True,
+                                 return_counts=True)
     losses_arr = _table_losses(spec, f[index[first]], targets)
     # permutations() yields _perm_table's rows as tuples of the m float
     # objects, far faster than tuples made from the float table
@@ -225,14 +232,17 @@ def verify_theorem1(trials: int, n_range, seed: int) -> TheoremReport:
     """Check on random distinct score sets that the sigmoid listfold
     minimizer set, every order within MINIMIZER_TOL of the least loss,
     equals the predicted pairing family exactly. The subset DP finds the
-    set, so n_range takes any 1 <= n with 2n <= SEARCH_CAP.
+    set, so n_range takes any 1 <= n with 2n <= SEARCH_CAP. Its walk keeps
+    at most n! + 1 orders per row, so a larger set is reported by its
+    first n! + 1.
 
     Tied inputs enlarge the minimizer set; they are counted as degenerate,
     not as violations.
     """
     report = TheoremReport("theorem1-sigmoid", seed, trials, tuple(int(n) for n in n_range))
-    for _, draws in _distinct_draws(report, np.random.default_rng(seed)):
-        _, near = _least_listfold(draws, Transform("sigmoid"))
+    for n, draws in _distinct_draws(report, np.random.default_rng(seed)):
+        # n! + 1 orders tell a set from the n!-member family
+        _, near = _least_listfold(draws, Transform("sigmoid"), limit=math.factorial(n) + 1)
         for f, orders in zip(draws, near):
             found = frozenset(map(tuple, f[orders].tolist()))
             predicted = theorem1_minimizer_family(f)
@@ -283,14 +293,31 @@ def _subset_levels(m: int):
     return pi, pj, rank, levels
 
 
-def _least_listfold(scores: np.ndarray, transform: Transform, restricted: bool = False):
+class WalkBudgetError(RuntimeError):
+    """The near-minimizer walk's frontier passed _WALK_ELEMENTS: the rows
+    have more near-minimizer orders than it holds. Pass a limit to walk
+    only each row's first orders."""
+
+
+# Elements per walk frontier array (branches x candidate pairs, or branches
+# x m of partial orders): 16 MiB of float64. A limited walk takes rows in
+# groups that cannot pass it; an unlimited one raises WalkBudgetError.
+_WALK_ELEMENTS = 1 << 21
+
+
+def _least_listfold(scores: np.ndarray, transform: Transform, restricted: bool = False,
+                    limit: int | None = None):
     """Least listfold loss over the orders of each row of a (draws, m)
-    block (m even), and every order within MINIMIZER_TOL of it.
+    block (m even), and the orders within MINIMIZER_TOL of it.
 
     Returns (least, near): least is (draws,), and near[r] is a (k, m) array
-    of row r's near-minimizer orders, as indices into the row (k >= 1). k
-    reaches m! on a row of equal scores, and sigmoid pair terms under 1e-9
-    (score gaps over about 21) enlarge it alike.
+    of row r's near-minimizer orders, as indices into the row (k >= 1), in
+    the walk's order. limit caps k per row: the walk keeps each row's first
+    limit orders, the same as the first rows of the unlimited walk, and
+    limit=0 skips the walk (near is None). With no limit k reaches m! on a
+    row of equal scores, and sigmoid pair terms under 1e-9 (score gaps over
+    about 21) enlarge it alike, so the walk raises WalkBudgetError past
+    _WALK_ELEMENTS.
 
     A stage's terms depend only on the set S of still unplaced items and
     the pair it places: the stage term is log D(S) for exp and
@@ -306,7 +333,7 @@ def _least_listfold(scores: np.ndarray, transform: Transform, restricted: bool =
     pi, pj, _, levels = _subset_levels(m)
     step = max(1, _DP_ELEMENTS // max(pairs.size for _, _, pairs, _ in levels))
     least = np.empty(draws)
-    near = []
+    near = None if limit == 0 else []
     for lo in range(0, draws, step):
         f = scores[lo : lo + step]
         # cost[r, i, j]: item i on top of item j; a barred pair costs inf
@@ -333,18 +360,36 @@ def _least_listfold(scores: np.ndarray, transform: Transform, restricted: bool =
                 stage = math.log(k * (k - 1) / 2)
             v[:, states] = stage + (v[:, rest] + best[:, pairs]).min(axis=2)
         least[lo : lo + step] = v[:, -1]
-        near += _near_minimizers(v, cost)
+        if near is not None:
+            # a limited walk takes rows in groups whose frontier, at most
+            # limit branches per row times m (m - 1) candidates, fits the budget
+            group = len(f) if limit is None else max(1, _WALK_ELEMENTS // (limit * m * (m - 1)))
+            for g in range(0, len(f), group):
+                near += _near_minimizers(v[g : g + group], cost[g : g + group], limit)
     return least, near
 
 
-def _near_minimizers(v: np.ndarray, cost: np.ndarray) -> list[np.ndarray]:
-    """Every order of each row whose loss is within MINIMIZER_TOL of V(full
-    set), split by row, from _least_listfold's table V and pair costs.
+def _check_walk(elements: int, rows: int) -> None:
+    if elements > _WALK_ELEMENTS:
+        raise WalkBudgetError(
+            f"near-minimizer walk over {rows} rows needs a {elements}-element frontier, "
+            f"past its budget of {_WALK_ELEMENTS}; pass a limit")
+
+
+def _near_minimizers(v: np.ndarray, cost: np.ndarray, limit: int | None) -> list[np.ndarray]:
+    """The first limit orders (every one if limit is None) of each row
+    whose loss is within MINIMIZER_TOL of V(full set), split by row, from
+    _least_listfold's table V and pair costs.
 
     The walk places pairs from the outside in, over all rows at once. A
     branch's slack is its loss so far plus V(unplaced) less V(full set):
     placing a pair adds that pair's recursion term less the least one, and
-    a branch is kept while its slack fits in MINIMIZER_TOL.
+    a branch is kept while its slack fits in MINIMIZER_TOL. The frontier
+    stays grouped by row, and each branch's children follow it in order.
+    Every kept branch completes to a near-minimizer (its least term adds
+    no slack), so a row's first limit branches at any stage hold its first
+    limit orders: the frontier is trimmed to them whenever it passes rows x
+    limit, and at the last stage.
     """
     c, m = cost.shape[:2]
     pi, pj, rank, levels = _subset_levels(m)
@@ -352,16 +397,22 @@ def _near_minimizers(v: np.ndarray, cost: np.ndarray) -> list[np.ndarray]:
     state = np.full(c, (1 << m) - 1)
     slack = np.zeros(c)
     order = np.zeros((c, m), dtype=np.intp)
-    for s, (_, _, pairs, rest) in enumerate(levels[::-1]):
+    for s, (k, _, pairs, rest) in enumerate(levels[::-1]):
+        _check_walk(row.size * k * (k - 1), c)
         at = rank[state]
         # both orientations of each pair inside the state
         top = np.hstack([pi[pairs[at]], pj[pairs[at]]])
         bottom = np.hstack([pj[pairs[at]], pi[pairs[at]]])
         term = cost[row[:, None], top, bottom] + v[row[:, None], np.tile(rest[at], 2)]
         term = slack[:, None] + (term - term.min(axis=1, keepdims=True))
-        keep, k = np.nonzero(term <= MINIMIZER_TOL)
-        row, slack, order = row[keep], term[keep, k], order[keep]
-        order[:, s], order[:, m - 1 - s] = top[keep, k], bottom[keep, k]
+        keep, pick = np.nonzero(term <= MINIMIZER_TOL)
+        if limit is not None and (keep.size > c * limit or k == 2):
+            # each branch's rank among its row's branches
+            first = np.arange(keep.size) - np.searchsorted(row[keep], row[keep]) < limit
+            keep, pick = keep[first], pick[first]
+        _check_walk(keep.size * m, c)
+        row, slack, order = row[keep], term[keep, pick], order[keep]
+        order[:, s], order[:, m - 1 - s] = top[keep, pick], bottom[keep, pick]
         state = state[keep] ^ (1 << order[:, s]) ^ (1 << order[:, m - 1 - s])
     return np.split(order, np.flatnonzero(np.diff(row)) + 1)
 
@@ -372,18 +423,26 @@ def _dp_witnesses(descending: np.ndarray, restricted: bool = False):
     unique exponential listfold minimizer: among the half-respecting orders
     (restricted), another order within MINIMIZER_TOL of the least loss;
     among all orders, a least loss below descending's by more than
-    MINIMIZER_TOL."""
+    MINIMIZER_TOL.
+
+    The restricted walk keeps 2 orders per row, one of which is not
+    descending if any is. The unrestricted check reads the least losses
+    alone, and walks only a beaten row, for its first order."""
     base = _table_losses(_LISTFOLD_EXP, descending)
-    least, near = _least_listfold(descending, _LISTFOLD_EXP.transform, restricted)
-    hits = []
-    for r, orders in enumerate(near):
-        if restricted:
+    if restricted:
+        least, near = _least_listfold(descending, _LISTFOLD_EXP.transform, True, limit=2)
+        hits = []
+        for r, orders in enumerate(near):
             orders = orders[np.any(orders != np.arange(orders.shape[1]), axis=1)]
-        elif least[r] >= base[r] - MINIMIZER_TOL:
-            continue
-        if len(orders):
-            hits.append((r, descending[r, orders[0]], least[r], base[r]))
-    return hits
+            if len(orders):
+                hits.append((r, descending[r, orders[0]], least[r], base[r]))
+        return hits
+    least, _ = _least_listfold(descending, _LISTFOLD_EXP.transform, limit=0)
+    beaten = np.flatnonzero(least < base - MINIMIZER_TOL)
+    if not beaten.size:
+        return []
+    _, near = _least_listfold(descending[beaten], _LISTFOLD_EXP.transform, limit=1)
+    return [(r, descending[r, orders[0]], least[r], base[r]) for r, orders in zip(beaten, near)]
 
 
 def verify_theorem2(trials: int, n_range, seed: int, restricted: bool = True) -> TheoremReport:
@@ -544,22 +603,30 @@ def _check_sampling_weights(w: np.ndarray, name: str) -> None:
 
 def _categorical_columns(rng: np.random.Generator, weights: np.ndarray) -> np.ndarray:
     """One index per column of an (m, draws) block, drawn proportionally to
-    that column's weights.
+    that column's weights, in the least unsigned dtype that holds m - 1.
 
     The cumulative sums are m - 1 vector adds over the draws, and each
     column's total is its last cumulative sum (a pairwise row sum can
     exceed it from 8 items on). A uniform u in [0, 1) times a normal total
     stays below that total, so the pick, the number of cumulative sums at
-    or below it, is an item of positive weight and never m.
+    or below it, is an item of positive weight and never m; the last sum
+    is never compared.
     """
     cum = weights.copy()
     for i in range(1, cum.shape[0]):
         np.add(cum[i - 1], cum[i], out=cum[i])
     u = rng.random(cum.shape[1]) * cum[-1]
-    pick = np.zeros(cum.shape[1], dtype=np.intp)
-    for row in cum:
+    pick = np.zeros(cum.shape[1], dtype=np.min_scalar_type(cum.shape[0] - 1))
+    for row in cum[:-1]:
         pick += u >= row
     return pick
+
+
+def _place(m: int) -> np.ndarray:
+    """Place values of the base-m key: rows @ _place(m) is one integer per
+    ordering of range(m), increasing in lexicographic order (int64 holds
+    it while m**m does)."""
+    return m ** np.arange(m - 1, -1, -1)
 
 
 def _order_counts(out: np.ndarray) -> dict[tuple[int, ...], int]:
@@ -570,12 +637,23 @@ def _order_counts(out: np.ndarray) -> dict[tuple[int, ...], int]:
         # one base-m integer per row: np.unique(axis=0) alone takes 96 ms
         # per 40000 rows of 8 items against 1.3 ms here, and nearly triples
         # the lab-enumerate benchmark's wall time
-        place = m ** np.arange(m - 1, -1, -1)
+        place = _place(m)
         keys, counts = np.unique(out @ place, return_counts=True)
         rows = keys[:, None] // place % m
     else:
         rows, counts = np.unique(out, axis=0, return_counts=True)
     return dict(zip(map(tuple, rows.tolist()), counts.tolist()))
+
+
+def _zero_picks(blocks, picks, flat: np.ndarray, cols: np.ndarray) -> None:
+    """Zero block[pick[c], c] for every pick row and column c of each
+    (m, draws) block, through one flat index built in the reused
+    (len(picks), draws) buffer flat; cols is arange(draws)."""
+    for row, pick in zip(flat, picks):
+        np.multiply(pick, np.intp(cols.size), out=row)
+    flat += cols
+    for live in blocks:
+        live.ravel()[flat] = 0.0
 
 
 def sample_vase(spec: SamplerSpec) -> dict[tuple[int, ...], int]:
@@ -589,11 +667,11 @@ def sample_vase(spec: SamplerSpec) -> dict[tuple[int, ...], int]:
     # over the draws, not numpy calls along draws rows of m weights
     live = np.repeat(spec.weights[:, None], spec.draws, axis=1)
     out = np.empty((spec.draws, m), dtype=np.intp)
-    cols = np.arange(spec.draws)
+    flat, cols = np.empty((1, spec.draws), dtype=np.intp), np.arange(spec.draws)
     for stage in range(m):
         pick = _categorical_columns(rng, live)
         out[:, stage] = pick
-        live[pick, cols] = 0.0
+        _zero_picks((live,), (pick,), flat, cols)
     return _order_counts(out)
 
 
@@ -608,7 +686,7 @@ def sample_plank_dart(spec: SamplerSpec) -> dict[tuple[int, ...], int]:
     live_w = np.repeat(spec.weights[:, None], spec.draws, axis=1)
     live_l = np.repeat(1.0 / spec.weights[:, None], spec.draws, axis=1)
     out = np.empty((spec.draws, m), dtype=np.intp)
-    cols = np.arange(spec.draws)
+    flat, cols = np.empty((2, spec.draws), dtype=np.intp), np.arange(spec.draws)
     for stage in range(n):
         a = _categorical_columns(rng, live_w)
         b = _categorical_columns(rng, live_l)
@@ -619,10 +697,7 @@ def sample_plank_dart(spec: SamplerSpec) -> dict[tuple[int, ...], int]:
             idx = idx[a[idx] == b[idx]]
         out[:, stage] = a
         out[:, m - 1 - stage] = b
-        live_w[a, cols] = 0.0
-        live_w[b, cols] = 0.0
-        live_l[a, cols] = 0.0
-        live_l[b, cols] = 0.0
+        _zero_picks((live_w, live_l), (a, b), flat, cols)
     return _order_counts(out)
 
 
@@ -671,9 +746,20 @@ def frequency_zscores(counts: dict[tuple[int, ...], int], draws: int,
         perm = tuple(table[bad[0]].tolist())
         raise ValueError(f"analytic probability of {perm} is {p[bad[0]].item()!r}, "
                          "not in [0, 1]")
-    perms = list(map(tuple, table.tolist()))
-    emp = np.array([counts.get(perm, 0) for perm in perms]) / draws
+    # the table's base-m keys ascend, so each sampled order's key finds its
+    # row; a tuple of digits below m that is no ordering matches no row and
+    # is dropped
+    hits = np.zeros(len(table), dtype=np.int64)
+    if counts:
+        sampled = np.fromiter(itertools.chain.from_iterable(counts), np.intp, len(counts) * m)
+        table_keys, keys = table @ _place(m), sampled.reshape(-1, m) @ _place(m)
+        row = np.searchsorted(table_keys, keys).clip(max=len(table) - 1)
+        found = table_keys[row] == keys
+        hits[row[found]] = np.fromiter(counts.values(), np.int64, len(counts))[found]
+    emp = hits / draws
     se = np.sqrt(p * (1.0 - p) / draws)
     # a p of 0 or 1, or a standard error that underflows, gives z = 0
     z = np.divide(emp - p, se, out=np.zeros_like(p), where=(p > 0.0) & (p < 1.0) & (se > 0.0))
+    # permutations() yields the table's rows as tuples, in the same order
+    perms = itertools.permutations(range(m))
     return dict(zip(perms, zip(emp.tolist(), p.tolist(), z.tolist())))

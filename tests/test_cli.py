@@ -128,6 +128,33 @@ class TestConfig:
         assert exc.value.code == 0
 
 
+@pytest.mark.parametrize("command", ["backtest", "train", "verify", "simulate", "synth"])
+def test_negative_seed_is_a_config_error(command, base_config, tmp_path, capsys):
+    # numpy's SeedSequence takes no negative integer: a named config
+    # error before any work, not its traceback
+    argv = {
+        "backtest": ["backtest", "--config", str(base_config), "--out", str(tmp_path / "o")],
+        "train": ["train", "--config", str(base_config), "--model", "mlp",
+                  "--checkpoint", str(tmp_path / "c.npz")],
+        "verify": ["verify", "--trials", "1", "--sizes", "2", "--budget", "0",
+                   "--out", str(tmp_path / "v")],
+        "simulate": ["simulate", "--model", "vase", "--weights", "1,2", "--draws", "10",
+                     "--out", str(tmp_path / "s")],
+        "synth": ["synth", "--out", str(tmp_path / "p.csv"), "--weeks", "2",
+                  "--stocks", "2", "--factors", "1"],
+    }[command]
+    assert main(argv + ["--seed", "-1"]) == 1
+    assert "config error: field seed: must be >= 0" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_negative_seed_in_a_config_file_is_a_config_error(panel_csv, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"panel = {panel_csv}\nk = 2\nseed = -1\n")
+    assert main(["backtest", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "config error: field seed: must be >= 0" in capsys.readouterr().err
+
+
 class TestSynth:
     def test_deterministic_and_loadable(self, panel_csv, tmp_path):
         other = tmp_path / "again.csv"

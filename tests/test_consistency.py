@@ -2,11 +2,12 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import consistency_oracle
@@ -22,6 +23,7 @@ from listfold.consistency import (
     MINIMIZER_TOL,
     SEARCH_CAP,
     SamplerSpec,
+    WalkBudgetError,
     _DISTRIBUTIONS,
     _categorical_columns,
     _classify,
@@ -198,8 +200,10 @@ class TestTheorem2:
 
     def test_restricted_violation_names_the_other_near_minimizer(self, monkeypatch):
         # an engine that finds a second half-respecting order as good as
-        # descending: uniqueness fails and the report shows that order
-        def rigged(descending, transform, restricted=False):
+        # descending: uniqueness fails and the report shows that order; the
+        # check asks for 2 orders per row, enough to hold a second one
+        def rigged(descending, transform, restricted=False, limit=None):
+            assert restricted and limit == 2
             base = evaluate_loss(FOLD_EXP, descending, with_gradient=False).value
             swap = [[1, 0, 2, 3]] if descending.shape[1] == 4 else [[0, 1]]
             return base, [np.array([list(range(descending.shape[1]))] + swap)
@@ -251,14 +255,21 @@ class TestCounterexampleSearch:
 
     def test_witness_is_the_dp_order(self, monkeypatch):
         # an engine that reports the ascending order 1 below descending: the
-        # search must turn it into a witness with that order and loss
-        def rigged(descending, transform, restricted=False):
+        # search must turn it into a witness with that order and loss. It
+        # reads the least losses alone, then walks the 3 beaten rows for
+        # one order each
+        calls = []
+
+        def rigged(descending, transform, restricted=False, limit=None):
+            calls.append((len(descending), limit))
             base = evaluate_loss(FOLD_EXP, descending, with_gradient=False).value
             m = descending.shape[1]
-            return base - 1.0, [np.arange(m)[::-1][None, :] for _ in descending]
+            near = None if limit == 0 else [np.arange(m)[::-1][None, :] for _ in descending]
+            return base - 1.0, near
 
         monkeypatch.setattr(consistency, "_least_listfold", rigged)
         witnesses = counterexample_search(3, 6, "uniform", seed=18)
+        assert calls == [(3, 0), (3, 1)]
         assert len(witnesses) == 3
         for w in witnesses:
             assert w.permutation == tuple(sorted(w.scores))
@@ -341,6 +352,80 @@ class TestSubsetDP:
             assert len(whole[1]) == len(chunked[1]) == len(draws)
             for a, b in zip(whole[1], chunked[1]):
                 assert np.array_equal(a, b)
+
+
+def _extreme_sigmoid_rows(m: int, rows: int = 2) -> np.ndarray:
+    """Rows uniform in +-1e4, whose sigmoid near-minimizer sets hold every
+    order with each mirrored pair right way up: m! / 2^(m/2) orders."""
+    draws = np.random.default_rng(m).uniform(-1e4, 1e4, size=(rows, m))
+    draws[:, 0] = 1e4
+    return draws
+
+
+class TestWalkLimit:
+    """A limited walk keeps each row's first orders; an unlimited one stops
+    at the element budget."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([FOLD_EXP, FOLD_SGM]), st.booleans(),
+           st.sampled_from([2, 4, 6, 8]).flatmap(lambda m: st.lists(
+               st.lists(st.integers(-4, 4).map(lambda k: k / 2), min_size=m, max_size=m),
+               min_size=1, max_size=3)),
+           st.integers(0, 30))
+    # 24 + 1 orders in all, under rows x limit, yet the first row has 24
+    @example(FOLD_EXP, False, [[1.0] * 4, [2.0, 1.0, 0.5, -1.0]], 20)
+    def test_limited_walk_is_a_prefix_of_the_whole_walk(self, spec, restricted, rows, limit):
+        f = np.asarray(rows, dtype=float)
+        least, near = _least_listfold(f, spec.transform, restricted)
+        capped_least, capped = _least_listfold(f, spec.transform, restricted, limit=limit)
+        assert np.array_equal(least, capped_least)
+        if limit == 0:
+            assert capped is None
+            return
+        assert len(capped) == len(near) == len(f)
+        for whole, first in zip(near, capped):
+            assert np.array_equal(first, whole[:limit])
+
+    def test_extreme_sigmoid_rows_walk_in_bounded_memory(self):
+        # unlimited, these 2 rows hold 2 x 113400 orders of 10 (55.7 MiB
+        # peak before the walk had a limit)
+        f = _extreme_sigmoid_rows(10)
+        _least_listfold(f, Transform("sigmoid"), limit=1)  # the index tables, cached
+        tracemalloc.start()
+        try:
+            _, near = _least_listfold(f, Transform("sigmoid"), limit=math.factorial(5) + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [len(orders) for orders in near] == [121, 121]
+        assert peak < 4 * 2**20
+        for row, orders in zip(f, near):
+            # every mirrored pair right way up, to the rounding of the sum
+            assert np.all(row[orders[:, :5]] > row[orders[:, :4:-1]])
+
+    def test_unlimited_walk_past_the_budget_is_a_named_error(self):
+        # 2 x 7484400 orders of 12 took 4.1 GiB before the walk had a budget
+        f = _extreme_sigmoid_rows(12)
+        tracemalloc.start()
+        try:
+            with pytest.raises(WalkBudgetError, match="pass a limit"):
+                _least_listfold(f, Transform("sigmoid"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    def test_limited_walk_takes_rows_in_groups_under_the_budget(self, monkeypatch):
+        f = _extreme_sigmoid_rows(8, rows=9)
+        _, want = _least_listfold(f, Transform("sigmoid"), limit=3)
+        # 3 orders x 56 candidates per row: groups of 2 rows fit 400 elements
+        monkeypatch.setattr(consistency, "_WALK_ELEMENTS", 400)
+        with pytest.raises(WalkBudgetError):
+            _least_listfold(f, Transform("sigmoid"))
+        _, got = _least_listfold(f, Transform("sigmoid"), limit=3)
+        assert len(got) == len(want) == 9
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 class TestOrderSensitivityProbe:
