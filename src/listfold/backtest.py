@@ -33,7 +33,7 @@ from .data import (
     rolling_windows,
 )
 from .losses import LossSpec, make_transform
-from .neural import ScoringNet, TrainConfig, score_week, train
+from .neural import ScoringNet, TrainConfig, TrainingDivergenceError, score_week, train
 
 __all__ = [
     "PnlSeries",
@@ -365,7 +365,8 @@ def train_window(panel: FactorPanel, plan: WindowPlan, models, config: BacktestC
     the window panel (raw views of the train and test weeks) and the
     networks by model. A model's network does not depend on which other
     models train beside it, so `listfold train` and `run_backtest` produce
-    the same network.
+    the same network. A TrainingDivergenceError names the model and the
+    window.
     """
     if plan.norm_params is None:
         plan = fit_norm_params(panel, plan)
@@ -381,7 +382,10 @@ def train_window(panel: FactorPanel, plan: WindowPlan, models, config: BacktestC
              for d in sorted(set(drop.values()))}
 
     def fit(model: str) -> ScoringNet:
-        return train(wpanel, local, configs[model], lists=lists[drop[model]])
+        try:
+            return train(wpanel, local, configs[model], lists=lists[drop[model]])
+        except TrainingDivergenceError as exc:
+            raise TrainingDivergenceError(f"{model}, window {window_index}: {exc}") from None
 
     if config.threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=config.threads) as pool:

@@ -24,7 +24,13 @@ loss, binary-class-set for the half-split binary classification loss.
 The Monte Carlo samplers draw the two generative stories behind the
 likelihood losses, whose probabilities are those losses: exp(-ListMLE-exp)
 for the vase story and exp(-ListFold-exp) for the plank-dart story, of the
-log weights, evaluated over a whole block of orderings in one call.
+log weights, evaluated over a whole block of orderings in one call. The
+samplers run draw-major over all draws at once and track the drawn items
+in one (m, draws) bool mask, not in float weight blocks: a draw builds
+each item's live weight, w or 0, in one reused row. Per draw they hold m
+bytes of mask, m bytes of picks in the least unsigned dtype and three
+float64 values while a stage draws, and 8 bytes of base-m key while
+counting. The vase's last item is the one left, so it takes no draw.
 """
 
 from __future__ import annotations
@@ -236,25 +242,40 @@ def verify_theorem1(trials: int, n_range, seed: int) -> TheoremReport:
     at most n! + 1 orders per row, so a larger set is reported by its
     first n! + 1.
 
-    Tied inputs enlarge the minimizer set; they are counted as degenerate,
-    not as violations.
+    The DP runs on each row sorted descending, so its orders are in rank
+    space (index r is the row's r-th largest score), where the family is
+    the same n! orders for every row: a row passes when the sorted base-2n
+    keys of its orders equal the family's. Float tuples are built only for
+    a violation's report. Tied inputs enlarge the minimizer set; they are
+    counted as degenerate, not as violations.
     """
     report = TheoremReport("theorem1-sigmoid", seed, trials, tuple(int(n) for n in n_range))
     for n, draws in _distinct_draws(report, np.random.default_rng(seed)):
+        descending = np.sort(draws, axis=1)[:, ::-1]
         # n! + 1 orders tell a set from the n!-member family
-        _, near = _least_listfold(draws, Transform("sigmoid"), limit=math.factorial(n) + 1)
-        for f, orders in zip(draws, near):
-            found = frozenset(map(tuple, f[orders].tolist()))
-            predicted = theorem1_minimizer_family(f)
-            if found != predicted:
+        _, near = _least_listfold(descending, Transform("sigmoid"),
+                                  limit=math.factorial(n) + 1)
+        place, family = _place(2 * n), _theorem1_family_keys(n)
+        for f, s, orders in zip(draws, descending, near):
+            if not np.array_equal(np.sort(orders @ place), family):
                 report.violations.append(
                     {
                         "scores": tuple(f.tolist()),
-                        "found": sorted(found),
-                        "predicted": sorted(predicted),
+                        "found": sorted(map(tuple, s[orders].tolist())),
+                        "predicted": sorted(theorem1_minimizer_family(f)),
                     }
                 )
     return report
+
+
+@functools.cache
+def _theorem1_family_keys(n: int) -> np.ndarray:
+    """Sorted base-2n keys of theorem1_minimizer_family's n! orders in rank
+    space, as index orders of the 2n scores sorted descending."""
+    sigma = _perm_table(n)
+    keys = np.sort(np.hstack([sigma, n + sigma[:, ::-1]]) @ _place(2 * n))
+    keys.flags.writeable = False
+    return keys
 
 
 @functools.cache
@@ -601,24 +622,41 @@ def _check_sampling_weights(w: np.ndarray, name: str) -> None:
         raise ValueError(f"the sum of the {name} overflows")
 
 
-def _categorical_columns(rng: np.random.Generator, weights: np.ndarray) -> np.ndarray:
-    """One index per column of an (m, draws) block, drawn proportionally to
-    that column's weights, in the least unsigned dtype that holds m - 1.
+def _running_sums(weights: np.ndarray, free: np.ndarray):
+    """Yield, after each row of the (m, k) bool mask free, the running sum
+    of the live weights weights[i] * free[i] over its k columns: the rows
+    of the cumulative sums, one at a time in one reused array. A live
+    weight is exactly weights[i] or +0.0, built in one reused scratch row."""
+    run, live = np.zeros(free.shape[1]), np.empty(free.shape[1])
+    for w, row in zip(weights, free):
+        run += np.multiply(w, row, out=live)
+        yield run
 
-    The cumulative sums are m - 1 vector adds over the draws, and each
-    column's total is its last cumulative sum (a pairwise row sum can
-    exceed it from 8 items on). A uniform u in [0, 1) times a normal total
-    stays below that total, so the pick, the number of cumulative sums at
-    or below it, is an item of positive weight and never m; the last sum
-    is never compared.
+
+def _categorical_columns(rng: np.random.Generator, weights: np.ndarray,
+                         free: np.ndarray) -> np.ndarray:
+    """One item per column of the (m, k) bool mask free of items not yet
+    drawn, drawn proportionally to the (m,) weights of that column's free
+    items, in the least unsigned dtype that holds m - 1.
+
+    No (m, k) float block is stored: a first pass over the rows leaves each
+    column's total, its left-fold running sum (a pairwise row sum can
+    exceed it from 8 items on), and a second pass rebuilds the running sums
+    row by row and counts those at or below u. So a call's working memory
+    is three float64 values per column (u, which overwrites the total, the
+    running sum and the scratch row). A uniform in [0, 1) times a normal
+    total stays below that total, so the pick is a free item of positive
+    weight and never m; the last running sum is never compared. With one
+    free item the pick is forced, so sample_vase takes its last item as
+    the one left instead of calling this.
     """
-    cum = weights.copy()
-    for i in range(1, cum.shape[0]):
-        np.add(cum[i - 1], cum[i], out=cum[i])
-    u = rng.random(cum.shape[1]) * cum[-1]
-    pick = np.zeros(cum.shape[1], dtype=np.min_scalar_type(cum.shape[0] - 1))
-    for row in cum[:-1]:
-        pick += u >= row
+    m, k = free.shape
+    for total in _running_sums(weights, free):
+        pass
+    u = np.multiply(rng.random(k), total, out=total)
+    pick = np.zeros(k, dtype=np.min_scalar_type(m - 1))
+    for run in itertools.islice(_running_sums(weights, free), m - 1):
+        pick += u >= run
     return pick
 
 
@@ -636,24 +674,23 @@ def _order_counts(out: np.ndarray) -> dict[tuple[int, ...], int]:
     if m**m <= np.iinfo(np.int64).max:
         # one base-m integer per row: np.unique(axis=0) alone takes 96 ms
         # per 40000 rows of 8 items against 1.3 ms here, and nearly triples
-        # the lab-enumerate benchmark's wall time
-        place = _place(m)
-        keys, counts = np.unique(out @ place, return_counts=True)
-        rows = keys[:, None] // place % m
+        # the lab-enumerate benchmark's wall time. Horner's rule over the
+        # columns gives rows @ _place(m) without an int64 copy of the block.
+        key = np.zeros(len(out), dtype=np.int64)
+        for col in out.T:
+            key *= m
+            key += col
+        keys, counts = np.unique(key, return_counts=True)
+        rows = keys[:, None] // _place(m) % m
     else:
         rows, counts = np.unique(out, axis=0, return_counts=True)
-    return dict(zip(map(tuple, rows.tolist()), counts.tolist()))
+    return dict(zip(zip(*rows.T.tolist()), counts.tolist()))
 
 
-def _zero_picks(blocks, picks, flat: np.ndarray, cols: np.ndarray) -> None:
-    """Zero block[pick[c], c] for every pick row and column c of each
-    (m, draws) block, through one flat index built in the reused
-    (len(picks), draws) buffer flat; cols is arange(draws)."""
-    for row, pick in zip(flat, picks):
-        np.multiply(pick, np.intp(cols.size), out=row)
-    flat += cols
-    for live in blocks:
-        live.ravel()[flat] = 0.0
+def _mark_drawn(free: np.ndarray, pick: np.ndarray) -> None:
+    """Clear free[pick[c], c] for every column c, one item row at a time."""
+    for i, row in enumerate(free):
+        row &= pick != i
 
 
 def sample_vase(spec: SamplerSpec) -> dict[tuple[int, ...], int]:
@@ -665,13 +702,15 @@ def sample_vase(spec: SamplerSpec) -> dict[tuple[int, ...], int]:
     rng = np.random.default_rng(spec.seed)
     # draw-major: one row per item, so each stage is m vector operations
     # over the draws, not numpy calls along draws rows of m weights
-    live = np.repeat(spec.weights[:, None], spec.draws, axis=1)
-    out = np.empty((spec.draws, m), dtype=np.intp)
-    flat, cols = np.empty((1, spec.draws), dtype=np.intp), np.arange(spec.draws)
-    for stage in range(m):
-        pick = _categorical_columns(rng, live)
+    free = np.ones((m, spec.draws), dtype=bool)
+    out = np.empty((spec.draws, m), dtype=np.min_scalar_type(m - 1))
+    for stage in range(m - 1):
+        pick = _categorical_columns(rng, spec.weights, free)
         out[:, stage] = pick
-        _zero_picks((live,), (pick,), flat, cols)
+        _mark_drawn(free, pick)
+    # the one item left is the last; its draw would be forced, and the
+    # generator is not used after it
+    out[:, m - 1] = free.argmax(axis=0)
     return _order_counts(out)
 
 
@@ -683,21 +722,22 @@ def sample_plank_dart(spec: SamplerSpec) -> dict[tuple[int, ...], int]:
     m = spec.weights.size
     n = m // 2
     rng = np.random.default_rng(spec.seed)
-    live_w = np.repeat(spec.weights[:, None], spec.draws, axis=1)
-    live_l = np.repeat(1.0 / spec.weights[:, None], spec.draws, axis=1)
-    out = np.empty((spec.draws, m), dtype=np.intp)
-    flat, cols = np.empty((2, spec.draws), dtype=np.intp), np.arange(spec.draws)
+    widths, lengths = spec.weights, 1.0 / spec.weights
+    free = np.ones((m, spec.draws), dtype=bool)
+    out = np.empty((spec.draws, m), dtype=np.min_scalar_type(m - 1))
     for stage in range(n):
-        a = _categorical_columns(rng, live_w)
-        b = _categorical_columns(rng, live_l)
+        a = _categorical_columns(rng, widths, free)
+        b = _categorical_columns(rng, lengths, free)
         idx = np.flatnonzero(a == b)
         while idx.size:
-            a[idx] = _categorical_columns(rng, live_w[:, idx])
-            b[idx] = _categorical_columns(rng, live_l[:, idx])
+            clashed = free[:, idx]
+            a[idx] = _categorical_columns(rng, widths, clashed)
+            b[idx] = _categorical_columns(rng, lengths, clashed)
             idx = idx[a[idx] == b[idx]]
         out[:, stage] = a
         out[:, m - 1 - stage] = b
-        _zero_picks((live_w, live_l), (a, b), flat, cols)
+        _mark_drawn(free, a)
+        _mark_drawn(free, b)
     return _order_counts(out)
 
 

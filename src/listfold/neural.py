@@ -20,6 +20,7 @@ from .data import (DataError, FactorPanel, RankedBatch, WindowPlan, apply_norm_p
 from .losses import LossSpec, evaluate_loss
 
 __all__ = [
+    "MAX_SKIPPED_SHARE",
     "ScoringNet",
     "TrainConfig",
     "AdamState",
@@ -45,7 +46,13 @@ class NonFiniteLossError(RuntimeError):
 
 
 class TrainingDivergenceError(RuntimeError):
-    """Ten consecutive batches produced non-finite losses."""
+    """Ten consecutive batches produced non-finite losses, or more than
+    MAX_SKIPPED_SHARE of a run's batches did."""
+
+
+# The share of a run's batches that train may skip as non-finite before it
+# raises TrainingDivergenceError.
+MAX_SKIPPED_SHARE = 0.1
 
 
 class CheckpointError(DataError):
@@ -348,7 +355,9 @@ def train(panel: FactorPanel, window: WindowPlan, config: TrainConfig,
     train_range. lists takes the window's prebuilt ranked_train_weeks, so models trained on
     one window share them; the median stock of an odd universe must
     already be dropped for the listfold and naive_pt families. Every step
-    reuses one workspace of arrays that this call owns.
+    reuses one workspace of arrays that this call owns. A batch whose
+    train_step raises NonFiniteLossError is skipped; ten in a row, or more
+    than MAX_SKIPPED_SHARE of total_batches, raise TrainingDivergenceError.
 
     The panel and lists hold raw factors. The network takes
     window.norm_params as its input map, so it scales each row it reads,
@@ -364,7 +373,7 @@ def train(panel: FactorPanel, window: WindowPlan, config: TrainConfig,
     optimizer = make_optimizer(config.optimizer, config.learning_rate)
     rng = np.random.default_rng(config.seed)
     queue: list[int] = []
-    consecutive_bad = 0
+    consecutive_bad = skipped = 0
     workspace: dict = {}
     for _ in range(config.total_batches):
         while len(queue) < config.batch_size:
@@ -375,10 +384,16 @@ def train(panel: FactorPanel, window: WindowPlan, config: TrainConfig,
                        reverse_labels=config.reverse_labels, workspace=workspace)
         except NonFiniteLossError:
             consecutive_bad += 1
+            skipped += 1
             if consecutive_bad >= 10:
                 raise TrainingDivergenceError(
                     "loss non-finite for 10 consecutive batches; reduce the learning rate"
                 ) from None
+            if skipped > MAX_SKIPPED_SHARE * config.total_batches:
+                raise TrainingDivergenceError(
+                    f"loss non-finite on {skipped} batches, more than "
+                    f"{MAX_SKIPPED_SHARE:.0%} of {config.total_batches}; "
+                    "reduce the learning rate") from None
             continue
         consecutive_bad = 0
     return net

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from listfold import cli
+from listfold import cli, neural
 from listfold.backtest import BacktestConfig, StrategySpec, run_backtest
 from listfold.cli import main, parse_config_file, build_run_config, ConfigError
 from listfold.data import (DataError, generate_synthetic_panel, load_panel, rolling_windows,
@@ -214,12 +214,33 @@ class TestBacktestCommand:
         assert "training diverged" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_isolated_overflowing_batches_are_skipped(self, base_config, tmp_path):
+    def test_skipping_over_a_tenth_of_the_batches_exits_three(self, base_config, tmp_path,
+                                                              capsys):
         # adam at 1e8 overflows 10 of ListFold-exp's 30 batches here, never
-        # ten in a row: the run skips them and finishes
+        # ten in a row; more than 10% of a (model, window) run is a failure
+        rc = main(["backtest", "--config", str(base_config), "--out", str(tmp_path / "o"),
+                   "--learning-rate", "1e8"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "training diverged: listfold-exp, window 0: loss non-finite on 2 batches" in err
+        assert "more than 10% of 15" in err
+
+    def test_isolated_overflowing_batches_are_skipped(self, base_config, tmp_path,
+                                                      monkeypatch):
+        # one batch in fifteen is non-finite in every (model, window) run:
+        # under the 10% share, each is skipped and the run finishes
+        real, calls = neural.train_step, []
+
+        def one_in_fifteen(*args, **kwargs):
+            calls.append(len(calls))
+            if len(calls) % 15 == 8:
+                raise neural.NonFiniteLossError("batch loss is not finite: nan")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(neural, "train_step", one_in_fifteen)
         out = tmp_path / "o"
-        assert main(["backtest", "--config", str(base_config), "--out", str(out),
-                     "--learning-rate", "1e8"]) == 0
+        assert main(["backtest", "--config", str(base_config), "--out", str(out)]) == 0
+        assert len(calls) == 5 * 2 * 15
         assert "nan" not in (out / "pnl_ListFold-exp.csv").read_text()
 
     def test_bad_field_exit_one_names_field(self, tmp_path, capsys):

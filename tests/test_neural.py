@@ -296,6 +296,38 @@ class TestTrain:
         for p, q in zip(a.parameters(), b.parameters()):
             assert p.tobytes() == q.tobytes()
 
+    @staticmethod
+    def _skipping(monkeypatch, bad):
+        """Make train_step raise NonFiniteLossError on the calls numbered in
+        bad; returns the list of call numbers."""
+        real, calls = neural.train_step, []
+
+        def step(*args, **kwargs):
+            calls.append(len(calls))
+            if calls[-1] in bad:
+                raise neural.NonFiniteLossError("batch loss is not finite: nan")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(neural, "train_step", step)
+        return calls
+
+    def test_skips_up_to_the_share_of_batches(self, monkeypatch):
+        wp, local = raw_window()
+        calls = self._skipping(monkeypatch, {3, 11})
+        cfg = TrainConfig(loss=FOLD_EXP, batch_size=4, total_batches=20, seed=9)
+        net = train(wp, local, cfg)
+        assert len(calls) == 20
+        assert all(np.all(np.isfinite(p)) for p in net.parameters())
+
+    def test_more_than_the_share_of_batches_skipped_raises(self, monkeypatch):
+        wp, local = raw_window()
+        calls = self._skipping(monkeypatch, {3, 11, 17})
+        cfg = TrainConfig(loss=FOLD_EXP, batch_size=4, total_batches=20, seed=9)
+        assert neural.MAX_SKIPPED_SHARE == 0.1
+        with pytest.raises(TrainingDivergenceError, match="on 3 batches, more than 10% of 20"):
+            train(wp, local, cfg)
+        assert len(calls) == 18
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_after_ten_bad_batches(self):
         wp, local = raw_window()
