@@ -14,7 +14,6 @@ figure is the all-in round-trip cost per unit traded.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 import zlib
 from dataclasses import dataclass, replace
@@ -294,10 +293,9 @@ class BacktestConfig:
     cost_bps: float = 30.0
     rf_annual: float = 0.03
     levels: int = 10
-    threads: int = 1
 
     def __post_init__(self):
-        for name in ("train_len", "test_len", "batch_size", "threads"):
+        for name in ("train_len", "test_len", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}: must be >= 1")
         # numpy seeds take no negative integer
@@ -381,18 +379,13 @@ def train_window(panel: FactorPanel, plan: WindowPlan, models, config: BacktestC
     lists = {d: ranked_train_weeks(wpanel, local, require_even=d)
              for d in sorted(set(drop.values()))}
 
-    def fit(model: str) -> ScoringNet:
+    nets = {}
+    for model in models:
         try:
-            return train(wpanel, local, configs[model], lists=lists[drop[model]])
+            nets[model] = train(wpanel, local, configs[model], lists=lists[drop[model]])
         except TrainingDivergenceError as exc:
             raise TrainingDivergenceError(f"{model}, window {window_index}: {exc}") from None
-
-    if config.threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=config.threads) as pool:
-            nets = list(pool.map(fit, models))
-    else:
-        nets = [fit(m) for m in models]
-    return wpanel, dict(zip(models, nets))
+    return wpanel, nets
 
 
 def _score_window(panel: FactorPanel, plan: WindowPlan, models, config: BacktestConfig,
@@ -417,8 +410,8 @@ def run_backtest(panel: FactorPanel, strategies: list[StrategySpec],
 
     Scoring models are deduplicated across strategies and seeded per
     (model, window), so results do not depend on the strategy list's
-    composition or on the thread count. Windows are trained and scored one
-    at a time, so only one window's training lists are held in memory. A lineup
+    composition. Windows are trained and scored one at a time, so only one
+    window's training lists are held in memory. A lineup
     whose strategies carry more than one k raises ValueError, because the
     rank metrics are reported at a single k, and so does a k the panel's
     universe cannot hold; both are checked before any training.

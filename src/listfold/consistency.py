@@ -184,10 +184,7 @@ def theorem1_minimizer_family(scores) -> frozenset[tuple[float, ...]]:
     first at some mirrored position pair (i, 2n+1-i); the assignment of
     pairs to position pairs is free, giving n! members."""
     s = np.sort(np.asarray(scores, dtype=float))[::-1]
-    n = s.size // 2
-    # row sigma puts s[sigma_i] at slot i and s[n + sigma_i] at its mirror
-    sigma = _perm_table(n)
-    return frozenset(map(tuple, np.hstack([s[sigma], s[n + sigma[:, ::-1]]]).tolist()))
+    return frozenset(map(tuple, s[_theorem1_orders(s.size // 2)].tolist()))
 
 
 @dataclass
@@ -255,7 +252,8 @@ def verify_theorem1(trials: int, n_range, seed: int) -> TheoremReport:
         # n! + 1 orders tell a set from the n!-member family
         _, near = _least_listfold(descending, Transform("sigmoid"),
                                   limit=math.factorial(n) + 1)
-        place, family = _place(2 * n), _theorem1_family_keys(n)
+        place = _place(2 * n)
+        family = np.sort(_theorem1_orders(n) @ place)
         for f, s, orders in zip(draws, descending, near):
             if not np.array_equal(np.sort(orders @ place), family):
                 report.violations.append(
@@ -269,13 +267,14 @@ def verify_theorem1(trials: int, n_range, seed: int) -> TheoremReport:
 
 
 @functools.cache
-def _theorem1_family_keys(n: int) -> np.ndarray:
-    """Sorted base-2n keys of theorem1_minimizer_family's n! orders in rank
-    space, as index orders of the 2n scores sorted descending."""
+def _theorem1_orders(n: int) -> np.ndarray:
+    """theorem1_minimizer_family's n! orders in rank space, one (read-only)
+    row each, as index orders of the 2n scores sorted descending: row sigma
+    puts rank sigma_i at slot i and rank n + sigma_i at its mirror."""
     sigma = _perm_table(n)
-    keys = np.sort(np.hstack([sigma, n + sigma[:, ::-1]]) @ _place(2 * n))
-    keys.flags.writeable = False
-    return keys
+    orders = np.hstack([sigma, n + sigma[:, ::-1]])
+    orders.flags.writeable = False
+    return orders
 
 
 @functools.cache

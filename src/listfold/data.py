@@ -55,8 +55,8 @@ class ParseError(DataError):
 class FactorPanel:
     """A date x stock x factor tensor with one-period-ahead returns.
 
-    Missing cells are NaN. Panels are immutable after construction and safe
-    to share across workers; all transformations return new panels.
+    Missing cells are NaN. Panels are immutable after construction; all
+    transformations return new panels.
     """
 
     dates: tuple[str, ...]
@@ -527,11 +527,10 @@ def build_ranked_batch(panel: FactorPanel, date: str, require_even: bool = False
     """
     feats = panel.week_features(date)
     rets = panel.week_returns(date)
-    if np.any(np.isnan(rets)):
-        raise DataError(f"week {date}: missing forward returns")
-    if not np.all(np.isfinite(feats)):
-        kind = "missing" if np.any(np.isnan(feats)) else "infinite"
-        raise DataError(f"week {date}: {kind} factor cells")
+    for what, cells in (("forward returns", rets), ("factor cells", feats)):
+        if not np.all(np.isfinite(cells)):
+            kind = "missing" if np.any(np.isnan(cells)) else "infinite"
+            raise DataError(f"week {date}: {kind} {what}")
     if require_even and rets.size % 2 != 0:
         order = np.argsort(-rets, kind="stable")
         drop = order[rets.size // 2]

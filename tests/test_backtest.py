@@ -387,7 +387,6 @@ class TestBacktestConfig:
         ("train_len", 0, "train_len: must be >= 1"),
         ("test_len", 0, "test_len: must be >= 1"),
         ("batch_size", 0, "batch_size: must be >= 1"),
-        ("threads", 0, "threads: must be >= 1"),
         ("total_batches", -1, "total_batches: must be >= 0"),
         ("optimizer", "newton", "optimizer: unknown optimizer 'newton'"),
         ("levels", 1, "levels: must be >= 2"),
@@ -406,7 +405,7 @@ class TestBacktestConfig:
             BacktestConfig(**{field: value})
 
     def test_edge_values_accepted(self):
-        BacktestConfig(train_len=1, test_len=1, batch_size=1, threads=1, total_batches=0,
+        BacktestConfig(train_len=1, test_len=1, batch_size=1, total_batches=0,
                        optimizer="sgd", levels=2, learning_rate=1e-12, cost_bps=0.0,
                        rf_annual=-0.01)
 
@@ -690,27 +689,6 @@ class TestTrainWindow:
         finally:
             tracemalloc.stop()
         assert peak < window.nbytes
-
-
-class TestThreads:
-    def test_thread_count_does_not_change_results(self):
-        panel = generate_synthetic_panel(35, weeks=80, stocks=12, factors=6,
-                                         signal_strength=0.9, noise_scale=0.4)
-        strategies = [s for s in standard_strategies(k=2) if s.mode != "sa"]
-        base = BacktestConfig(train_len=50, test_len=15, batch_size=4, total_batches=12,
-                              seed=4, cost_bps=30.0, levels=6)
-        serial = run_backtest(panel, strategies, base)
-        from dataclasses import replace
-
-        threaded = run_backtest(panel, strategies, replace(base, threads=4))
-        for name in serial.stats:
-            assert serial.stats[name] == threaded.stats[name]
-        for name, series in serial.pnl.items():
-            assert series.weekly_returns == threaded.pnl[name].weekly_returns
-        for model, by_date in serial.scores.items():
-            for date, row in by_date.items():
-                assert row.tobytes() == threaded.scores[model][date].tobytes()
-        assert serial.rank_metrics == threaded.rank_metrics
 
 
 class TestScoreWindow:

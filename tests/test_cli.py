@@ -79,9 +79,16 @@ class TestConfig:
         assert values["train_len"] == "60"
         assert "# comment line" not in values
 
-    def test_unknown_field_named(self):
-        with pytest.raises(ConfigError, match="wibble"):
-            build_run_config({"wibble": "1"}, {})
+    def test_unknown_field_named(self, panel_csv, tmp_path, capsys):
+        # threads was a BacktestConfig field: serial training is the one path
+        for key in ("wibble", "threads"):
+            with pytest.raises(ConfigError, match=key):
+                build_run_config({key: "1"}, {})
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"panel = {panel_csv}\nk = 2\n{key} = 2\n")
+            assert main(["backtest", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+            assert f"config error: unknown config field: {key}" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
     def test_bad_value_named(self):
         with pytest.raises(ConfigError, match="train_len"):
@@ -124,8 +131,13 @@ class TestConfig:
         assert exc.value.code == 1
         assert "--k" in capsys.readouterr().err
         with pytest.raises(SystemExit) as exc:
+            main(["backtest", "--threads", "2"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
             main(["backtest", "--help"])
         assert exc.value.code == 0
+        assert "--threads" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["backtest", "train", "verify", "simulate", "synth"])
@@ -173,6 +185,17 @@ class TestSynth:
 
     def test_bad_counts_exit_one(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "x.csv"), "--weeks", "0"]) == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--signal-strength", "nan"), ("--signal-strength", "inf"),
+        ("--noise-scale", "nan"), ("--noise-scale", "inf"),
+    ])
+    def test_non_finite_scale_exit_one_names_flag(self, flag, value, tmp_path, capsys):
+        # a NaN signal once wrote a panel of empty returns with exit 0
+        out = tmp_path / "sub" / "x.csv"
+        assert main(["synth", "--out", str(out), flag, value]) == 1
+        assert f"config error: {flag}: must be finite, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "sub").exists()
 
 
 class TestBacktestCommand:
@@ -288,6 +311,20 @@ class TestBacktestCommand:
         assert main(argv + ["--k", "12"]) == 2
         assert [(s.mode, s.k) for s in seen[0]] == [("sa", 12), ("sa", 12)]
         assert main(argv + ["--k", "13"]) == 1
+
+    def test_infinite_training_return_exit_two_names_week(self, base_config, panel_csv,
+                                                          tmp_path, capsys):
+        # it once reached the mse model and the run exited 3 (diverged)
+        lines = panel_csv.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[2] = "inf"
+        lines[5] = ",".join(fields)
+        bad = tmp_path / "inf.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["backtest", "--config", str(base_config), "--panel", str(bad),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"week {fields[0]}: infinite forward returns" in capsys.readouterr().err
 
     def test_short_csv_row_exit_two(self, base_config, panel_csv, tmp_path, capsys):
         lines = panel_csv.read_text().splitlines()
@@ -493,6 +530,27 @@ class TestSimulateCommand:
                      "--draws", "100", "--out", str(out)]) == 0
         with open(out / "simulate_plank.csv") as fh:
             assert sum(1 for _ in fh) == 1 + 40320
+
+    @pytest.mark.parametrize("model, worst, kept", [("plank", "3.83", 5210),
+                                                    ("vase", "3.94", 5055)])
+    def test_max_z_reads_only_orderings_expected_five_times(self, model, worst, kept,
+                                                             tmp_path, capsys):
+        # over all 40320 orderings a correct sampler read 14.02 (plank) and
+        # 9.21 (vase): single hits against expected counts near 0.005
+        out = tmp_path / "s"
+        assert main(["simulate", "--model", model, "--weights", "1,2,3,4,5,6,7,8",
+                     "--draws", "100000", "--seed", "0", "--out", str(out)]) == 0
+        assert (f"max |z| = {worst} over {kept} expected >= 5 times "
+                f"({40320 - kept} left out)") in capsys.readouterr().out
+        with open(out / f"simulate_{model}.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        counted = [abs(float(r["z"])) for r in rows if 100000 * float(r["analytic"]) >= 5]
+        assert len(counted) == kept and f"{max(counted):.2f}" == worst
+
+    def test_max_z_is_n_a_when_no_ordering_is_expected_five_times(self, tmp_path, capsys):
+        assert main(["simulate", "--model", "vase", "--weights", "1,1", "--draws", "9",
+                     "--out", str(tmp_path / "s")]) == 0
+        assert "max |z| = n/a over 0 expected >= 5 times (2 left out)" in capsys.readouterr().out
 
     def test_plank_weights_whose_sum_product_overflows(self, tmp_path, capsys):
         # widths and lengths both sum to ~1e200: the analytic cells were nan

@@ -142,6 +142,14 @@ class TestTheorem1:
         fam = theorem1_minimizer_family([6.0, 5.0, 4.0, 2.0, 1.0, 0.0])
         assert len(fam) == math.factorial(3)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_family_reads_one_read_only_index_table(self, n):
+        orders = consistency._theorem1_orders(n)
+        assert orders.shape == (math.factorial(n), 2 * n)
+        assert not orders.flags.writeable
+        s = np.arange(2.0 * n, 0.0, -1.0)
+        assert theorem1_minimizer_family(s) == frozenset(map(tuple, s[orders].tolist()))
+
     def test_tie_straddling_median_degenerate_not_violation(self):
         # force the tied draw through the public path by checking the
         # degenerate counter on a crafted generator seed is not required:

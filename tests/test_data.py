@@ -321,6 +321,12 @@ class TestRankedBatch:
         with pytest.raises(DataError, match="missing forward returns"):
             build_ranked_batch(panel, panel.dates[0])
 
+    @pytest.mark.parametrize("ret", [np.inf, -np.inf])
+    def test_infinite_returns_rejected(self, ret):
+        panel = tiny_panel(np.zeros((1, 4, 2)), np.array([[0.1, ret, 0.0, 0.2]]))
+        with pytest.raises(DataError, match=f"{panel.dates[0]}: infinite forward returns"):
+            build_ranked_batch(panel, panel.dates[0])
+
     @pytest.mark.parametrize("cell, kind", [(np.nan, "missing"), (np.inf, "infinite"),
                                             (-np.inf, "infinite")])
     def test_non_finite_factor_cell_rejected(self, cell, kind):
