@@ -148,11 +148,12 @@ def build_list2mle(scores_fwd: np.ndarray, scores_rvs: np.ndarray, stocks,
     return _legs(scores_fwd, scores_rvs, stocks, k)
 
 
-def _check_held(held: np.ndarray, returns: np.ndarray, dates, stocks) -> None:
+def _check_held(held: np.ndarray, returns: np.ndarray, dates, stocks,
+                what: str = "held stock") -> None:
     bad = np.argwhere(held & ~np.isfinite(returns))
     if bad.size:
         week, col = bad[0]
-        raise DataError(f"missing realized return for held stock {stocks[col]} "
+        raise DataError(f"missing realized return for {what} {stocks[col]} "
                         f"on {dates[week]}")
 
 
@@ -353,51 +354,47 @@ def model_train_config(config: BacktestConfig, model: str, window_index: int) ->
 
 
 def train_window(panel: FactorPanel, plan: WindowPlan, models, config: BacktestConfig,
-                 window_index: int) -> tuple[FactorPanel, dict[str, ScoringNet]]:
-    """Train every model of one rolling window.
+                 window_index: int) -> dict[str, ScoringNet]:
+    """Train every model of one rolling window; returns the networks by
+    model.
 
     The window's training lists are built once per median-drop setting from
-    raw views of the panel, then shared by all models. Each network carries
-    the plan's train-fitted norm_params (fitted here if the plan has none)
-    as its input map, so no normalized copy of the window is made. Returns
-    the window panel (raw views of the train and test weeks) and the
-    networks by model. A model's network does not depend on which other
-    models train beside it, so `listfold train` and `run_backtest` produce
-    the same network. A TrainingDivergenceError names the model and the
-    window.
+    raw views of the panel's train weeks, then shared by all models. Each
+    network carries the plan's train-fitted norm_params (fitted here if the
+    plan has none) as its input map, so no normalized copy of the window is
+    made. A model's network does not depend on which other models train
+    beside it, so `listfold train` and `run_backtest` produce the same
+    network. A TrainingDivergenceError names the model and the window.
     """
     if plan.norm_params is None:
         plan = fit_norm_params(panel, plan)
     if plan.test_range[0] != plan.train_range[1]:
         raise DataError("test range must immediately follow train range")
-    wpanel = panel.slice_weeks(plan.train_range[0], plan.test_range[1])
-    local = plan.localized()
     configs = {m: model_train_config(config, m, window_index) for m in models}
     # dropping the median stock changes nothing on an even universe
-    odd = wpanel.n_stocks % 2 == 1
+    odd = panel.n_stocks % 2 == 1
     drop = {m: odd and tc.loss.even_length for m, tc in configs.items()}
-    lists = {d: ranked_train_weeks(wpanel, local, require_even=d)
+    lists = {d: ranked_train_weeks(panel, plan, require_even=d)
              for d in sorted(set(drop.values()))}
 
     nets = {}
     for model in models:
         try:
-            nets[model] = train(wpanel, local, configs[model], lists=lists[drop[model]])
+            nets[model] = train(panel, plan, configs[model], lists=lists[drop[model]])
         except TrainingDivergenceError as exc:
             raise TrainingDivergenceError(f"{model}, window {window_index}: {exc}") from None
-    return wpanel, nets
+    return nets
 
 
 def _score_window(panel: FactorPanel, plan: WindowPlan, models, config: BacktestConfig,
                   window_index: int) -> tuple[list[str], dict[str, np.ndarray]]:
     """Test dates and (weeks, N) return-oriented scores of one window; the
     window's training lists are freed on return."""
-    wpanel, nets = train_window(panel, plan, models, config, window_index)
-    local = plan.localized()
-    dates = list(wpanel.dates[local.test_range[0]:local.test_range[1]])
+    nets = train_window(panel, plan, models, config, window_index)
+    dates = list(panel.dates[plan.test_range[0]:plan.test_range[1]])
     scores = {}
     for model in models:
-        raw = np.stack([score_week(nets[model], wpanel, date) for date in dates])
+        raw = np.stack([score_week(nets[model], panel, date) for date in dates])
         scores[model] = -raw if MODEL_SPECS[model][1] else raw
     return dates, scores
 
@@ -443,6 +440,8 @@ def run_backtest(panel: FactorPanel, strategies: list[StrategySpec],
         stats[strat.name] = compute_stats(pnl[strat.name], config.rf_annual)
 
     scores = {m: dict(zip(test_dates, stacked[m])) for m in models}
+    # the books priced every held stock; IC and NDCG rank the unheld ones too
+    _check_held(np.isnan(returns), returns, test_dates, panel.stocks, "unheld stock")
     rank_metrics = {m: _model_rank_metrics(stacked[m], returns, panel.stocks, k=k,
                                            levels=config.levels)
                     for m in models}

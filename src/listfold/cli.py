@@ -107,7 +107,8 @@ class RunConfig:
         if self.k < 1:
             raise ConfigError("field k: must be >= 1")
         for tok in _split(self.batch_sizes):
-            if not tok.isdigit() or int(tok) < 1:
+            # isdigit also holds for digits int refuses, such as '²'
+            if not tok.isdecimal() or int(tok) < 1:
                 raise ConfigError(f"field batch_sizes: bad entry {tok!r}")
 
 
@@ -128,11 +129,12 @@ def _keys() -> dict:
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Flat ``key = value`` lines; blank lines and ``#`` comments ignored."""
+    """Flat ``key = value`` lines of UTF-8 text, after an optional byte
+    order mark; blank lines and ``#`` comments ignored."""
     out: dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -194,11 +196,19 @@ def _run_config(args) -> RunConfig:
     return cfg
 
 
+def _make_dir(path: Path) -> Path:
+    """path, created as a directory with its parents if missing."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from None
+    return path
+
+
 def cmd_backtest(args) -> int:
     cfg = _run_config(args)
     strategies = _strategy_list(cfg)
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_dir(Path(cfg.out))
     panel = load_panel(cfg.panel)
     for strat in strategies:
         try:
@@ -241,8 +251,7 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"sizes must be one or more even sizes <= {consistency.SEARCH_CAP}")
     if args.trials < 1 or args.budget < 0:
         raise ConfigError("trials must be >= 1 and budget >= 0")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_dir(Path(args.out))
     lines: list[str] = []
 
     expo = Transform("exponential")
@@ -326,9 +335,7 @@ def cmd_simulate(args) -> int:
         sample, probability = consistency.sample_plank_dart, consistency.plank_probability
     table = consistency.frequency_zscores(sample(spec), args.draws,
                                           lambda perms: probability(weights, perms))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"simulate_{args.model}.csv"
+    path = _make_dir(Path(args.out)) / f"simulate_{args.model}.csv"
     _write_table(path, ["permutation", "empirical", "analytic", "z"],
                  ((perm, *row) for perm, row in table.items()))
     zs = [abs(z) for _, p, z in table.values() if args.draws * p >= MIN_EXPECTED_COUNT]
@@ -349,7 +356,7 @@ def cmd_synth(args) -> int:
         args.signal_strength, args.noise_scale,
     )
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _make_dir(out.parent)
     save_panel(panel, out)
     print(f"wrote {panel.n_weeks} weeks x {panel.n_stocks} stocks x "
           f"{panel.n_factors} factors to {out}")
@@ -367,10 +374,9 @@ def cmd_train(args) -> int:
     if not 0 <= args.window < len(plans):
         raise DataError(f"window {args.window} out of range (0..{len(plans) - 1})")
     # the same per-window training, seed, data and input map the backtest uses
-    _, nets = train_window(panel, plans[args.window], [model], config, args.window)
-    net = nets[model]
+    net = train_window(panel, plans[args.window], [model], config, args.window)[model]
     out = Path(args.checkpoint)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _make_dir(out.parent)
     save_checkpoint(net, out)
     print(f"checkpoint written to {out}")
     return EXIT_OK
@@ -388,7 +394,7 @@ def cmd_score(args) -> int:
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _make_dir(out.parent)
     _write_table(out, ["stock", "score"], zip(panel.stocks, scores))
     print(f"scores for {args.week} written to {out}")
     return EXIT_OK

@@ -11,15 +11,14 @@ reaches list length SEARCH_CAP = 14. Each check walks only what it reads:
 theorem 1 at most n! + 1 orders per row (enough to tell the set from the
 n!-member family), restricted theorem 2 at most 2 (a second order is a
 violation), and unrestricted theorem 2 and the search none, unless a row's
-least loss beats descending's, whose first order is the witness. A walk
-with no limit raises WalkBudgetError once its frontier passes
-_WALK_ELEMENTS, instead of allocating the set. enumerate_losses evaluates
-every permutation, capped at ENUMERATION_CAP = 8 items (8! = 40320 rows),
-for the enumeration table, the probe and the tests. Minimizers are grouped
-within the tolerance so genuinely tied sets (the sigmoid case produces
-them) come out as sets, and _classify names a minimizer set by the true
-loss it is consistent with: descending-unique for the permutation 0-1
-loss, binary-class-set for the half-split binary classification loss.
+least loss beats descending's, whose first order is the witness.
+enumerate_losses evaluates every permutation, capped at ENUMERATION_CAP =
+8 items (8! = 40320 rows), for the enumeration table, the probe and the
+tests. Minimizers are grouped within the tolerance so genuinely tied sets
+(the sigmoid case produces them) come out as sets, and _classify names a
+minimizer set by the true loss it is consistent with: descending-unique
+for the permutation 0-1 loss, binary-class-set for the half-split binary
+classification loss.
 
 The Monte Carlo samplers draw the two generative stories behind the
 likelihood losses, whose probabilities are those losses: exp(-ListMLE-exp)
@@ -51,7 +50,6 @@ __all__ = [
     "EnumerationReport",
     "SamplerSpec",
     "TheoremReport",
-    "WalkBudgetError",
     "Witness",
     "SwapRecord",
     "enumerate_losses",
@@ -292,52 +290,43 @@ _DP_ELEMENTS = 1 << 20
 def _subset_levels(m: int):
     """Index tables of the subset DP over range(m).
 
-    Returns (pi, pj, rank, levels): the C(m, 2) pairs pi < pj, each
-    bitmask's row within its level, and per even level k = 2, 4, ..., m the
-    tuple (k, states, pairs, rest): the k-item bitmasks, the ids of the
-    C(k, 2) pairs inside each, and each state with that pair removed.
+    Returns (pi, pj, levels): the C(m, 2) pairs pi < pj, and per even
+    level k = 2, 4, ..., m the tuple (k, states, pairs, rest): the k-item
+    bitmasks in ascending order, the ids of the C(k, 2) pairs inside each,
+    and each state with that pair removed.
     """
     pi, pj = np.triu_indices(m, 1)
     pair_mask = (1 << pi) | (1 << pj)
     size = np.zeros(1 << m, dtype=np.intp)
     for b in range(m):
         size[1 << b : 2 << b] = size[: 1 << b] + 1
-    rank = np.zeros(1 << m, dtype=np.intp)
     levels = []
     for k in range(2, m + 1, 2):
         states = np.flatnonzero(size == k)
-        rank[states] = np.arange(states.size)
         inside = (states[:, None] & pair_mask) == pair_mask
         pairs = np.nonzero(inside)[1].reshape(states.size, k * (k - 1) // 2)
         levels.append((k, states, pairs, states[:, None] ^ pair_mask[pairs]))
-    return pi, pj, rank, levels
-
-
-class WalkBudgetError(RuntimeError):
-    """The near-minimizer walk's frontier passed _WALK_ELEMENTS: the rows
-    have more near-minimizer orders than it holds. Pass a limit to walk
-    only each row's first orders."""
+    return pi, pj, levels
 
 
 # Elements per walk frontier array (branches x candidate pairs, or branches
-# x m of partial orders): 16 MiB of float64. A limited walk takes rows in
-# groups that cannot pass it; an unlimited one raises WalkBudgetError.
+# x m of partial orders): 16 MiB of float64. The walk takes rows in groups
+# of _WALK_ELEMENTS // (limit m (m - 1)), so no frontier array passes
+# max(_WALK_ELEMENTS, limit m (m - 1)) elements.
 _WALK_ELEMENTS = 1 << 21
 
 
-def _least_listfold(scores: np.ndarray, transform: Transform, restricted: bool = False,
-                    limit: int | None = None):
+def _least_listfold(scores: np.ndarray, transform: Transform, restricted: bool = False, *,
+                    limit: int):
     """Least listfold loss over the orders of each row of a (draws, m)
     block (m even), and the orders within MINIMIZER_TOL of it.
 
     Returns (least, near): least is (draws,), and near[r] is a (k, m) array
-    of row r's near-minimizer orders, as indices into the row (k >= 1), in
-    the walk's order. limit caps k per row: the walk keeps each row's first
-    limit orders, the same as the first rows of the unlimited walk, and
-    limit=0 skips the walk (near is None). With no limit k reaches m! on a
-    row of equal scores, and sigmoid pair terms under 1e-9 (score gaps over
-    about 21) enlarge it alike, so the walk raises WalkBudgetError past
-    _WALK_ELEMENTS.
+    of row r's first k <= limit near-minimizer orders, as indices into the
+    row (k >= 1), in the walk's order; limit=0 skips the walk (near is
+    None). A row of equal scores has m! near-minimizer orders, and sigmoid
+    pair terms under 1e-9 (score gaps over about 21) enlarge a set alike,
+    so every caller passes the limit it reads.
 
     A stage's terms depend only on the set S of still unplaced items and
     the pair it places: the stage term is log D(S) for exp and
@@ -350,7 +339,7 @@ def _least_listfold(scores: np.ndarray, transform: Transform, restricted: bool =
     orders.
     """
     draws, m = scores.shape
-    pi, pj, _, levels = _subset_levels(m)
+    pi, pj, levels = _subset_levels(m)
     step = max(1, _DP_ELEMENTS // max(pairs.size for _, _, pairs, _ in levels))
     least = np.empty(draws)
     near = None if limit == 0 else []
@@ -381,25 +370,18 @@ def _least_listfold(scores: np.ndarray, transform: Transform, restricted: bool =
             v[:, states] = stage + (v[:, rest] + best[:, pairs]).min(axis=2)
         least[lo : lo + step] = v[:, -1]
         if near is not None:
-            # a limited walk takes rows in groups whose frontier, at most
-            # limit branches per row times m (m - 1) candidates, fits the budget
-            group = len(f) if limit is None else max(1, _WALK_ELEMENTS // (limit * m * (m - 1)))
+            # rows go in groups whose frontier, at most limit branches per
+            # row times m (m - 1) candidates, fits _WALK_ELEMENTS
+            group = max(1, _WALK_ELEMENTS // (limit * m * (m - 1)))
             for g in range(0, len(f), group):
                 near += _near_minimizers(v[g : g + group], cost[g : g + group], limit)
     return least, near
 
 
-def _check_walk(elements: int, rows: int) -> None:
-    if elements > _WALK_ELEMENTS:
-        raise WalkBudgetError(
-            f"near-minimizer walk over {rows} rows needs a {elements}-element frontier, "
-            f"past its budget of {_WALK_ELEMENTS}; pass a limit")
-
-
-def _near_minimizers(v: np.ndarray, cost: np.ndarray, limit: int | None) -> list[np.ndarray]:
-    """The first limit orders (every one if limit is None) of each row
-    whose loss is within MINIMIZER_TOL of V(full set), split by row, from
-    _least_listfold's table V and pair costs.
+def _near_minimizers(v: np.ndarray, cost: np.ndarray, limit: int) -> list[np.ndarray]:
+    """The first limit orders of each row whose loss is within
+    MINIMIZER_TOL of V(full set), split by row, from _least_listfold's
+    table V and pair costs.
 
     The walk places pairs from the outside in, over all rows at once. A
     branch's slack is its loss so far plus V(unplaced) less V(full set):
@@ -412,25 +394,24 @@ def _near_minimizers(v: np.ndarray, cost: np.ndarray, limit: int | None) -> list
     limit, and at the last stage.
     """
     c, m = cost.shape[:2]
-    pi, pj, rank, levels = _subset_levels(m)
+    pi, pj, levels = _subset_levels(m)
     row = np.arange(c)
     state = np.full(c, (1 << m) - 1)
     slack = np.zeros(c)
     order = np.zeros((c, m), dtype=np.intp)
-    for s, (k, _, pairs, rest) in enumerate(levels[::-1]):
-        _check_walk(row.size * k * (k - 1), c)
-        at = rank[state]
+    for s, (k, states, pairs, rest) in enumerate(levels[::-1]):
+        # each state's row within its level, whose states ascend
+        at = np.searchsorted(states, state)
         # both orientations of each pair inside the state
         top = np.hstack([pi[pairs[at]], pj[pairs[at]]])
         bottom = np.hstack([pj[pairs[at]], pi[pairs[at]]])
         term = cost[row[:, None], top, bottom] + v[row[:, None], np.tile(rest[at], 2)]
         term = slack[:, None] + (term - term.min(axis=1, keepdims=True))
         keep, pick = np.nonzero(term <= MINIMIZER_TOL)
-        if limit is not None and (keep.size > c * limit or k == 2):
+        if keep.size > c * limit or k == 2:
             # each branch's rank among its row's branches
             first = np.arange(keep.size) - np.searchsorted(row[keep], row[keep]) < limit
             keep, pick = keep[first], pick[first]
-        _check_walk(keep.size * m, c)
         row, slack, order = row[keep], term[keep, pick], order[keep]
         order[:, s], order[:, m - 1 - s] = top[keep, pick], bottom[keep, pick]
         state = state[keep] ^ (1 << order[:, s]) ^ (1 << order[:, m - 1 - s])

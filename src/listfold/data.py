@@ -159,11 +159,6 @@ class WindowPlan:
     def test_len(self) -> int:
         return self.test_range[1] - self.test_range[0]
 
-    def localized(self) -> "WindowPlan":
-        """The same plan re-indexed for a panel sliced to this window."""
-        tl, te = self.train_len, self.test_len
-        return WindowPlan((0, tl), (tl, tl + te), self.norm_params)
-
 
 # Rows per chunk, read or written: bounds the memory the CSV I/O holds at once.
 _CHUNK_ROWS = 1024

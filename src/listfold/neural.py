@@ -430,8 +430,9 @@ def load_checkpoint(path) -> ScoringNet:
     """The network saved by save_checkpoint, its input map included. A file
     that is not an .npz of plain arrays, a missing array, layer_dims of
     fewer than two widths, a w{i} / b{i} whose shape disagrees with
-    layer_dims, and a norm_min without a norm_max (or the reverse) or of a
-    shape other than (layer_dims[0],) raise CheckpointError. A file that
+    layer_dims, a final_relu or seed that is not one integer, and a
+    norm_min without a norm_max (or the reverse) or of a shape other than
+    (layer_dims[0],) raise CheckpointError. A file that
     cannot be opened raises OSError. Other keys, such as the config_hash
     that earlier checkpoints carry, are ignored."""
     try:
@@ -445,6 +446,10 @@ def load_checkpoint(path) -> ScoringNet:
     missing = [key for key in ("layer_dims", "final_relu", "seed") if key not in arrays]
     if missing:
         raise CheckpointError(f"{path}: missing {', '.join(missing)}")
+    for key in ("final_relu", "seed"):
+        if arrays[key].size != 1 or arrays[key].dtype.kind not in "biu":
+            raise CheckpointError(f"{path}: {key} is a {arrays[key].dtype} array of shape "
+                                  f"{arrays[key].shape}, not one integer")
     dims = np.ravel(arrays["layer_dims"]).tolist()
     if len(dims) < 2:
         raise CheckpointError(f"{path}: layer_dims {dims} need an input and an output width")
@@ -463,7 +468,7 @@ def load_checkpoint(path) -> ScoringNet:
         layer_dims=dims,
         weights=[arrays[f"w{i}"] for i in range(n_layers)],
         biases=[arrays[f"b{i}"] for i in range(n_layers)],
-        final_relu=bool(arrays["final_relu"][0]),
-        seed=int(arrays["seed"][0]),
+        final_relu=bool(arrays["final_relu"].item()),
+        seed=int(arrays["seed"].item()),
         norm_params=tuple(arrays[key] for key in _NORM_KEYS) if has_norm else None,
     )

@@ -25,10 +25,11 @@ from listfold.backtest import (
     model_train_config,
     standard_strategies,
     run_backtest,
+    strategy_lineup,
     train_window,
 )
-from listfold.data import (DataError, FactorPanel, fit_norm_params, generate_synthetic_panel,
-                           minmax_normalize, rolling_windows)
+from listfold.data import (DataError, FactorPanel, WindowPlan, fit_norm_params,
+                           generate_synthetic_panel, minmax_normalize, rolling_windows)
 from listfold.neural import forward, train
 from test_metrics import blocks
 
@@ -486,6 +487,22 @@ class TestRunBacktest:
         with pytest.raises(ValueError, match="universe"):
             run_backtest(panel, standard_strategies(k=4), cfg)
 
+    def test_missing_return_of_an_unheld_stock_names_week_and_stock(self):
+        # a book ignores it, but IC and NDCG rank every stock; week 70 is
+        # tested, never trained on, so the scores do not move
+        panel = generate_synthetic_panel(32, weeks=80, stocks=12, factors=6,
+                                         signal_strength=0.5, noise_scale=1.0)
+        cfg = BacktestConfig(train_len=50, test_len=15, batch_size=4, total_batches=2,
+                             seed=5, levels=6)
+        strategies = strategy_lineup(["listfold-exp"], ["ls"], 2)
+        date = panel.dates[70]
+        order = np.argsort(run_backtest(panel, strategies, cfg).scores["listfold-exp"][date])
+        unheld = order[6]  # a middle rank: no top 2 or bottom 2 book holds it
+        returns = panel.fwd_return.copy()
+        returns[70, unheld] = np.nan
+        with pytest.raises(DataError, match=f"unheld stock {panel.stocks[unheld]} on {date}"):
+            run_backtest(replace(panel, fwd_return=returns), strategies, cfg)
+
     def test_zero_signal_panel_runs_clean(self):
         panel = generate_synthetic_panel(32, weeks=80, stocks=12, factors=6,
                                          signal_strength=0.0, noise_scale=1.0)
@@ -646,13 +663,15 @@ class TestTrainWindow:
         # networks without an input map on it; on the odd universe the
         # listfold and naive-pt models drop the median, the others do not
         panel, cfg, plan = self._setup(stocks)
-        _, nets = train_window(panel, plan, self.MODELS, cfg, 1)
+        nets = train_window(panel, plan, self.MODELS, cfg, 1)
         dates, scores = backtest._score_window(panel, plan, self.MODELS, cfg, 1)
         alone = minmax_normalize(panel, plan)
         test_block = alone.factors[plan.train_len:]
         assert np.all(alone.factors[:, :, 0] == 0.5)
         assert test_block.min() < 0.0 and test_block.max() > 1.0
-        plain = replace(plan.localized(), norm_params=None)
+        # the plan re-indexed for the window copy, with no input map
+        tl = plan.train_len
+        plain = WindowPlan((0, tl), (tl, tl + plan.test_len))
         for model in self.MODELS:
             want = train(alone, plain, model_train_config(cfg, model, 1))
             assert want.norm_params is None
@@ -667,8 +686,8 @@ class TestTrainWindow:
 
     def test_model_does_not_depend_on_its_companions(self):
         panel, cfg, plan = self._setup(11)
-        _, together = train_window(panel, plan, self.MODELS, cfg, 1)
-        _, alone = train_window(panel, plan, ["listmle"], cfg, 1)
+        together = train_window(panel, plan, self.MODELS, cfg, 1)
+        alone = train_window(panel, plan, ["listmle"], cfg, 1)
         for p, q in zip(together["listmle"].parameters(), alone["listmle"].parameters()):
             assert p.tobytes() == q.tobytes()
 
@@ -702,10 +721,10 @@ class TestScoreWindow:
         plan = fit_norm_params(panel, rolling_windows(80, 50, 15)[0])
         models = sorted(backtest.MODEL_SPECS)
         dates, scores = backtest._score_window(panel, plan, models, config, 0)
-        wpanel, nets = train_window(panel, plan, models, config, 0)
+        nets = train_window(panel, plan, models, config, 0)
         for model in models:
             for t, date in enumerate(dates):
-                want = forward(nets[model], wpanel.week_features(date))
+                want = forward(nets[model], panel.week_features(date))
                 if backtest.MODEL_SPECS[model][1]:
                     want = -want
                 assert scores[model][t].tobytes() == want.tobytes()

@@ -125,6 +125,29 @@ class TestConfig:
         assert cfg.panel == values["panel"]
         assert cfg.backtest.train_len == int(values["train_len"])
 
+    def test_batch_size_digit_that_int_refuses_is_a_config_error(self, panel_csv, tmp_path,
+                                                                capsys):
+        # '²' passes str.isdigit, and int('²') raised a ValueError traceback
+        rc = main(["backtest", "--panel", str(panel_csv), "--out", str(tmp_path / "o"),
+                   "--k", "2", "--batch-sizes", "8,²"])
+        assert rc == 1
+        assert "config error: field batch_sizes: bad entry '²'" in capsys.readouterr().err
+
+    def test_config_file_with_a_byte_order_mark(self, panel_csv, tmp_path):
+        # the mark was read into the first key: unknown config field '\ufeffpanel'
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(f"panel = {panel_csv}\nk = 2\n".encode("utf-8-sig"))
+        assert parse_config_file(cfg) == {"panel": str(panel_csv), "k": "2"}
+
+    def test_config_file_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        # a UnicodeDecodeError traceback before
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"k = 2\n# caf\xe9\n")
+        assert main(["backtest", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: cannot read config file {cfg}" in err
+        assert "can't decode byte 0xe9" in err
+
     def test_bad_flag_value_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["backtest", "--k", "abc"])
@@ -158,6 +181,35 @@ def test_negative_seed_is_a_config_error(command, base_config, tmp_path, capsys)
     assert main(argv + ["--seed", "-1"]) == 1
     assert "config error: field seed: must be >= 0" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["backtest", "verify", "simulate", "synth", "train",
+                                     "score"])
+def test_output_path_under_a_file_is_a_config_error(command, base_config, panel_csv,
+                                                     tmp_path, capsys):
+    # mkdir raised FileExistsError or NotADirectoryError, a traceback
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file, not a directory\n")
+    ck = tmp_path / "model.npz"
+    save_checkpoint(init_network(6, seed=1), ck)
+    argv, made = {
+        "backtest": (["backtest", "--config", str(base_config), "--out", str(blocker)],
+                     blocker),
+        "verify": (["verify", "--trials", "1", "--sizes", "2", "--budget", "0",
+                    "--out", str(blocker)], blocker),
+        "simulate": (["simulate", "--model", "vase", "--weights", "1,2", "--draws", "10",
+                      "--out", str(blocker / "sim")], blocker / "sim"),
+        "synth": (["synth", "--out", str(blocker / "p.csv"), "--weeks", "2", "--stocks", "2",
+                   "--factors", "1"], blocker),
+        "train": (["train", "--config", str(base_config), "--model", "mlp",
+                   "--checkpoint", str(blocker / "c.npz")], blocker),
+        "score": (["score", "--checkpoint", str(ck), "--panel", str(panel_csv),
+                   "--week", load_panel(panel_csv).dates[65],
+                   "--out", str(blocker / "s.csv")], blocker),
+    }[command]
+    assert main(argv) == 1
+    assert f"config error: cannot create output directory {made}" in capsys.readouterr().err
+    assert blocker.read_text() == "a file, not a directory\n"
 
 
 def test_negative_seed_in_a_config_file_is_a_config_error(panel_csv, tmp_path, capsys):
@@ -701,6 +753,22 @@ class TestTrainScoreCommands:
         checkpoint_arrays["layer_dims"] = checkpoint_arrays["layer_dims"][:0]
         assert self._score_malformed(checkpoint_arrays, panel_csv, tmp_path) == 2
         assert "layer_dims [] need" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("final_relu", np.zeros(0, dtype=np.int64)),
+        ("seed", np.zeros(0, dtype=np.int64)),
+        ("seed", np.array(["seven"])),
+        ("seed", np.array([1, 2])),
+        ("final_relu", np.array([0.5])),
+    ], ids=["empty-final-relu", "empty-seed", "string-seed", "two-seeds", "float-relu"])
+    def test_final_relu_or_seed_not_one_integer_is_a_data_error(self, key, value,
+                                                                checkpoint_arrays,
+                                                                panel_csv, tmp_path, capsys):
+        # an empty array ended in an IndexError traceback, a string in a ValueError one
+        checkpoint_arrays[key] = value
+        assert self._score_malformed(checkpoint_arrays, panel_csv, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "data error:" in err and f"{key} is a" in err and "not one integer" in err
 
     def test_norm_min_without_norm_max_is_a_data_error(self, checkpoint_arrays, panel_csv,
                                                        tmp_path, capsys):

@@ -23,7 +23,6 @@ from listfold.consistency import (
     MINIMIZER_TOL,
     SEARCH_CAP,
     SamplerSpec,
-    WalkBudgetError,
     _DISTRIBUTIONS,
     _categorical_columns,
     _classify,
@@ -182,9 +181,9 @@ class TestTheorem1:
     def test_dp_sees_descending_rows_and_no_float_tuples_are_built(self, monkeypatch):
         seen = []
 
-        def spy(scores, transform, restricted=False, limit=None):
+        def spy(scores, transform, restricted=False, *, limit):
             seen.append(scores.copy())
-            return _least_listfold(scores, transform, restricted, limit)
+            return _least_listfold(scores, transform, restricted, limit=limit)
 
         def family(scores):
             raise AssertionError("the family's float tuples are for a violation's report")
@@ -198,7 +197,7 @@ class TestTheorem1:
 
     def test_violation_reports_the_orders_as_scores(self, monkeypatch):
         # the walk hands back the rank-space family less its first member
-        def short(scores, transform, restricted=False, limit=None):
+        def short(scores, transform, restricted=False, *, limit):
             n = scores.shape[1] // 2
             sigma = _perm_table(n)
             family = np.hstack([sigma, n + sigma[:, ::-1]])
@@ -246,7 +245,7 @@ class TestTheorem2:
         # an engine that finds a second half-respecting order as good as
         # descending: uniqueness fails and the report shows that order; the
         # check asks for 2 orders per row, enough to hold a second one
-        def rigged(descending, transform, restricted=False, limit=None):
+        def rigged(descending, transform, restricted=False, *, limit):
             assert restricted and limit == 2
             base = evaluate_loss(FOLD_EXP, descending, with_gradient=False).value
             swap = [[1, 0, 2, 3]] if descending.shape[1] == 4 else [[0, 1]]
@@ -304,7 +303,7 @@ class TestCounterexampleSearch:
         # one order each
         calls = []
 
-        def rigged(descending, transform, restricted=False, limit=None):
+        def rigged(descending, transform, restricted=False, *, limit):
             calls.append((len(descending), limit))
             base = evaluate_loss(FOLD_EXP, descending, with_gradient=False).value
             m = descending.shape[1]
@@ -334,7 +333,7 @@ class TestSubsetDP:
     def test_minimum_and_order_match_enumeration(self, m, dist, spec, seed):
         rng = np.random.default_rng(seed)
         draws = np.array([_sample_scores(rng, m, dist) for _ in range(3)])
-        least, near = _least_listfold(draws, spec.transform)
+        least, near = _least_listfold(draws, spec.transform, limit=math.factorial(m))
         for f, v, orders in zip(draws, least, near):
             assert abs(_table_losses(spec, f[_perm_table(m)]).min() - v) <= 1e-12
             assert all(sorted(o) == list(range(m)) for o in orders.tolist())
@@ -346,7 +345,7 @@ class TestSubsetDP:
     @given(st.sampled_from([FOLD_EXP, FOLD_SGM]), _GRID_SCORES)
     def test_near_minimizer_sets_equal_enumeration_with_ties(self, spec, scores):
         f = np.asarray(scores)
-        _, near = _least_listfold(f[None, :], spec.transform)
+        _, near = _least_listfold(f[None, :], spec.transform, limit=math.factorial(f.size))
         assert _near_values(f, near[0]) == enumerate_losses(f, spec).minimizers
 
     @settings(max_examples=60, deadline=None)
@@ -356,14 +355,15 @@ class TestSubsetDP:
         f = np.asarray(scores)
         index = consistency_oracle.half_respecting_table(f.size // 2)
         losses = _table_losses(spec, f[index])
-        least, near = _least_listfold(f[None, :], spec.transform, restricted=True)
+        least, near = _least_listfold(f[None, :], spec.transform, restricted=True,
+                                      limit=math.factorial(f.size))
         assert abs(losses.min() - least[0]) <= 1e-12
         want = {tuple(row) for row in index[losses <= losses.min() + MINIMIZER_TOL].tolist()}
         assert set(map(tuple, near[0].tolist())) == want
 
     def test_sigmoid_family_at_length_fourteen(self):
         f = np.random.default_rng(3).uniform(-3.0, 3.0, size=(2, 14))
-        _, near = _least_listfold(f, Transform("sigmoid"))
+        _, near = _least_listfold(f, Transform("sigmoid"), limit=math.factorial(14))
         for row, orders in zip(f, near):
             assert len(orders) == math.factorial(7)
             assert _near_values(row, orders) == theorem1_minimizer_family(row)
@@ -376,7 +376,7 @@ class TestSubsetDP:
         # at such spreads every sigmoid pair term of a right-way-up pair
         # rounds to 0, so the sigmoid near-minimizer set is most orders
         for spec in [FOLD_EXP, FOLD_SGM] if m == 8 else [FOLD_EXP]:
-            least, near = _least_listfold(draws, spec.transform)
+            least, near = _least_listfold(draws, spec.transform, limit=math.factorial(m))
             assert np.all(np.isfinite(least))
             for f, v, orders in zip(draws, least, near):
                 assert all(sorted(o) == list(range(m)) for o in orders.tolist())
@@ -387,10 +387,11 @@ class TestSubsetDP:
 
     def test_chunks_agree_with_one_block(self, monkeypatch):
         draws = np.random.default_rng(19).normal(0.0, 2.0, size=(7, 10))
+        limit = math.factorial(10)
         for restricted in (False, True):
-            whole = _least_listfold(draws, Transform("exponential"), restricted)
+            whole = _least_listfold(draws, Transform("exponential"), restricted, limit=limit)
             monkeypatch.setattr(consistency, "_DP_ELEMENTS", 1)
-            chunked = _least_listfold(draws, Transform("exponential"), restricted)
+            chunked = _least_listfold(draws, Transform("exponential"), restricted, limit=limit)
             monkeypatch.undo()
             assert np.array_equal(whole[0], chunked[0])
             assert len(whole[1]) == len(chunked[1]) == len(draws)
@@ -407,8 +408,8 @@ def _extreme_sigmoid_rows(m: int, rows: int = 2) -> np.ndarray:
 
 
 class TestWalkLimit:
-    """A limited walk keeps each row's first orders; an unlimited one stops
-    at the element budget."""
+    """A limited walk keeps each row's first orders, in row groups that
+    bound its frontier."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([FOLD_EXP, FOLD_SGM]), st.booleans(),
@@ -420,7 +421,8 @@ class TestWalkLimit:
     @example(FOLD_EXP, False, [[1.0] * 4, [2.0, 1.0, 0.5, -1.0]], 20)
     def test_limited_walk_is_a_prefix_of_the_whole_walk(self, spec, restricted, rows, limit):
         f = np.asarray(rows, dtype=float)
-        least, near = _least_listfold(f, spec.transform, restricted)
+        least, near = _least_listfold(f, spec.transform, restricted,
+                                      limit=math.factorial(f.shape[1]))
         capped_least, capped = _least_listfold(f, spec.transform, restricted, limit=limit)
         assert np.array_equal(least, capped_least)
         if limit == 0:
@@ -447,25 +449,11 @@ class TestWalkLimit:
             # every mirrored pair right way up, to the rounding of the sum
             assert np.all(row[orders[:, :5]] > row[orders[:, :4:-1]])
 
-    def test_unlimited_walk_past_the_budget_is_a_named_error(self):
-        # 2 x 7484400 orders of 12 took 4.1 GiB before the walk had a budget
-        f = _extreme_sigmoid_rows(12)
-        tracemalloc.start()
-        try:
-            with pytest.raises(WalkBudgetError, match="pass a limit"):
-                _least_listfold(f, Transform("sigmoid"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**20
-
     def test_limited_walk_takes_rows_in_groups_under_the_budget(self, monkeypatch):
         f = _extreme_sigmoid_rows(8, rows=9)
         _, want = _least_listfold(f, Transform("sigmoid"), limit=3)
         # 3 orders x 56 candidates per row: groups of 2 rows fit 400 elements
         monkeypatch.setattr(consistency, "_WALK_ELEMENTS", 400)
-        with pytest.raises(WalkBudgetError):
-            _least_listfold(f, Transform("sigmoid"))
         _, got = _least_listfold(f, Transform("sigmoid"), limit=3)
         assert len(got) == len(want) == 9
         for a, b in zip(got, want):

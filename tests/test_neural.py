@@ -39,11 +39,12 @@ FOLD_EXP = LossSpec("listfold", Transform("exponential"))
 
 def raw_window(seed=0, weeks=90, stocks=12, factors=6, signal=1.0, noise=0.3,
                train_len=60, test_len=30):
-    """The first window's raw panel and its localized plan, which carries the
-    train-fitted norm_params that train() gives the network as its input map."""
+    """The first window's raw panel and its plan, which starts at week 0 and
+    carries the train-fitted norm_params that train() gives the network as
+    its input map."""
     panel = generate_synthetic_panel(seed, weeks, stocks, factors, signal, noise)
     plan = fit_norm_params(panel, rolling_windows(weeks, train_len, test_len)[0])
-    return panel.slice_weeks(0, train_len + test_len), plan.localized()
+    return panel.slice_weeks(0, train_len + test_len), plan
 
 
 class TestInit:
