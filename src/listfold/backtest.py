@@ -289,7 +289,6 @@ class BacktestConfig:
     batch_size: int = 32
     total_batches: int = 1000
     learning_rate: float = 1e-3
-    optimizer: str = "adam"
     seed: int = 0
     cost_bps: float = 30.0
     rf_annual: float = 0.03
@@ -303,8 +302,6 @@ class BacktestConfig:
         for name in ("total_batches", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name}: must be >= 0")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"optimizer: unknown optimizer {self.optimizer!r}")
         # decile_labels needs two relevance levels
         if self.levels < 2:
             raise ValueError("levels: must be >= 2")
@@ -346,7 +343,6 @@ def model_train_config(config: BacktestConfig, model: str, window_index: int) ->
         batch_size=config.batch_size,
         total_batches=config.total_batches,
         learning_rate=config.learning_rate,
-        optimizer=config.optimizer,
         final_relu=final_relu,
         seed=_model_seed(config.seed, model, window_index),
         reverse_labels=reverse,

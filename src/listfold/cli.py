@@ -205,6 +205,16 @@ def _make_dir(path: Path) -> Path:
     return path
 
 
+def _output_file(path: str) -> Path:
+    """path as a file to write: not an existing directory, and its parent
+    directory created if missing. Commands call this before any work."""
+    out = Path(path)
+    if out.is_dir():
+        raise ConfigError(f"output path {out} is a directory")
+    _make_dir(out.parent)
+    return out
+
+
 def cmd_backtest(args) -> int:
     cfg = _run_config(args)
     strategies = _strategy_list(cfg)
@@ -351,12 +361,11 @@ def cmd_synth(args) -> int:
     for name in ("signal_strength", "noise_scale"):
         if not np.isfinite(value := getattr(args, name)):
             raise ConfigError(f"--{name.replace('_', '-')}: must be finite, got {value}")
+    out = _output_file(args.out)
     panel = generate_synthetic_panel(
         args.seed, args.weeks, args.stocks, args.factors,
         args.signal_strength, args.noise_scale,
     )
-    out = Path(args.out)
-    _make_dir(out.parent)
     save_panel(panel, out)
     print(f"wrote {panel.n_weeks} weeks x {panel.n_stocks} stocks x "
           f"{panel.n_factors} factors to {out}")
@@ -368,6 +377,7 @@ def cmd_train(args) -> int:
     model = args.model
     if model not in MODEL_SPECS:
         raise ConfigError(f"unknown model {model!r} (known: {', '.join(MODEL_SPECS)})")
+    out = _output_file(args.checkpoint)
     panel = load_panel(cfg.panel)
     config = cfg.backtest
     plans = rolling_windows(panel.n_weeks, config.train_len, config.test_len)
@@ -375,14 +385,13 @@ def cmd_train(args) -> int:
         raise DataError(f"window {args.window} out of range (0..{len(plans) - 1})")
     # the same per-window training, seed, data and input map the backtest uses
     net = train_window(panel, plans[args.window], [model], config, args.window)[model]
-    out = Path(args.checkpoint)
-    _make_dir(out.parent)
     save_checkpoint(net, out)
     print(f"checkpoint written to {out}")
     return EXIT_OK
 
 
 def cmd_score(args) -> int:
+    out = _output_file(args.out)
     try:
         net = load_checkpoint(args.checkpoint)
     except OSError as exc:
@@ -393,8 +402,6 @@ def cmd_score(args) -> int:
         scores = forward(net, panel.week_features(args.week))
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    out = Path(args.out)
-    _make_dir(out.parent)
     _write_table(out, ["stock", "score"], zip(panel.stocks, scores))
     print(f"scores for {args.week} written to {out}")
     return EXIT_OK

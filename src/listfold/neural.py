@@ -24,7 +24,6 @@ __all__ = [
     "ScoringNet",
     "TrainConfig",
     "AdamState",
-    "SgdState",
     "TrainingDivergenceError",
     "NonFiniteLossError",
     "CheckpointError",
@@ -32,7 +31,6 @@ __all__ = [
     "forward",
     "forward_cached",
     "backward",
-    "make_optimizer",
     "train_step",
     "train",
     "score_week",
@@ -88,7 +86,6 @@ class TrainConfig:
     batch_size: int = 32
     total_batches: int = 1000
     learning_rate: float = 1e-3
-    optimizer: str = "adam"
     final_relu: bool = True
     seed: int = 0
     reverse_labels: bool = False
@@ -285,29 +282,6 @@ class AdamState:
             p -= step
 
 
-@dataclass
-class SgdState:
-    lr: float
-    # one scratch array per parameter, so that an update allocates nothing
-    work: list = field(default_factory=list, init=False, repr=False, compare=False)
-
-    def update(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        """p -= lr * g for every parameter, in place."""
-        if not self.work:
-            self.work = [np.empty_like(p) for p in params]
-        for p, g, step in zip(params, grads, self.work):
-            np.multiply(g, self.lr, out=step)
-            p -= step
-
-
-def make_optimizer(name: str, lr: float):
-    if name == "adam":
-        return AdamState(lr=lr)
-    if name == "sgd":
-        return SgdState(lr=lr)
-    raise ValueError(f"unknown optimizer: {name!r}")
-
-
 def train_step(net: ScoringNet, batch: list[RankedBatch], spec: LossSpec,
                optimizer, reverse_labels: bool = False,
                workspace: dict | None = None) -> float:
@@ -347,7 +321,7 @@ def train_step(net: ScoringNet, batch: list[RankedBatch], spec: LossSpec,
 
 def train(panel: FactorPanel, window: WindowPlan, config: TrainConfig,
           lists: list[RankedBatch] | None = None) -> ScoringNet:
-    """Train a fresh network on the window's training weeks.
+    """Train a fresh network on the window's training weeks with Adam.
 
     One RankedBatch per training week; week order reshuffles with the
     seeded RNG whenever the pool is exhausted, until exactly total_batches
@@ -370,7 +344,7 @@ def train(panel: FactorPanel, window: WindowPlan, config: TrainConfig,
     net.norm_params = window.norm_params
     if config.total_batches == 0:
         return net
-    optimizer = make_optimizer(config.optimizer, config.learning_rate)
+    optimizer = AdamState(lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
     queue: list[int] = []
     consecutive_bad = skipped = 0
@@ -411,7 +385,8 @@ _NORM_KEYS = ("norm_min", "norm_max")
 
 def save_checkpoint(net: ScoringNet, path) -> None:
     """Flat .npz of layer dims and row-major parameter arrays, plus the
-    input map as norm_min and norm_max when the net has one; loading
+    input map as norm_min and norm_max when the net has one, written to
+    exactly path (np.savez would add .npz to a path without it); loading
     reproduces forward outputs bit identically."""
     payload = {
         "layer_dims": np.asarray(net.layer_dims, dtype=np.int64),
@@ -423,18 +398,20 @@ def save_checkpoint(net: ScoringNet, path) -> None:
         payload[f"b{i}"] = b
     if net.norm_params is not None:
         payload.update(zip(_NORM_KEYS, net.norm_params))
-    np.savez(path, **payload)
+    with open(path, "wb") as fh:
+        np.savez(fh, **payload)
 
 
 def load_checkpoint(path) -> ScoringNet:
     """The network saved by save_checkpoint, its input map included. A file
-    that is not an .npz of plain arrays, a missing array, layer_dims of
-    fewer than two widths, a w{i} / b{i} whose shape disagrees with
-    layer_dims, a final_relu or seed that is not one integer, and a
-    norm_min without a norm_max (or the reverse) or of a shape other than
-    (layer_dims[0],) raise CheckpointError. A file that
-    cannot be opened raises OSError. Other keys, such as the config_hash
-    that earlier checkpoints carry, are ignored."""
+    that is not an .npz of plain arrays, a missing array, layer_dims that
+    are not two or more integer widths >= 1 ending in 1, a w{i} / b{i}
+    whose shape disagrees with layer_dims, a final_relu or seed that is not
+    one integer, a norm_min without a norm_max (or the reverse) or of a
+    shape other than (layer_dims[0],), and a w{i}, b{i} or norm_* array of
+    anything but real numbers raise CheckpointError. A file that cannot be
+    opened raises OSError. Other keys, such as the config_hash that earlier
+    checkpoints carry, are ignored."""
     try:
         blob = np.load(path, allow_pickle=False)
         if not isinstance(blob, np.lib.npyio.NpzFile):
@@ -451,8 +428,11 @@ def load_checkpoint(path) -> ScoringNet:
             raise CheckpointError(f"{path}: {key} is a {arrays[key].dtype} array of shape "
                                   f"{arrays[key].shape}, not one integer")
     dims = np.ravel(arrays["layer_dims"]).tolist()
-    if len(dims) < 2:
-        raise CheckpointError(f"{path}: layer_dims {dims} need an input and an output width")
+    # the scores are the one column of the last layer
+    if (arrays["layer_dims"].dtype.kind not in "iu" or len(dims) < 2 or min(dims) < 1
+            or dims[-1] != 1):
+        raise CheckpointError(f"{path}: layer_dims {dims} need two or more integer widths "
+                              ">= 1, the last of them 1")
     shapes = {}
     for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
         shapes[f"w{i}"], shapes[f"b{i}"] = (fan_in, fan_out), (fan_out,)
@@ -463,6 +443,9 @@ def load_checkpoint(path) -> ScoringNet:
         got = arrays[key].shape if key in arrays else "missing"
         if got != shape:
             raise CheckpointError(f"{path}: {key} is {got}, layer_dims {dims} need {shape}")
+        if arrays[key].dtype.kind not in "biuf":
+            raise CheckpointError(f"{path}: {key} is a {arrays[key].dtype} array, "
+                                  "not real numbers")
     n_layers = len(dims) - 1
     return ScoringNet(
         layer_dims=dims,

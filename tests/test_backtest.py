@@ -389,7 +389,6 @@ class TestBacktestConfig:
         ("test_len", 0, "test_len: must be >= 1"),
         ("batch_size", 0, "batch_size: must be >= 1"),
         ("total_batches", -1, "total_batches: must be >= 0"),
-        ("optimizer", "newton", "optimizer: unknown optimizer 'newton'"),
         ("levels", 1, "levels: must be >= 2"),
         ("learning_rate", float("nan"), "learning_rate: must be finite and > 0"),
         ("learning_rate", float("inf"), "learning_rate: must be finite and > 0"),
@@ -407,7 +406,7 @@ class TestBacktestConfig:
 
     def test_edge_values_accepted(self):
         BacktestConfig(train_len=1, test_len=1, batch_size=1, total_batches=0,
-                       optimizer="sgd", levels=2, learning_rate=1e-12, cost_bps=0.0,
+                       levels=2, learning_rate=1e-12, cost_bps=0.0,
                        rf_annual=-0.01)
 
 

@@ -68,8 +68,6 @@ def via_key_and_flag(monkeypatch, panel_csv, tmp_path, name, value):
 
 def other_value(field):
     """A valid value of a BacktestConfig field other than its default."""
-    if isinstance(field.default, str):
-        return {"optimizer": "sgd"}[field.name]
     return field.default + 1 if isinstance(field.default, int) else field.default * 2
 
 
@@ -80,8 +78,9 @@ class TestConfig:
         assert "# comment line" not in values
 
     def test_unknown_field_named(self, panel_csv, tmp_path, capsys):
-        # threads was a BacktestConfig field: serial training is the one path
-        for key in ("wibble", "threads"):
+        # threads and optimizer were BacktestConfig fields: serial training
+        # is the one path, and Adam the one optimizer
+        for key in ("wibble", "threads", "optimizer"):
             with pytest.raises(ConfigError, match=key):
                 build_run_config({key: "1"}, {})
             cfg = tmp_path / "run.cfg"
@@ -158,9 +157,14 @@ class TestConfig:
         assert exc.value.code == 1
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
         with pytest.raises(SystemExit) as exc:
+            main(["backtest", "--optimizer", "adam"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --optimizer adam" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
             main(["backtest", "--help"])
         assert exc.value.code == 0
-        assert "--threads" not in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "--threads" not in out and "--optimizer" not in out
 
 
 @pytest.mark.parametrize("command", ["backtest", "train", "verify", "simulate", "synth"])
@@ -210,6 +214,38 @@ def test_output_path_under_a_file_is_a_config_error(command, base_config, panel_
     assert main(argv) == 1
     assert f"config error: cannot create output directory {made}" in capsys.readouterr().err
     assert blocker.read_text() == "a file, not a directory\n"
+
+
+@pytest.mark.parametrize("kind", ["directory", "under-a-file"])
+@pytest.mark.parametrize("command", ["synth", "train", "score"])
+def test_output_file_is_checked_before_any_work(command, kind, base_config, panel_csv,
+                                                tmp_path, capsys, monkeypatch):
+    # an existing directory ended in an IsADirectoryError traceback, and
+    # train reported an uncreatable path only after training
+    ck = tmp_path / "model.npz"
+    save_checkpoint(init_network(6, seed=1), ck)
+    for name in ("generate_synthetic_panel", "load_panel", "load_checkpoint",
+                 "train_window"):
+        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("work before the check"))
+    if kind == "directory":
+        out = tmp_path / "taken"
+        out.mkdir()
+        message = f"config error: output path {out} is a directory"
+    else:
+        (tmp_path / "taken").write_text("a file, not a directory\n")
+        out = tmp_path / "taken" / "out"
+        message = f"config error: cannot create output directory {out.parent}"
+    argv = {
+        "synth": ["synth", "--out", str(out), "--weeks", "2", "--stocks", "2",
+                  "--factors", "1"],
+        "train": ["train", "--config", str(base_config), "--model", "mlp",
+                  "--checkpoint", str(out)],
+        "score": ["score", "--checkpoint", str(ck), "--panel", str(panel_csv),
+                  "--week", "2000-01-07", "--out", str(out)],
+    }[command]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz", "taken"]
 
 
 def test_negative_seed_in_a_config_file_is_a_config_error(panel_csv, tmp_path, capsys):
@@ -277,14 +313,11 @@ class TestBacktestCommand:
         assert "absent.csv" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("optimizer, rate", [("sgd", "1e8"), ("adam", "1e30"),
-                                                 ("sgd", "1e30")])
-    def test_huge_learning_rate_exits_three(self, optimizer, rate, base_config, tmp_path,
-                                            capsys):
+    def test_huge_learning_rate_exits_three(self, base_config, tmp_path, capsys):
         # an overflowing step is skipped, not written into the parameters,
         # so the run ends in ten bad batches in a row, not a traceback
         rc = main(["backtest", "--config", str(base_config), "--out", str(tmp_path / "o"),
-                   "--optimizer", optimizer, "--learning-rate", rate])
+                   "--learning-rate", "1e30"])
         assert rc == 3
         assert "training diverged" in capsys.readouterr().err
 
@@ -320,10 +353,10 @@ class TestBacktestCommand:
 
     def test_bad_field_exit_one_names_field(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("panel = x.csv\noptimizer = newton\n")
+        cfg.write_text("panel = x.csv\nlearning_rate = fast\n")
         rc = main(["backtest", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert "optimizer" in capsys.readouterr().err
+        assert "field learning_rate: cannot parse 'fast'" in capsys.readouterr().err
 
     def test_levels_below_two_is_a_config_error_before_training(self, base_config, tmp_path,
                                                                 capsys, monkeypatch):
@@ -670,6 +703,19 @@ class TestTrainScoreCommands:
                 # reverse-labeled models are stored return oriented, i.e. negated
                 assert (sign * scores).tobytes() == result.scores[model][date].tobytes()
 
+    def test_checkpoint_path_without_suffix_is_written_as_given(self, base_config,
+                                                                 panel_csv, tmp_path, capsys):
+        # np.savez added .npz, so score could not find the printed path
+        ck = tmp_path / "model_ck"
+        assert main(["train", "--config", str(base_config), "--model", "mlp",
+                     "--checkpoint", str(ck)]) == 0
+        assert f"checkpoint written to {ck}" in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model_ck"]
+        out = tmp_path / "scores.csv"
+        assert main(["score", "--checkpoint", str(ck), "--panel", str(panel_csv),
+                     "--week", load_panel(panel_csv).dates[65], "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 12
+
     def test_stock_id_with_a_comma_reads_back(self, tmp_path):
         panel = generate_synthetic_panel(2, weeks=3, stocks=4, factors=3,
                                          signal_strength=1.0)
@@ -769,6 +815,32 @@ class TestTrainScoreCommands:
         assert self._score_malformed(checkpoint_arrays, panel_csv, tmp_path) == 2
         err = capsys.readouterr().err
         assert "data error:" in err and f"{key} is a" in err and "not one integer" in err
+
+    @pytest.mark.parametrize("defect", ["last-width-2", "zero-width", "float-widths",
+                                        "str-w0", "complex-w0"])
+    def test_malformed_network_is_a_data_error(self, defect, checkpoint_arrays, panel_csv,
+                                               tmp_path, capsys):
+        # a last width of 2 scored with column 0 (exit 0), a zero width gave
+        # every stock one score, float widths were taken as they were, and
+        # non-real weights ended in a numpy traceback
+        arrays = checkpoint_arrays
+        dims = arrays["layer_dims"]
+        assert dims.tolist() == [6, 12, 24, 3, 1]
+        if defect == "last-width-2":
+            dims[-1] = 2
+            arrays["w3"], arrays["b3"] = np.tile(arrays["w3"], 2), np.tile(arrays["b3"], 2)
+        elif defect == "zero-width":
+            dims[3] = 0
+            arrays["w2"], arrays["b2"] = arrays["w2"][:, :0], arrays["b2"][:0]
+            arrays["w3"] = arrays["w3"][:0]
+        elif defect == "float-widths":
+            arrays["layer_dims"] = dims.astype(float)
+        else:
+            arrays["w0"] = arrays["w0"].astype(defect.split("-")[0])
+        assert self._score_malformed(arrays, panel_csv, tmp_path) == 2
+        err = capsys.readouterr().err
+        key = "w0" if defect.endswith("w0") else "layer_dims"
+        assert f"data error: {tmp_path / 'bad.npz'}: {key}" in err
 
     def test_norm_min_without_norm_max_is_a_data_error(self, checkpoint_arrays, panel_csv,
                                                        tmp_path, capsys):

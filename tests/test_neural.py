@@ -20,7 +20,6 @@ from listfold.metrics import spearman_ic
 from listfold.neural import (
     AdamState,
     ScoringNet,
-    SgdState,
     TrainConfig,
     TrainingDivergenceError,
     backward,
@@ -98,22 +97,28 @@ class TestForward:
             forward(init_network(3, 0), np.ones((2, 4)))
 
 
+def two_parameter_mse():
+    """y = w x + b (no relu) at w = 1.5, b = -0.3, one mse list against r,
+    and its hand-derived gradient:
+    dL/dw = (2/n) sum (y - r) x, dL/db = (2/n) sum (y - r)."""
+    w0, b0 = 1.5, -0.3
+    net = ScoringNet([1, 1], [np.array([[w0]])], [np.array([b0])],
+                     final_relu=False, seed=0)
+    x = np.array([[0.5], [-1.0], [2.0]])
+    r = np.array([1.0, 0.0, -0.5])
+    y = w0 * x[:, 0] + b0
+    grads = (np.mean(2 * (y - r) * x[:, 0]), np.mean(2 * (y - r)))
+    return net, build_batch_from_rows(x, r), grads
+
+
 class TestBackward:
-    def test_hand_derived_sgd_update_on_two_parameter_model(self):
-        # y = w x + b (no relu), mse loss against r;
-        # dL/dw = (2/n) sum (y - r) x, dL/db = (2/n) sum (y - r)
-        w0, b0, lr = 1.5, -0.3, 0.05
-        net = ScoringNet([1, 1], [np.array([[w0]])], [np.array([b0])],
-                         final_relu=False, seed=0)
-        x = np.array([[0.5], [-1.0], [2.0]])
-        r = np.array([1.0, 0.0, -0.5])
-        y = w0 * x[:, 0] + b0
-        grad_w = np.mean(2 * (y - r) * x[:, 0])
-        grad_b = np.mean(2 * (y - r))
-        batch = build_batch_from_rows(x, r)
-        train_step(net, [batch], LossSpec("mse"), SgdState(lr=lr))
-        assert net.weights[0][0, 0] == pytest.approx(w0 - lr * grad_w, abs=1e-12)
-        assert net.biases[0][0] == pytest.approx(b0 - lr * grad_b, abs=1e-12)
+    def test_hand_derived_gradient_on_two_parameter_model(self):
+        net, batch, (grad_w, grad_b) = two_parameter_mse()
+        scores, cache = forward_cached(net, batch.features)
+        _, dscores = neural._batch_loss_and_grad(scores, [batch], LossSpec("mse"), False)
+        got_w, got_b = backward(net, cache, dscores)
+        assert got_w[0][0, 0] == pytest.approx(grad_w, abs=1e-12)
+        assert got_b[0][0] == pytest.approx(grad_b, abs=1e-12)
 
     def test_score_gradient_seam_matches_loss_module(self):
         # the gradient fed into backprop must be the loss module's analytic
@@ -190,7 +195,7 @@ class TestTrainStep:
         batch = build_ranked_batch(wp, wp.dates[0])
         net = init_network(wp.n_factors, 3)
         before = [p.copy() for p in net.parameters()]
-        train_step(net, [batch], FOLD_EXP, SgdState(lr=0.0))
+        train_step(net, [batch], FOLD_EXP, AdamState(lr=0.0))
         for p, q in zip(net.parameters(), before):
             np.testing.assert_array_equal(p, q)
 
@@ -199,7 +204,12 @@ class TestTrainStep:
         """One linear unit of weight 1: the scores are the single feature."""
         return ScoringNet([1, 1], [np.ones((1, 1))], [np.zeros(1)], final_relu=False, seed=0)
 
-    @pytest.mark.parametrize("optimizer", [SgdState(lr=1e-3), AdamState(lr=1e-3)])
+    # mid-run, Adam's moments would move the parameters even on a zero gradient
+    @pytest.mark.parametrize("optimizer", [
+        AdamState(lr=1e-3),
+        AdamState(lr=1e-3, t=3, m=[np.full((1, 1), 0.5), np.full(1, 0.5)],
+                  v=[np.full((1, 1), 0.25), np.full(1, 0.25)]),
+    ])
     def test_overflowing_gradient_leaves_parameters_untouched(self, optimizer):
         # near 1e19 the stage log-sums round by more than 709, so e^(f + ...)
         # overflows in the exponential listfold gradient; the value stays finite
@@ -211,18 +221,19 @@ class TestTrainStep:
                                                        for b in batch]))
         assert np.all(np.isfinite(result.value))
         assert not np.all(np.isfinite(result.gradient))
-        net = self._identity_net()
+        net, t = self._identity_net(), optimizer.t
         with pytest.raises(neural.NonFiniteLossError, match="gradient"):
             with np.errstate(all="ignore"):
                 train_step(net, batch, FOLD_EXP, optimizer)
         assert [p.tolist() for p in net.parameters()] == [[[1.0]], [0.0]]
+        assert optimizer.t == t
 
     def test_non_finite_scores_raise_before_the_loss(self):
         wp, _ = raw_window()
         net = init_network(wp.n_factors, 3)
         net.biases[-1][:] = np.nan
         with pytest.raises(neural.NonFiniteLossError, match="scores"):
-            train_step(net, [build_ranked_batch(wp, wp.dates[0])], FOLD_EXP, SgdState(lr=1e-3))
+            train_step(net, [build_ranked_batch(wp, wp.dates[0])], FOLD_EXP, AdamState(lr=1e-3))
 
     def test_adam_moves_parameters(self):
         wp, local = raw_window()
@@ -250,7 +261,7 @@ class TestBatchedLoss:
             order = b.truth_order[::-1] if reverse else b.truth_order
             returns = b.returns[order] if spec.family == "mse" else None
             per_list.append(evaluate_loss(spec, scores[order], returns).value)
-        got = train_step(net, batch, spec, SgdState(lr=0.0), reverse_labels=reverse)
+        got = train_step(net, batch, spec, AdamState(lr=0.0), reverse_labels=reverse)
         assert got == pytest.approx(np.mean(per_list), rel=1e-12)
 
     def test_mixed_lengths_rejected(self):
@@ -258,7 +269,7 @@ class TestBatchedLoss:
         short = build_batch_from_rows(batch[1].features[:-1], batch[1].returns[:-1])
         net = init_network(wp.n_factors, 3)
         with pytest.raises(ValueError, match="same length"):
-            train_step(net, [batch[0], short], FOLD_EXP, SgdState(lr=0.0))
+            train_step(net, [batch[0], short], FOLD_EXP, AdamState(lr=0.0))
 
 
 class TestTrain:
@@ -332,9 +343,12 @@ class TestTrain:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_after_ten_bad_batches(self):
         wp, local = raw_window()
-        cfg = TrainConfig(loss=LossSpec("mse"), batch_size=4, total_batches=60,
-                          learning_rate=1e25, optimizer="sgd", final_relu=False, seed=0)
-        with pytest.raises(TrainingDivergenceError):
+        # an Adam step moves each parameter by about lr, whatever the
+        # gradient, so the mse loss overflows once lr squared does; 200
+        # batches put the 10% share (20) past ten in a row
+        cfg = TrainConfig(loss=LossSpec("mse"), batch_size=4, total_batches=200,
+                          learning_rate=1e200, final_relu=False, seed=0)
+        with pytest.raises(TrainingDivergenceError, match="10 consecutive"):
             train(wp, local, cfg)
 
 
@@ -399,16 +413,14 @@ class TestInPlaceOptimizers:
             for p, q in zip(params, ref):
                 assert p.tobytes() == q.tobytes()
 
-    def test_sgd_matches_expression_reference(self):
-        params, steps = self._params_and_grads(1)
-        ref = [p.copy() for p in params]
-        opt = SgdState(lr=0.3)
-        for grads in steps:
-            opt.update(params, grads)
-            for p, g in zip(ref, grads):
-                p -= 0.3 * g
-            for p, q in zip(params, ref):
-                assert p.tobytes() == q.tobytes()
+    def test_adam_first_step_is_lr_times_the_gradient_sign(self):
+        # bias correction makes step 1 lr * g / (|g| + eps): sign sized
+        net, batch, grads = two_parameter_mse()
+        start = [p.item() for p in net.parameters()]
+        lr = 0.05
+        train_step(net, [batch], LossSpec("mse"), AdamState(lr=lr))
+        for p, p0, g in zip(net.parameters(), start, grads):
+            assert p.item() == pytest.approx(p0 - lr * g / (abs(g) + 1e-8), abs=1e-15)
 
 
 class TestWorkspace:
@@ -480,7 +492,7 @@ class TestWorkspace:
         net = init_network(wp.n_factors, 3)
         net.norm_params = local.norm_params
         workspace: dict = {}
-        train_step(net, lists, FOLD_EXP, SgdState(lr=0.0), workspace=workspace)
+        train_step(net, lists, FOLD_EXP, AdamState(lr=0.0), workspace=workspace)
         shape = (4 * wp.n_stocks, wp.n_factors)
         assert [key for key in workspace if key[2] == shape] == [("features", 0, shape)]
         feats = workspace[("features", 0, shape)]
@@ -513,15 +525,12 @@ class TestWorkspace:
             tracemalloc.stop()
         assert peak <= 1.4 * held
 
-    @pytest.mark.parametrize("model", sorted(MODEL_SPECS))
-    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-    def test_shared_workspace_matches_fresh_workspace_per_step(self, model, optimizer,
-                                                                monkeypatch):
+    @pytest.mark.parametrize("model", sorted(MODEL_SPECS), ids="adam-{}".format)
+    def test_shared_workspace_matches_fresh_workspace_per_step(self, model, monkeypatch):
         wp, local = raw_window()
         spec, reverse, final_relu = MODEL_SPECS[model]
         cfg = TrainConfig(loss=spec, batch_size=4, total_batches=8, learning_rate=1e-2,
-                          optimizer=optimizer, final_relu=final_relu, seed=3,
-                          reverse_labels=reverse)
+                          final_relu=final_relu, seed=3, reverse_labels=reverse)
         shared = train(wp, local, cfg)
         step = neural.train_step
 
