@@ -31,7 +31,6 @@ from .losses import (
     listfold_loss,
     listmle_loss,
     loss_gradient_check,
-    make_transform,
     mse_loss,
     naive_pt_loss,
     sigmoid,

@@ -31,7 +31,7 @@ from .data import (
     ranked_train_weeks,
     rolling_windows,
 )
-from .losses import LossSpec, make_transform
+from .losses import LossSpec, exponential, sigmoid
 from .neural import ScoringNet, TrainConfig, TrainingDivergenceError, score_week, train
 
 __all__ = [
@@ -202,11 +202,11 @@ def compute_stats(pnl: PnlSeries, rf_annual: float) -> StrategyStats:
 
 # model key -> (loss spec builder, reverse_labels, final_relu)
 MODEL_SPECS: dict[str, tuple[LossSpec, bool, bool]] = {
-    "listfold-exp": (LossSpec("listfold", make_transform("exp")), False, True),
-    "listfold-sgm": (LossSpec("listfold", make_transform("sgm")), False, True),
-    "listmle": (LossSpec("listmle", make_transform("exp")), False, True),
-    "listmle-rvs": (LossSpec("listmle", make_transform("exp")), True, True),
-    "naive-pt": (LossSpec("naive_pt", make_transform("exp")), False, True),
+    "listfold-exp": (LossSpec("listfold", exponential()), False, True),
+    "listfold-sgm": (LossSpec("listfold", sigmoid()), False, True),
+    "listmle": (LossSpec("listmle", exponential()), False, True),
+    "listmle-rvs": (LossSpec("listmle", exponential()), True, True),
+    "naive-pt": (LossSpec("naive_pt", exponential()), False, True),
     "mlp": (LossSpec("mse"), False, False),
 }
 
@@ -356,16 +356,13 @@ def train_window(panel: FactorPanel, plan: WindowPlan, models, config: BacktestC
 
     The window's training lists are built once per median-drop setting from
     raw views of the panel's train weeks, then shared by all models. Each
-    network carries the plan's train-fitted norm_params (fitted here if the
-    plan has none) as its input map, so no normalized copy of the window is
-    made. A model's network does not depend on which other models train
-    beside it, so `listfold train` and `run_backtest` produce the same
-    network. A TrainingDivergenceError names the model and the window.
+    network carries the map fit_norm_params fits on the train weeks as its
+    input map, so no normalized copy of the window is made. A model's
+    network does not depend on which other models train beside it, so
+    `listfold train` and `run_backtest` produce the same network. A
+    TrainingDivergenceError names the model and the window.
     """
-    if plan.norm_params is None:
-        plan = fit_norm_params(panel, plan)
-    if plan.test_range[0] != plan.train_range[1]:
-        raise DataError("test range must immediately follow train range")
+    norm_params = fit_norm_params(panel, plan)
     configs = {m: model_train_config(config, m, window_index) for m in models}
     # dropping the median stock changes nothing on an even universe
     odd = panel.n_stocks % 2 == 1
@@ -376,7 +373,7 @@ def train_window(panel: FactorPanel, plan: WindowPlan, models, config: BacktestC
     nets = {}
     for model in models:
         try:
-            nets[model] = train(panel, plan, configs[model], lists=lists[drop[model]])
+            nets[model] = train(lists[drop[model]], norm_params, configs[model])
         except TrainingDivergenceError as exc:
             raise TrainingDivergenceError(f"{model}, window {window_index}: {exc}") from None
     return nets

@@ -205,9 +205,10 @@ def _make_dir(path: Path) -> Path:
     return path
 
 
-def _output_file(path: str) -> Path:
+def _output_file(path) -> Path:
     """path as a file to write: not an existing directory, and its parent
-    directory created if missing. Commands call this before any work."""
+    directory created if missing. Commands call this on every file they
+    will write before any work."""
     out = Path(path)
     if out.is_dir():
         raise ConfigError(f"output path {out} is a directory")
@@ -218,7 +219,11 @@ def _output_file(path: str) -> Path:
 def cmd_backtest(args) -> int:
     cfg = _run_config(args)
     strategies = _strategy_list(cfg)
-    out_dir = _make_dir(Path(cfg.out))
+    table_names = ["stats.csv", "rankmetrics.csv", "heatmap.csv",
+                   *(f"pnl_{strat.name}.csv" for strat in strategies)]
+    if cfg.batch_sizes:
+        table_names.append("batchgrid.csv")
+    tables = {name: _output_file(Path(cfg.out) / name) for name in table_names}
     panel = load_panel(cfg.panel)
     for strat in strategies:
         try:
@@ -227,17 +232,17 @@ def cmd_backtest(args) -> int:
             raise ConfigError(f"field k: {exc}") from None
     result = run_backtest(panel, strategies, cfg.backtest)
 
-    write_stats_csv(out_dir / "stats.csv", result.stats)
-    write_rankmetrics_csv(out_dir / "rankmetrics.csv", result.rank_metrics)
+    write_stats_csv(tables["stats.csv"], result.stats)
+    write_rankmetrics_csv(tables["rankmetrics.csv"], result.rank_metrics)
     for name, series in result.pnl.items():
-        write_pnl_csv(out_dir / f"pnl_{name}.csv", series)
+        write_pnl_csv(tables[f"pnl_{name}.csv"], series)
     ks = list(range(1, panel.n_stocks // 2 + 1))
     models, kvals, grid = cutoff_heatmap(result.scores, panel, ks, result.test_dates)
-    write_heatmap_csv(out_dir / "heatmap.csv", models, kvals, grid)
+    write_heatmap_csv(tables["heatmap.csv"], models, kvals, grid)
     if cfg.batch_sizes:
         sizes = [int(tok) for tok in _split(cfg.batch_sizes)]
         names, sz, bgrid = batch_size_grid(panel, sizes, strategies, cfg.backtest)
-        write_batchgrid_csv(out_dir / "batchgrid.csv", names, sz, bgrid)
+        write_batchgrid_csv(tables["batchgrid.csv"], names, sz, bgrid)
 
     print(f"{'strategy':<16} {'mu_excess':>10} {'sigma':>8} {'sharpe':>8} "
           f"{'mdd':>8} {'trv':>6}")
@@ -261,7 +266,8 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"sizes must be one or more even sizes <= {consistency.SEARCH_CAP}")
     if args.trials < 1 or args.budget < 0:
         raise ConfigError("trials must be >= 1 and budget >= 0")
-    out_dir = _make_dir(Path(args.out))
+    report = _output_file(Path(args.out) / "enumeration_5410.csv")
+    summary_path = _output_file(Path(args.out) / "verify_report.txt")
     lines: list[str] = []
 
     expo = Transform("exponential")
@@ -303,23 +309,22 @@ def cmd_verify(args) -> int:
     for w in witnesses[:10]:
         lines.append(f"  scores {w.scores}: {w.permutation} beats descending by {w.gap:.3e}")
 
-    report = enumerate_report_csv(out_dir)
+    enumerate_report_csv(report)
     lines.append("")
     # keep the report byte-reproducible across output directories
     lines.append(f"enumeration table written to {report.name}")
     summary = "\n".join(lines) + "\n"
-    (out_dir / "verify_report.txt").write_text(summary, encoding="utf-8")
+    summary_path.write_text(summary, encoding="utf-8")
     print(summary, end="")
     # counterexample discoveries would be a research finding, not a failure
     ok = golden_ok and t1.passed and t2r.passed and t2u.passed
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def enumerate_report_csv(out_dir: Path) -> Path:
+def enumerate_report_csv(path: Path) -> None:
     """Per-permutation loss table for the worked four-score example."""
     spec = LossSpec("listfold", Transform("exponential"))
     report = consistency.enumerate_losses(np.asarray([5.0, 4.0, 1.0, 0.0]), spec)
-    path = out_dir / "enumeration_5410.csv"
     _write_table(path, ["permutation", "loss", "is_minimizer"],
                  ((perm, loss, int(perm in report.minimizers))
                   for perm, loss in zip(report.permutations, report.losses)))
@@ -339,13 +344,13 @@ def cmd_simulate(args) -> int:
         spec = consistency.SamplerSpec(args.model, weights, args.draws, args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    path = _output_file(Path(args.out) / f"simulate_{args.model}.csv")
     if args.model == "vase":
         sample, probability = consistency.sample_vase, consistency.vase_probability
     else:
         sample, probability = consistency.sample_plank_dart, consistency.plank_probability
     table = consistency.frequency_zscores(sample(spec), args.draws,
                                           lambda perms: probability(weights, perms))
-    path = _make_dir(Path(args.out)) / f"simulate_{args.model}.csv"
     _write_table(path, ["permutation", "empirical", "analytic", "z"],
                  ((perm, *row) for perm, row in table.items()))
     zs = [abs(z) for _, p, z in table.values() if args.draws * p >= MIN_EXPECTED_COUNT]

@@ -141,15 +141,17 @@ class RankedBatch:
 
 @dataclass(frozen=True)
 class WindowPlan:
-    """Half-open week-index intervals for one train/test split.
-
-    norm_params holds the per-factor (min, max) fitted on the train range
-    only; it is None until fit_norm_params has run.
-    """
+    """Half-open week-index intervals for one train/test split: a non-empty
+    train range and the test range that starts where it ends."""
 
     train_range: tuple[int, int]
     test_range: tuple[int, int]
-    norm_params: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __post_init__(self):
+        if self.train_range[1] <= self.train_range[0]:
+            raise DataError("empty train range")
+        if self.test_range[0] != self.train_range[1]:
+            raise DataError("test range must immediately follow train range")
 
     @property
     def train_len(self) -> int:
@@ -423,16 +425,12 @@ def save_panel(panel: FactorPanel, path) -> None:
                           for i, j, row in zip(ii.tolist(), jj.tolist(), cells))
 
 
-def fit_norm_params(panel: FactorPanel, plan: WindowPlan) -> WindowPlan:
-    """Per-factor (min, max) over the train range only; test weeks never
+def fit_norm_params(panel: FactorPanel, plan: WindowPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Per-factor (mins, maxs) over the train range only; test weeks never
     contribute statistics."""
     lo, hi = plan.train_range
-    if hi <= lo:
-        raise DataError("empty train range")
     train = panel.factors[lo:hi]
-    mins = np.nanmin(train, axis=(0, 1))
-    maxs = np.nanmax(train, axis=(0, 1))
-    return replace(plan, norm_params=(mins, maxs))
+    return np.nanmin(train, axis=(0, 1)), np.nanmax(train, axis=(0, 1))
 
 
 def apply_norm_params(factors: np.ndarray, mins: np.ndarray, maxs: np.ndarray,
@@ -451,23 +449,17 @@ def apply_norm_params(factors: np.ndarray, mins: np.ndarray, maxs: np.ndarray,
 
 
 def minmax_normalize(panel: FactorPanel, plan: WindowPlan) -> FactorPanel:
-    """Map each factor to (x - min)/(max - min) with train-window statistics
-    and return the panel sliced to the plan's train+test span.
+    """Map each factor to (x - min)/(max - min) with the plan's
+    fit_norm_params and return the panel sliced to its train+test span.
 
     Test-window values may fall outside [0, 1]; constant factors map to the
     inert midpoint 0.5. The backtest does not call this: its networks apply
     the window's map to each row they read (ScoringNet.norm_params). This
     whole-window copy is the reference that path is checked against.
     """
-    if plan.norm_params is None:
-        plan = fit_norm_params(panel, plan)
-    mins, maxs = plan.norm_params
-    lo = plan.train_range[0]
-    hi = plan.test_range[1]
-    if plan.test_range[0] != plan.train_range[1]:
-        raise DataError("test range must immediately follow train range")
-    window = panel.slice_weeks(lo, hi)
-    return replace(window, factors=apply_norm_params(window.factors, mins, maxs))
+    window = panel.slice_weeks(plan.train_range[0], plan.test_range[1])
+    return replace(window, factors=apply_norm_params(window.factors,
+                                                     *fit_norm_params(panel, plan)))
 
 
 def decile_labels(returns, levels: int = 10) -> np.ndarray:
@@ -545,11 +537,8 @@ def ranked_train_weeks(panel: FactorPanel, window: WindowPlan,
     The batches hold views of the panel's arrays unless a median stock is
     dropped, so models trained on one window can share them.
     """
-    lo, hi = window.train_range
-    if hi <= lo:
-        raise DataError("empty train range")
     return [build_ranked_batch(panel, panel.dates[idx], require_even=require_even)
-            for idx in range(lo, hi)]
+            for idx in range(*window.train_range)]
 
 
 def planted_coefficients(seed: int, n_factors: int):

@@ -33,7 +33,6 @@ __all__ = [
     "LossResult",
     "exponential",
     "sigmoid",
-    "make_transform",
     "listmle_loss",
     "listfold_loss",
     "naive_pt_loss",
@@ -76,21 +75,6 @@ def exponential() -> Transform:
 
 def sigmoid() -> Transform:
     return Transform("sigmoid")
-
-
-_ALIASES = {
-    "exp": "exponential",
-    "exponential": "exponential",
-    "sgm": "sigmoid",
-    "sigmoid": "sigmoid",
-}
-
-
-def make_transform(name: str) -> Transform:
-    try:
-        return Transform(_ALIASES[name.lower()])
-    except KeyError:
-        raise ValueError(f"unknown transform name: {name!r}") from None
 
 
 @dataclass(frozen=True)

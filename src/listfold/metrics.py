@@ -122,7 +122,14 @@ def ndcg_at_minus_k(rank_eval: RankEval, levels: int):
 
 
 def ndcg_pm_k(rank_eval: RankEval, levels: int):
-    """Mean of the top-end and bottom-end NDCG at the same cutoff."""
+    """Mean of the top-end and bottom-end NDCG at the same cutoff, both
+    read from the one predicted order.
+
+    The backtest's ndcg_pm_k column is not this function of its top order:
+    it reads the bottom end in the short leg's own order, which breaks ties
+    the other way. On tied scores the two differ: four equal scores with
+    returns 4, 3, 2, 1 (k = 1, levels = 4) give 1.0 from this function and
+    8/15 = 0.5333 in rankmetrics.csv (backtest._model_rank_metrics)."""
     top = ndcg_at_k(rank_eval)
     bottom = ndcg_at_minus_k(rank_eval, levels)
     return 0.5 * (top + bottom)

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (DataError, FactorPanel, RankedBatch, WindowPlan, apply_norm_params,
-                   ranked_train_weeks)
+from .data import DataError, FactorPanel, RankedBatch, apply_norm_params
 from .losses import LossSpec, evaluate_loss
 
 __all__ = [
@@ -55,7 +54,8 @@ MAX_SKIPPED_SHARE = 0.1
 
 class CheckpointError(DataError):
     """A checkpoint is not an .npz of arrays, lacks a required array, or
-    holds an array whose shape disagrees with its layer_dims."""
+    holds an array whose shape disagrees with its layer_dims or whose
+    values are not finite real numbers."""
 
 
 @dataclass
@@ -319,29 +319,29 @@ def train_step(net: ScoringNet, batch: list[RankedBatch], spec: LossSpec,
     return mean_loss
 
 
-def train(panel: FactorPanel, window: WindowPlan, config: TrainConfig,
-          lists: list[RankedBatch] | None = None) -> ScoringNet:
-    """Train a fresh network on the window's training weeks with Adam.
+def train(lists: list[RankedBatch], norm_params: tuple[np.ndarray, np.ndarray] | None,
+          config: TrainConfig) -> ScoringNet:
+    """Train a fresh network with Adam on lists, one RankedBatch per
+    training week, such as a window's ranked_train_weeks.
 
-    One RankedBatch per training week; week order reshuffles with the
-    seeded RNG whenever the pool is exhausted, until exactly total_batches
-    batches have been consumed. Training never reads a week outside
-    train_range. lists takes the window's prebuilt ranked_train_weeks, so models trained on
-    one window share them; the median stock of an odd universe must
-    already be dropped for the listfold and naive_pt families. Every step
-    reuses one workspace of arrays that this call owns. A batch whose
-    train_step raises NonFiniteLossError is skipped; ten in a row, or more
-    than MAX_SKIPPED_SHARE of total_batches, raise TrainingDivergenceError.
+    Week order reshuffles with the seeded RNG whenever the pool is
+    exhausted, until exactly total_batches batches have been consumed; the
+    median stock of an odd universe must already be dropped for the
+    listfold and naive_pt families. Every step reuses one workspace of
+    arrays that this call owns. A batch whose train_step raises
+    NonFiniteLossError is skipped; ten in a row, or more than
+    MAX_SKIPPED_SHARE of total_batches, raise TrainingDivergenceError.
+    Empty lists raise ValueError.
 
-    The panel and lists hold raw factors. The network takes
-    window.norm_params as its input map, so it scales each row it reads,
-    in training and in every later forward pass; a window without
-    norm_params trains on the factors as they are.
+    The lists hold raw factors. The network takes norm_params, the
+    window's fitted (mins, maxs), as its input map, so it scales each row
+    it reads, in training and in every later forward pass; None trains on
+    the factors as they are.
     """
-    if lists is None:
-        lists = ranked_train_weeks(panel, window, require_even=config.loss.even_length)
-    net = init_network(panel.n_factors, config.seed, final_relu=config.final_relu)
-    net.norm_params = window.norm_params
+    if not lists:
+        raise ValueError("no training lists")
+    net = init_network(lists[0].features.shape[1], config.seed, final_relu=config.final_relu)
+    net.norm_params = norm_params
     if config.total_batches == 0:
         return net
     optimizer = AdamState(lr=config.learning_rate)
@@ -409,9 +409,9 @@ def load_checkpoint(path) -> ScoringNet:
     whose shape disagrees with layer_dims, a final_relu or seed that is not
     one integer, a norm_min without a norm_max (or the reverse) or of a
     shape other than (layer_dims[0],), and a w{i}, b{i} or norm_* array of
-    anything but real numbers raise CheckpointError. A file that cannot be
-    opened raises OSError. Other keys, such as the config_hash that earlier
-    checkpoints carry, are ignored."""
+    anything but finite real numbers raise CheckpointError naming the key.
+    A file that cannot be opened raises OSError. Other keys, such as the
+    config_hash that earlier checkpoints carry, are ignored."""
     try:
         blob = np.load(path, allow_pickle=False)
         if not isinstance(blob, np.lib.npyio.NpzFile):
@@ -446,6 +446,9 @@ def load_checkpoint(path) -> ScoringNet:
         if arrays[key].dtype.kind not in "biuf":
             raise CheckpointError(f"{path}: {key} is a {arrays[key].dtype} array, "
                                   "not real numbers")
+        # a trained network holds none: its training weeks are finite
+        if not np.all(np.isfinite(arrays[key])):
+            raise CheckpointError(f"{path}: {key} holds a non-finite value")
     n_layers = len(dims) - 1
     return ScoringNet(
         layer_dims=dims,

@@ -28,8 +28,9 @@ from listfold.backtest import (
     strategy_lineup,
     train_window,
 )
-from listfold.data import (DataError, FactorPanel, WindowPlan, fit_norm_params,
-                           generate_synthetic_panel, minmax_normalize, rolling_windows)
+from listfold.data import (DataError, FactorPanel, WindowPlan, decile_labels,
+                           fit_norm_params, generate_synthetic_panel, minmax_normalize,
+                           ranked_train_weeks, rolling_windows)
 from listfold.neural import forward, train
 from test_metrics import blocks
 
@@ -581,6 +582,17 @@ class TestRankMetricsTieRule:
             tied_weeks += int(np.sum(ordered[:, k - 1] == ordered[:, k]))
         assert tied_weeks > 0
 
+    def test_pm_k_is_not_ndcg_pm_k_of_the_top_order_on_ties(self):
+        # four equal scores: the long leg holds stock a, the short leg a
+        # too, so the bottom end scores a's top label in the short leg's
+        # order, where ndcg_pm_k of the one top order would score d
+        scores, returns = np.zeros((1, 4)), np.array([[4.0, 3.0, 2.0, 1.0]])
+        got = backtest._model_rank_metrics(scores, returns, list("abcd"), k=1, levels=4)
+        assert got["ndcg_pm_k"] == pytest.approx(8 / 15)  # 0.5333
+        top = backtest._rank(scores, list("abcd"))
+        labels = decile_labels(returns, levels=4)
+        assert metrics.ndcg_pm_k(metrics.RankEval(top, labels, 1), 4) == pytest.approx(1.0)
+
 
 class TestCutoffHeatmap:
     def test_perfect_foresight_non_increasing(self, small_backtest):
@@ -653,8 +665,7 @@ class TestTrainWindow:
         panel = replace(panel, factors=factors)
         cfg = BacktestConfig(train_len=50, test_len=10, batch_size=4, total_batches=6,
                              seed=2, levels=5)
-        plan = fit_norm_params(panel, rolling_windows(panel.n_weeks, 50, 10)[1])
-        return panel, cfg, plan
+        return panel, cfg, rolling_windows(panel.n_weeks, 50, 10)[1]
 
     @pytest.mark.parametrize("stocks", [10, 11])
     def test_shared_lists_train_the_same_nets_as_standalone_training(self, stocks):
@@ -668,13 +679,19 @@ class TestTrainWindow:
         test_block = alone.factors[plan.train_len:]
         assert np.all(alone.factors[:, :, 0] == 0.5)
         assert test_block.min() < 0.0 and test_block.max() > 1.0
-        # the plan re-indexed for the window copy, with no input map
+        # the plan re-indexed for the window copy, trained with no input map
         tl = plan.train_len
         plain = WindowPlan((0, tl), (tl, tl + plan.test_len))
+        norm = fit_norm_params(panel, plan)
         for model in self.MODELS:
-            want = train(alone, plain, model_train_config(cfg, model, 1))
+            config = model_train_config(cfg, model, 1)
+            lists = ranked_train_weeks(alone, plain, require_even=config.loss.even_length)
+            want = train(lists, None, config)
             assert want.norm_params is None
-            assert nets[model].norm_params is plan.norm_params
+            # one map, fitted once, carried by every model of the window
+            assert nets[model].norm_params is nets[self.MODELS[0]].norm_params
+            for got, fitted in zip(nets[model].norm_params, norm):
+                assert got.tobytes() == fitted.tobytes()
             for p, q in zip(nets[model].parameters(), want.parameters()):
                 assert p.tobytes() == q.tobytes()
             for t, date in enumerate(dates):
@@ -717,7 +734,7 @@ class TestScoreWindow:
                                          signal_strength=0.9, noise_scale=0.4)
         config = BacktestConfig(train_len=50, test_len=15, batch_size=4, total_batches=5,
                                 seed=4, levels=6)
-        plan = fit_norm_params(panel, rolling_windows(80, 50, 15)[0])
+        plan = rolling_windows(80, 50, 15)[0]
         models = sorted(backtest.MODEL_SPECS)
         dates, scores = backtest._score_window(panel, plan, models, config, 0)
         nets = train_window(panel, plan, models, config, 0)

@@ -248,6 +248,31 @@ def test_output_file_is_checked_before_any_work(command, kind, base_config, pane
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz", "taken"]
 
 
+@pytest.mark.parametrize("command", ["backtest", "verify", "simulate"])
+def test_table_path_that_is_a_directory_is_a_config_error(command, base_config, tmp_path,
+                                                          capsys, monkeypatch):
+    # an IsADirectoryError traceback when the table was written; backtest
+    # reached it only after all its training
+    trained = []
+    monkeypatch.setattr(cli, "run_backtest", lambda *args: trained.append(args))
+    out = tmp_path / "out"
+    argv, table = {
+        "backtest": (["backtest", "--config", str(base_config), "--out", str(out)],
+                     "stats.csv"),
+        "verify": (["verify", "--trials", "1", "--sizes", "2", "--budget", "0",
+                    "--out", str(out)], "enumeration_5410.csv"),
+        "simulate": (["simulate", "--model", "vase", "--weights", "1,2", "--draws", "10",
+                      "--out", str(out)], "simulate_vase.csv"),
+    }[command]
+    (out / table).mkdir(parents=True)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"config error: output path {out / table} is a directory" in err
+    assert "Traceback" not in err
+    assert not trained
+    assert [p.name for p in out.iterdir()] == [table]
+
+
 def test_negative_seed_in_a_config_file_is_a_config_error(panel_csv, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"panel = {panel_csv}\nk = 2\nseed = -1\n")
@@ -849,6 +874,17 @@ class TestTrainScoreCommands:
         assert self._score_malformed(checkpoint_arrays, panel_csv, tmp_path) == 2
         err = capsys.readouterr().err
         assert "data error:" in err and "norm_max is missing" in err
+
+    @pytest.mark.parametrize("key, value", [("w0", np.inf), ("b2", np.nan),
+                                            ("norm_max", np.nan)])
+    def test_non_finite_array_is_a_data_error(self, key, value, checkpoint_arrays, panel_csv,
+                                              tmp_path, capsys):
+        # score wrote nan for every stock and exited 0
+        checkpoint_arrays[key].flat[0] = value
+        assert self._score_malformed(checkpoint_arrays, panel_csv, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {tmp_path / 'bad.npz'}: {key} holds a non-finite value" in err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_norm_min_of_wrong_shape_is_a_data_error(self, checkpoint_arrays, panel_csv,
                                                      tmp_path, capsys):

@@ -128,6 +128,19 @@ class TestLoadSave:
         assert back.dates == panel.dates and back.stocks == panel.stocks
 
 
+class TestWindowPlan:
+    @pytest.mark.parametrize("train, test, message", [
+        ((5, 5), (5, 8), "empty train range"),
+        ((6, 5), (5, 8), "empty train range"),
+        ((0, 5), (6, 8), "test range must immediately follow train range"),
+        ((0, 5), (4, 8), "test range must immediately follow train range"),
+    ], ids=["empty", "reversed", "gap", "overlap"])
+    def test_bad_ranges_rejected(self, train, test, message):
+        # a bad plan is refused where it is built, before any fit or training
+        with pytest.raises(DataError, match=message):
+            WindowPlan(train, test)
+
+
 class TestMinMaxNormalize:
     def test_train_window_maps_to_unit_interval(self):
         factors = np.array([[[0.0]], [[5.0]], [[10.0]], [[7.5]]])
@@ -151,10 +164,11 @@ class TestMinMaxNormalize:
     def test_no_leakage_refit_reproduces_params(self):
         panel = generate_synthetic_panel(5, weeks=30, stocks=6, factors=4,
                                          signal_strength=0.3)
-        plan = fit_norm_params(panel, WindowPlan((0, 20), (20, 30)))
-        refit = fit_norm_params(panel.slice_weeks(0, 20), WindowPlan((0, 20), (20, 20)))
-        np.testing.assert_array_equal(plan.norm_params[0], refit.norm_params[0])
-        np.testing.assert_array_equal(plan.norm_params[1], refit.norm_params[1])
+        mins, maxs = fit_norm_params(panel, WindowPlan((0, 20), (20, 30)))
+        refit_mins, refit_maxs = fit_norm_params(panel.slice_weeks(0, 20),
+                                                 WindowPlan((0, 20), (20, 20)))
+        np.testing.assert_array_equal(mins, refit_mins)
+        np.testing.assert_array_equal(maxs, refit_maxs)
 
     def test_apply_matches_expression_and_keeps_input(self):
         rng = np.random.default_rng(3)

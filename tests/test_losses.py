@@ -17,7 +17,6 @@ from listfold.losses import (
     listfold_loss,
     listmle_loss,
     loss_gradient_check,
-    make_transform,
     mse_loss,
     naive_pt_loss,
     sigmoid,
@@ -75,11 +74,6 @@ class TestTransforms:
         np.testing.assert_allclose(log_dpsi, log_up + log_down, atol=1e-12)
 
     def test_aliases(self):
-        assert make_transform("exp").kind == "exponential"
-        assert make_transform("sgm").kind == "sigmoid"
-        for name in ("softplus", "lin", "linear"):
-            with pytest.raises(ValueError, match="unknown transform name"):
-                make_transform(name)
         with pytest.raises(ValueError, match="unknown transform kind"):
             Transform("linear")
 

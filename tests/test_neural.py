@@ -38,12 +38,18 @@ FOLD_EXP = LossSpec("listfold", Transform("exponential"))
 
 def raw_window(seed=0, weeks=90, stocks=12, factors=6, signal=1.0, noise=0.3,
                train_len=60, test_len=30):
-    """The first window's raw panel and its plan, which starts at week 0 and
-    carries the train-fitted norm_params that train() gives the network as
-    its input map."""
+    """The first window's raw panel and its plan, which starts at week 0."""
     panel = generate_synthetic_panel(seed, weeks, stocks, factors, signal, noise)
-    plan = fit_norm_params(panel, rolling_windows(weeks, train_len, test_len)[0])
-    return panel.slice_weeks(0, train_len + test_len), plan
+    return panel.slice_weeks(0, train_len + test_len), rolling_windows(weeks, train_len,
+                                                                       test_len)[0]
+
+
+def window_inputs(panel, plan, spec=FOLD_EXP):
+    """What train takes for the plan's window, as train_window builds it:
+    the ranked training weeks (the median dropped where spec needs an even
+    length) and the input map fitted on them."""
+    return (ranked_train_weeks(panel, plan, require_even=spec.even_length),
+            fit_norm_params(panel, plan))
 
 
 class TestInit:
@@ -276,15 +282,19 @@ class TestTrain:
     def test_zero_batches_returns_init(self):
         wp, local = raw_window()
         cfg = TrainConfig(loss=FOLD_EXP, total_batches=0, seed=5)
-        got = train(wp, local, cfg)
+        got = train(*window_inputs(wp, local, cfg.loss), cfg)
         want = init_network(wp.n_factors, 5)
         for p, q in zip(got.parameters(), want.parameters()):
             np.testing.assert_array_equal(p, q)
 
+    def test_no_lists_rejected(self):
+        with pytest.raises(ValueError, match="no training lists"):
+            train([], None, TrainConfig(loss=FOLD_EXP, total_batches=0))
+
     def test_planted_signal_learned_out_of_window(self):
         wp, local = raw_window(seed=21, signal=1.0, noise=0.25)
         cfg = TrainConfig(loss=FOLD_EXP, batch_size=8, total_batches=60, seed=1)
-        net = train(wp, local, cfg)
+        net = train(*window_inputs(wp, local, cfg.loss), cfg)
         ics = [
             spearman_ic(score_week(net, wp, wp.dates[t]), wp.week_returns(wp.dates[t]))
             for t in range(*local.test_range)
@@ -294,7 +304,7 @@ class TestTrain:
     def test_zero_signal_learns_nothing(self):
         wp, local = raw_window(seed=22, signal=0.0, noise=1.0)
         cfg = TrainConfig(loss=FOLD_EXP, batch_size=8, total_batches=60, seed=1)
-        net = train(wp, local, cfg)
+        net = train(*window_inputs(wp, local, cfg.loss), cfg)
         ics = [
             spearman_ic(score_week(net, wp, wp.dates[t]), wp.week_returns(wp.dates[t]))
             for t in range(*local.test_range)
@@ -304,7 +314,8 @@ class TestTrain:
     def test_deterministic_given_seed(self):
         wp, local = raw_window()
         cfg = TrainConfig(loss=FOLD_EXP, batch_size=4, total_batches=15, seed=9)
-        a, b = train(wp, local, cfg), train(wp, local, cfg)
+        inputs = window_inputs(wp, local, cfg.loss)
+        a, b = train(*inputs, cfg), train(*inputs, cfg)
         for p, q in zip(a.parameters(), b.parameters()):
             assert p.tobytes() == q.tobytes()
 
@@ -327,7 +338,7 @@ class TestTrain:
         wp, local = raw_window()
         calls = self._skipping(monkeypatch, {3, 11})
         cfg = TrainConfig(loss=FOLD_EXP, batch_size=4, total_batches=20, seed=9)
-        net = train(wp, local, cfg)
+        net = train(*window_inputs(wp, local, cfg.loss), cfg)
         assert len(calls) == 20
         assert all(np.all(np.isfinite(p)) for p in net.parameters())
 
@@ -337,7 +348,7 @@ class TestTrain:
         cfg = TrainConfig(loss=FOLD_EXP, batch_size=4, total_batches=20, seed=9)
         assert neural.MAX_SKIPPED_SHARE == 0.1
         with pytest.raises(TrainingDivergenceError, match="on 3 batches, more than 10% of 20"):
-            train(wp, local, cfg)
+            train(*window_inputs(wp, local, cfg.loss), cfg)
         assert len(calls) == 18
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -349,7 +360,7 @@ class TestTrain:
         cfg = TrainConfig(loss=LossSpec("mse"), batch_size=4, total_batches=200,
                           learning_rate=1e200, final_relu=False, seed=0)
         with pytest.raises(TrainingDivergenceError, match="10 consecutive"):
-            train(wp, local, cfg)
+            train(*window_inputs(wp, local, cfg.loss), cfg)
 
 
 class TestScoreWeek:
@@ -488,21 +499,22 @@ class TestWorkspace:
         # the step's stacked raw rows are scaled where they lie: one (rows, d)
         # array per workspace, and the mapped rows are the whole-panel map's
         wp, local = raw_window()
-        lists = ranked_train_weeks(wp, local)[:4]
+        lists, norm = window_inputs(wp, local)
+        lists = lists[:4]
         net = init_network(wp.n_factors, 3)
-        net.norm_params = local.norm_params
+        net.norm_params = norm
         workspace: dict = {}
         train_step(net, lists, FOLD_EXP, AdamState(lr=0.0), workspace=workspace)
         shape = (4 * wp.n_stocks, wp.n_factors)
         assert [key for key in workspace if key[2] == shape] == [("features", 0, shape)]
         feats = workspace[("features", 0, shape)]
         want = apply_norm_params(np.concatenate([b.features for b in lists]),
-                                 *local.norm_params)
+                                 *norm)
         assert feats.tobytes() == want.tobytes()
         # rows read from outside the workspace are left raw
         raw = wp.week_features(wp.dates[0]).copy()
         _, cache = forward_cached(net, raw)
-        assert cache[0].tobytes() == apply_norm_params(raw, *local.norm_params).tobytes()
+        assert cache[0].tobytes() == apply_norm_params(raw, *norm).tobytes()
         assert raw.tobytes() == wp.week_features(wp.dates[0]).tobytes()
 
     @pytest.mark.parametrize("model", ["listfold-exp", "mlp"])
@@ -512,14 +524,14 @@ class TestWorkspace:
         # With a second set of per-layer delta buffers the peak was 2.2x
         wp, local = raw_window(weeks=40, stocks=80, factors=68, train_len=32, test_len=8)
         spec, reverse, final_relu = MODEL_SPECS[model]
-        lists = ranked_train_weeks(wp, local, require_even=spec.even_length)
+        lists, norm = window_inputs(wp, local, spec)
         cfg = TrainConfig(loss=spec, batch_size=32, total_batches=batches,
                           final_relu=final_relu, seed=1, reverse_labels=reverse)
         rows = 32 * 80
         held = rows * sum(init_network(68, 0).layer_dims) * 8
         tracemalloc.start()
         try:
-            train(wp, local, cfg, lists=lists)
+            train(lists, norm, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -531,14 +543,14 @@ class TestWorkspace:
         spec, reverse, final_relu = MODEL_SPECS[model]
         cfg = TrainConfig(loss=spec, batch_size=4, total_batches=8, learning_rate=1e-2,
                           final_relu=final_relu, seed=3, reverse_labels=reverse)
-        shared = train(wp, local, cfg)
+        shared = train(*window_inputs(wp, local, cfg.loss), cfg)
         step = neural.train_step
 
         def fresh_step(*args, workspace=None, **kwargs):
             return step(*args, **kwargs)
 
         monkeypatch.setattr(neural, "train_step", fresh_step)
-        fresh = train(wp, local, cfg)
+        fresh = train(*window_inputs(wp, local, cfg.loss), cfg)
         start = init_network(wp.n_factors, 3, final_relu=final_relu)
         assert any(not np.array_equal(p, q)
                    for p, q in zip(shared.parameters(), start.parameters()))
@@ -550,14 +562,15 @@ class TestCheckpoint:
     def test_roundtrip_reproduces_forward_bits(self, tmp_path):
         wp, local = raw_window()
         cfg = TrainConfig(loss=FOLD_EXP, batch_size=4, total_batches=10, seed=4)
-        net = train(wp, local, cfg)
-        assert net.norm_params is local.norm_params
+        lists, norm = window_inputs(wp, local)
+        net = train(lists, norm, cfg)
+        assert net.norm_params is norm
         path = tmp_path / "model.npz"
         save_checkpoint(net, path)
         back = load_checkpoint(path)
         x = wp.week_features(wp.dates[0])
         assert forward(back, x).tobytes() == forward(net, x).tobytes()
-        for got, want in zip(back.norm_params, local.norm_params):
+        for got, want in zip(back.norm_params, norm):
             assert got.tobytes() == want.tobytes()
 
     def test_net_without_input_map_saves_none(self, tmp_path):
@@ -572,8 +585,8 @@ class TestCheckpoint:
         # same npz keys, scored then by applying the stored map by hand
         wp, local = raw_window()
         cfg = TrainConfig(loss=FOLD_EXP, batch_size=4, total_batches=10, seed=4)
-        net = train(wp, local, cfg)
-        mins, maxs = local.norm_params
+        lists, (mins, maxs) = window_inputs(wp, local)
+        net = train(lists, (mins, maxs), cfg)
         payload = {"layer_dims": np.asarray(net.layer_dims, dtype=np.int64),
                    "final_relu": np.asarray([1], dtype=np.int64),
                    "seed": np.asarray([net.seed], dtype=np.int64),
