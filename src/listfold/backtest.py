@@ -26,6 +26,7 @@ from .data import (
     FactorPanel,
     WindowPlan,
     _csv_fields,
+    _write_whole,
     decile_labels,
     fit_norm_params,
     ranked_train_weeks,
@@ -404,12 +405,15 @@ def run_backtest(panel: FactorPanel, strategies: list[StrategySpec],
     window's training lists are held in memory. A lineup
     whose strategies carry more than one k raises ValueError, because the
     rank metrics are reported at a single k, and so does a k the panel's
-    universe cannot hold; both are checked before any training.
+    universe cannot hold; both are checked before any training, and so is
+    every test week's factor cells (DataError names the week and stock).
     """
     k = _common_k(strategies)
     for strat in strategies:
         strat.check_universe(panel.n_stocks)
     plans = rolling_windows(panel.n_weeks, config.train_len, config.test_len)
+    # the test ranges tile one span, from the first window's to the last's
+    panel.check_factor_cells(plans[0].test_range[0], plans[-1].test_range[1])
     models = sorted({m for s in strategies for m in s.required_models()})
     parts = [_score_window(panel, plan, models, config, wi) for wi, plan in enumerate(plans)]
     test_dates = [d for dates, _ in parts for d in dates]
@@ -540,7 +544,7 @@ def _write_table(path, header, rows) -> None:
     through here; the panel CSV has its own writer, save_panel."""
     table = [header, *rows]
     quoted = iter(_csv_fields([v for row in table for v in row if isinstance(v, str)]))
-    with open(path, "w", encoding="utf-8") as fh:
+    with _write_whole(path, "w", encoding="utf-8") as fh:
         fh.writelines(",".join(next(quoted) if isinstance(v, str) else _cell(v)
                                for v in row) + "\n"
                       for row in table)

@@ -42,6 +42,7 @@ from .backtest import (
 )
 from .data import (
     DataError,
+    _write_whole,
     generate_synthetic_panel,
     load_panel,
     rolling_windows,
@@ -314,7 +315,8 @@ def cmd_verify(args) -> int:
     # keep the report byte-reproducible across output directories
     lines.append(f"enumeration table written to {report.name}")
     summary = "\n".join(lines) + "\n"
-    summary_path.write_text(summary, encoding="utf-8")
+    with _write_whole(summary_path, "w", encoding="utf-8") as fh:
+        fh.write(summary)
     print(summary, end="")
     # counterexample discoveries would be a research finding, not a failure
     ok = golden_ok and t1.passed and t2r.passed and t2u.passed
@@ -403,8 +405,10 @@ def cmd_score(args) -> int:
         raise DataError(f"cannot read checkpoint: {exc}") from exc
     try:
         panel = load_panel(args.panel)
+        week = panel.week_index(args.week)
+        panel.check_factor_cells(week, week + 1)
         # the checkpoint's input map scales the raw week
-        scores = forward(net, panel.week_features(args.week))
+        scores = forward(net, panel.factors[week])
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     _write_table(out, ["stock", "score"], zip(panel.stocks, scores))

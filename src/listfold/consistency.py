@@ -24,12 +24,15 @@ The Monte Carlo samplers draw the two generative stories behind the
 likelihood losses, whose probabilities are those losses: exp(-ListMLE-exp)
 for the vase story and exp(-ListFold-exp) for the plank-dart story, of the
 log weights, evaluated over a whole block of orderings in one call. The
-samplers run draw-major over all draws at once and track the drawn items
-in one (m, draws) bool mask, not in float weight blocks: a draw builds
-each item's live weight, w or 0, in one reused row. Per draw they hold m
-bytes of mask, m bytes of picks in the least unsigned dtype and three
-float64 values while a stage draws, and 8 bytes of base-m key while
-counting. The vase's last item is the one left, so it takes no draw.
+samplers run draw-major over all draws at once and keep each draw's free
+items as one intp code, bit i set while item i is free. A spec's table
+of every free set's running sums, 2^m rows of m float64 (plank has one
+for the widths and one for the lengths), turns a categorical draw into
+one row gather, one multiply and m - 1 compares, and marking a pick into
+one XOR. Per draw they hold an 8-byte code, m bytes of picks in the least
+unsigned dtype and a gathered row of m float64 values while a stage
+draws, and 8 bytes of base-m key while counting. The vase's last item is the one
+left, so it takes no draw.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .losses import LossSpec, Transform, evaluate_loss
 __all__ = [
     "ENUMERATION_CAP",
     "MINIMIZER_TOL",
+    "SAMPLER_CAP",
     "SEARCH_CAP",
     "EnumerationReport",
     "SamplerSpec",
@@ -67,6 +71,7 @@ __all__ = [
 
 ENUMERATION_CAP = 8
 SEARCH_CAP = 14
+SAMPLER_CAP = 16
 MINIMIZER_TOL = 1e-9
 
 # the theorem-2 loss and the plank story's; ListMLE-exp is the vase story's
@@ -559,7 +564,8 @@ class SamplerSpec:
     the remaining weights. model 'plank' throws two darts per stage, one
     against the widths w and one against the lengths l = 1/w, rejecting
     same-plank hits. The weights (and for plank the lengths) must be
-    finite normal floats with a finite sum; ValueError names the problem.
+    finite normal floats with a finite sum, and there are at most
+    SAMPLER_CAP = 16 of them; ValueError names the problem.
     """
 
     model: str
@@ -573,6 +579,9 @@ class SamplerSpec:
         w = np.asarray(self.weights, dtype=float).ravel()
         if w.size == 0:
             raise ValueError("need at least one weight")
+        if w.size > SAMPLER_CAP:
+            # _free_set_sums holds 2^m rows: 8 MiB at 16 weights
+            raise ValueError(f"samplers capped at {SAMPLER_CAP} weights, got {w.size}")
         _check_sampling_weights(w, "weights")
         object.__setattr__(self, "weights", w)
         if self.draws < 1:
@@ -602,40 +611,44 @@ def _check_sampling_weights(w: np.ndarray, name: str) -> None:
         raise ValueError(f"the sum of the {name} overflows")
 
 
-def _running_sums(weights: np.ndarray, free: np.ndarray):
-    """Yield, after each row of the (m, k) bool mask free, the running sum
-    of the live weights weights[i] * free[i] over its k columns: the rows
-    of the cumulative sums, one at a time in one reused array. A live
-    weight is exactly weights[i] or +0.0, built in one reused scratch row."""
-    run, live = np.zeros(free.shape[1]), np.empty(free.shape[1])
-    for w, row in zip(weights, free):
-        run += np.multiply(w, row, out=live)
-        yield run
+def _free_set_sums(weights: np.ndarray) -> np.ndarray:
+    """The (2^m, m) running sums of every free set of the (m,) weights.
+
+    Row s is the free set whose bit i is set while item i is free, and
+    column i holds the left-fold sum of weights[j] * bit_j(s) over j <= i,
+    where each term is exactly weights[j] or +0.0. np.cumsum adds along a
+    row from left to right, never pairwise, so the last column is the
+    running total a draw scales u by."""
+    m = weights.size
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+    return np.cumsum(weights * bits, axis=1)
 
 
-def _categorical_columns(rng: np.random.Generator, weights: np.ndarray,
-                         free: np.ndarray) -> np.ndarray:
-    """One item per column of the (m, k) bool mask free of items not yet
-    drawn, drawn proportionally to the (m,) weights of that column's free
-    items, in the least unsigned dtype that holds m - 1.
+def _categorical_codes(rng: np.random.Generator, table: np.ndarray,
+                       state: np.ndarray) -> np.ndarray:
+    """One item per draw, drawn proportionally to the weights of the items
+    free in that draw's intp code state, in the least unsigned dtype that
+    holds m - 1; table is the weights' _free_set_sums.
 
-    No (m, k) float block is stored: a first pass over the rows leaves each
-    column's total, its left-fold running sum (a pairwise row sum can
-    exceed it from 8 items on), and a second pass rebuilds the running sums
-    row by row and counts those at or below u. So a call's working memory
-    is three float64 values per column (u, which overwrites the total, the
-    running sum and the scratch row). A uniform in [0, 1) times a normal
-    total stays below that total, so the pick is a free item of positive
-    weight and never m; the last running sum is never compared. With one
-    free item the pick is forced, so sample_vase takes its last item as
-    the one left instead of calling this.
+    A draw gathers its free set's row of running sums (a code is below
+    2^m, so mode="clip" changes no index and only skips the bounds check),
+    scales a uniform by the row's total and counts the m - 1 running sums
+    at or below it. A uniform in [0, 1) times a normal total stays below
+    that total, so the pick is a free item of positive weight and never m;
+    the last running sum is never compared. With one free item the pick is
+    forced, so sample_vase takes its last item as the one left instead of
+    calling this.
+
+    Gathering one column at a time instead holds less memory, but in a
+    fresh process it measured slower end to end (lab-enumerate wall_ref
+    0.68-0.72 against 0.59-0.61), though not in a process where row
+    gathers had run first, so the cost is in the allocator, not the work.
     """
-    m, k = free.shape
-    for total in _running_sums(weights, free):
-        pass
-    u = np.multiply(rng.random(k), total, out=total)
-    pick = np.zeros(k, dtype=np.min_scalar_type(m - 1))
-    for run in itertools.islice(_running_sums(weights, free), m - 1):
+    m = table.shape[1]
+    rows = table.take(state, axis=0, mode="clip")
+    u = rng.random(len(state)) * rows[:, -1]
+    pick = np.zeros(len(state), dtype=np.min_scalar_type(m - 1))
+    for run in rows.T[:-1]:
         pick += u >= run
     return pick
 
@@ -667,10 +680,11 @@ def _order_counts(out: np.ndarray) -> dict[tuple[int, ...], int]:
     return dict(zip(zip(*rows.T.tolist()), counts.tolist()))
 
 
-def _mark_drawn(free: np.ndarray, pick: np.ndarray) -> None:
-    """Clear free[pick[c], c] for every column c, one item row at a time."""
-    for i, row in enumerate(free):
-        row &= pick != i
+def _full_set(m: int, draws: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every draw's starting free-set code, (1 << m) - 1 as intp (a
+    narrower index is cast on every take), and the (m,) bit of each item,
+    which state ^= bit.take(pick) clears."""
+    return np.full(draws, (1 << m) - 1, dtype=np.intp), 1 << np.arange(m)
 
 
 def sample_vase(spec: SamplerSpec) -> dict[tuple[int, ...], int]:
@@ -680,17 +694,21 @@ def sample_vase(spec: SamplerSpec) -> dict[tuple[int, ...], int]:
         raise ValueError("spec.model must be 'vase'")
     m = spec.weights.size
     rng = np.random.default_rng(spec.seed)
-    # draw-major: one row per item, so each stage is m vector operations
-    # over the draws, not numpy calls along draws rows of m weights
-    free = np.ones((m, spec.draws), dtype=bool)
+    # draw-major: one free-set code per draw, so each stage is one row
+    # gather and m vector operations over the draws
+    table = _free_set_sums(spec.weights)
+    state, bit = _full_set(m, spec.draws)
     out = np.empty((spec.draws, m), dtype=np.min_scalar_type(m - 1))
     for stage in range(m - 1):
-        pick = _categorical_columns(rng, spec.weights, free)
+        pick = _categorical_codes(rng, table, state)
         out[:, stage] = pick
-        _mark_drawn(free, pick)
+        state ^= bit.take(pick)
     # the one item left is the last; its draw would be forced, and the
-    # generator is not used after it
-    out[:, m - 1] = free.argmax(axis=0)
+    # generator is not used after it. Its code has one set bit, whose item
+    # a 2^m lookup gives.
+    last = np.zeros(1 << m, dtype=out.dtype)
+    last[bit] = np.arange(m)
+    out[:, m - 1] = last.take(state, mode="clip")
     return _order_counts(out)
 
 
@@ -702,22 +720,22 @@ def sample_plank_dart(spec: SamplerSpec) -> dict[tuple[int, ...], int]:
     m = spec.weights.size
     n = m // 2
     rng = np.random.default_rng(spec.seed)
-    widths, lengths = spec.weights, 1.0 / spec.weights
-    free = np.ones((m, spec.draws), dtype=bool)
+    widths, lengths = _free_set_sums(spec.weights), _free_set_sums(1.0 / spec.weights)
+    state, bit = _full_set(m, spec.draws)
     out = np.empty((spec.draws, m), dtype=np.min_scalar_type(m - 1))
     for stage in range(n):
-        a = _categorical_columns(rng, widths, free)
-        b = _categorical_columns(rng, lengths, free)
+        a = _categorical_codes(rng, widths, state)
+        b = _categorical_codes(rng, lengths, state)
         idx = np.flatnonzero(a == b)
         while idx.size:
-            clashed = free[:, idx]
-            a[idx] = _categorical_columns(rng, widths, clashed)
-            b[idx] = _categorical_columns(rng, lengths, clashed)
+            clashed = state[idx]
+            a[idx] = _categorical_codes(rng, widths, clashed)
+            b[idx] = _categorical_codes(rng, lengths, clashed)
             idx = idx[a[idx] == b[idx]]
         out[:, stage] = a
         out[:, m - 1 - stage] = b
-        _mark_drawn(free, a)
-        _mark_drawn(free, b)
+        state ^= bit.take(a)
+        state ^= bit.take(b)
     return _order_counts(out)
 
 

@@ -16,9 +16,11 @@ same schema, and floats round-trip bit identically through ``repr``.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -99,6 +101,17 @@ class FactorPanel:
 
     def week_features(self, date: str) -> np.ndarray:
         return self.factors[self.week_index(date)]
+
+    def check_factor_cells(self, start: int, stop: int) -> None:
+        """Raise DataError naming the week, factor and stock of the first
+        missing or infinite factor cell in weeks [start, stop): a scored
+        week needs every stock's factors."""
+        bad = np.argwhere(~np.isfinite(self.factors[start:stop]))
+        if bad.size:
+            week, stock, factor = bad[0]
+            kind = "missing" if np.isnan(self.factors[start + week, stock, factor]) else "infinite"
+            raise DataError(f"week {self.dates[start + week]}: {kind} factor "
+                            f"{self.factor_names[factor]} for stock {self.stocks[stock]}")
 
     def week_returns(self, date: str) -> np.ndarray:
         return self.fwd_return[self.week_index(date)]
@@ -385,6 +398,29 @@ class _Missing:
 _MISSING = _Missing()
 
 
+@contextlib.contextmanager
+def _write_whole(path, mode: str = "w", **kwargs):
+    """Open a new temporary file beside path, as open(path, mode, **kwargs)
+    would open path, and rename it over path with os.replace once the block
+    ends cleanly, so path holds its old bytes or all the new ones, never a
+    part. If the block raises, the temporary file is removed and path is
+    untouched. Every file listfold writes goes through here."""
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    # os.urandom, not the secrets module, whose import costs about 3 ms
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    # "x" creates the file as "w" would (mode 0o666 less the umask) but
+    # never opens one that exists
+    fh = open(tmp, mode.replace("w", "x"), **kwargs)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _csv_fields(values) -> list[str]:
     """Each value as csv.writer writes it in a row of several fields
     (quoted only where QUOTE_MINIMAL needs it)."""
@@ -410,7 +446,7 @@ def save_panel(panel: FactorPanel, path) -> None:
     chunk of up to 1024 rows."""
     weeks = max(1, _CHUNK_ROWS // max(1, panel.n_stocks))
     stocks = _csv_fields(panel.stocks)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _write_whole(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["date", "stock", "fwd_ret", *panel.factor_names])
         for lo in range(0, panel.n_weeks, weeks):
             dates = _csv_fields(panel.dates[lo:lo + weeks])

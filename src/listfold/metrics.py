@@ -58,12 +58,15 @@ class RankEval:
 
 def average_ranks(x) -> np.ndarray:
     """Ranks starting at 1 along the last axis, ties replaced by the mean
-    rank of the tied run."""
+    rank of the tied run. A NaN has no rank (argsort would put it on top),
+    so NaN input raises ValueError."""
     x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise ValueError("cannot rank NaN values")
     order = np.argsort(x, axis=-1, kind="stable")
     xs = np.take_along_axis(x, order, axis=-1)
-    # tie runs [start, end] of the sorted values; NaN never ties, so each
-    # NaN is a run of its own. tied[i]: xs[i] continues the run of xs[i - 1]
+    # tie runs [start, end] of the sorted values. tied[i]: xs[i] continues
+    # the run of xs[i - 1]
     tied = np.zeros(xs.shape, dtype=bool)
     tied[..., 1:] = xs[..., 1:] == xs[..., :-1]
     pos = np.arange(x.shape[-1])

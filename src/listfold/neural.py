@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataError, FactorPanel, RankedBatch, apply_norm_params
+from .data import DataError, FactorPanel, RankedBatch, _write_whole, apply_norm_params
 from .losses import LossSpec, evaluate_loss
 
 __all__ = [
@@ -398,7 +398,7 @@ def save_checkpoint(net: ScoringNet, path) -> None:
         payload[f"b{i}"] = b
     if net.norm_params is not None:
         payload.update(zip(_NORM_KEYS, net.norm_params))
-    with open(path, "wb") as fh:
+    with _write_whole(path, "wb") as fh:
         np.savez(fh, **payload)
 
 

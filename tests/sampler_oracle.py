@@ -8,8 +8,9 @@ The live weights are stored ``(draws, m)``, one row per draw, and each
 stage draws through ``_categorical_rows``: a row total from
 ``weights.sum(axis=1)``, a row-wise ``np.cumsum`` and a count of
 ``u >= cum`` along each row. The draw-major samplers call the generator with
-the same sizes in the same order and build the same cumulative sums, so for
-fewer than 8 weights they must return the same counts. From 8 weights on,
+the same sizes in the same order, and the row of running sums each draw
+gathers by its free-set code holds the same cumulative sums, so for fewer
+than 8 weights they must return the same counts. From 8 weights on,
 numpy's row total is a pairwise sum, which may round differently from the
 last cumulative sum (and then ``_categorical_rows`` can return m).
 """

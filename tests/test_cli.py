@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from listfold import cli, neural
+from listfold import backtest, cli, neural
 from listfold.backtest import BacktestConfig, StrategySpec, run_backtest
 from listfold.cli import main, parse_config_file, build_run_config, ConfigError
 from listfold.data import (DataError, generate_synthetic_panel, load_panel, rolling_windows,
@@ -436,6 +436,27 @@ class TestBacktestCommand:
         assert rc == 2
         assert f"week {fields[0]}: infinite forward returns" in capsys.readouterr().err
 
+    def test_missing_test_week_factor_exit_two_before_training(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # the stock's test-week score was nan: the books never held it, IC
+        # ranked it top, and the run exited 0
+        path = tmp_path / "panel.csv"
+        assert main(["synth", "--out", str(path), "--seed", "1", "--weeks", "40",
+                     "--stocks", "8", "--factors", "3"]) == 0
+        lines = path.read_text().splitlines()
+        fields = lines[-1].split(",")
+        assert lines[0].split(",")[3] == "f01" and fields[:2] == ["2000-10-06", "S0007"]
+        fields[3] = ""
+        lines[-1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        trained = []
+        monkeypatch.setattr(backtest, "train_window", lambda *a: trained.append(a))
+        rc = main(["backtest", "--panel", str(path), "--train-len", "20", "--test-len", "10",
+                   "--total-batches", "5", "--k", "2", "--out", str(tmp_path / "o")])
+        assert rc == 2 and not trained
+        assert ("week 2000-10-06: missing factor f01 for stock S0007"
+                in capsys.readouterr().err)
+
     def test_short_csv_row_exit_two(self, base_config, panel_csv, tmp_path, capsys):
         lines = panel_csv.read_text().splitlines()
         lines[5] = ",".join(lines[5].split(",")[:3])
@@ -758,6 +779,28 @@ class TestTrainScoreCommands:
             rows = list(csv.reader(fh))
         assert all(len(row) == 2 for row in rows)
         assert [row[0] for row in rows[1:]] == list(loaded.stocks)
+
+    def test_missing_factor_in_the_scored_week_exit_two(self, base_config, panel_csv, tmp_path,
+                                                        capsys):
+        ck = tmp_path / "model.npz"
+        assert main(["train", "--config", str(base_config), "--model", "mlp",
+                     "--window", "0", "--checkpoint", str(ck)]) == 0
+        panel = load_panel(panel_csv)
+        week, stock = panel.dates[65], panel.stocks[4]
+        lines = panel_csv.read_text().splitlines()
+        header = lines[0].split(",")
+        row = next(i for i, line in enumerate(lines) if line.startswith(f"{week},{stock},"))
+        fields = lines[row].split(",")
+        fields[header.index(panel.factor_names[2])] = ""
+        lines[row] = ",".join(fields)
+        bad = tmp_path / "gap.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "s.csv"
+        rc = main(["score", "--checkpoint", str(ck), "--panel", str(bad), "--week", week,
+                   "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert (f"week {week}: missing factor {panel.factor_names[2]} for stock {stock}"
+                in capsys.readouterr().err)
 
     def test_unknown_week_exit_two(self, base_config, panel_csv, tmp_path):
         ck = tmp_path / "model.npz"

@@ -21,11 +21,13 @@ from listfold import consistency
 from listfold.consistency import (
     ENUMERATION_CAP,
     MINIMIZER_TOL,
+    SAMPLER_CAP,
     SEARCH_CAP,
     SamplerSpec,
     _DISTRIBUTIONS,
-    _categorical_columns,
+    _categorical_codes,
     _classify,
+    _free_set_sums,
     _least_listfold,
     _order_counts,
     _perm_table,
@@ -740,20 +742,23 @@ class TestSamplerOracle:
         weights = np.array([1.0] + [2.0**-53] * 7)
         assert weights.sum() > np.cumsum(weights)[-1]
         assert oracle_rows(_NearOneGenerator(), weights[None, :]).tolist() == [8]
-        pick = _categorical_columns(_NearOneGenerator(), weights, np.ones((8, 1), dtype=bool))
+        pick = _categorical_codes(_NearOneGenerator(), _free_set_sums(weights),
+                                  np.array([255], dtype=np.intp))
         assert pick.shape == (1,)
         assert 0 <= pick[0] < 8 and weights[pick[0]] > 0
         # a drawn tail is never picked either: live weights 0, 3, 1, 0, ...
         weights = np.array([5.0, 3.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0])
-        free = np.array([False, True, True, False, False, False, False, False])[:, None]
-        assert _categorical_columns(_NearOneGenerator(), weights, free).tolist() == [2]
+        free = np.array([0b110], dtype=np.intp)
+        assert _categorical_codes(_NearOneGenerator(), _free_set_sums(weights),
+                                  free).tolist() == [2]
 
 
 class TestSamplerMemory:
-    """The samplers hold a bool mask of drawn items, not float weight
-    blocks: at 8 weights x 100000 draws the float-block samplers peaked at
-    21.0 MiB (vase) and 27.9 MiB (plank) of traced allocations, about 6 MiB
-    of it the returned dict of 40320 orderings."""
+    """The samplers hold one free-set code per draw and gather rows of a
+    2^m-row table of running sums, not float weight blocks: at 8 weights x
+    100000 draws the float-block samplers peaked at 21.0 MiB (vase) and
+    27.9 MiB (plank) of traced allocations, about 6 MiB of it the returned
+    dict of 40320 orderings."""
 
     @pytest.mark.parametrize("model", ["vase", "plank"])
     def test_peak_at_8_weights_and_100k_draws(self, model):
@@ -797,3 +802,27 @@ class TestSamplerSpecWeights:
             counts = _SAMPLERS[spec.model][0](spec)
             assert sum(counts.values()) == spec.draws
             assert all(sorted(key) == list(range(spec.weights.size)) for key in counts)
+
+    @pytest.mark.parametrize("model", ["vase", "plank"])
+    def test_more_weights_than_the_cap_rejected(self, model):
+        assert SAMPLER_CAP == 16
+        with pytest.raises(ValueError, match=f"samplers capped at {SAMPLER_CAP} weights, got 17"):
+            SamplerSpec(model, np.arange(1.0, 18.0), draws=10)
+        # the cap itself builds (plank needs an even count, which 16 is)
+        assert SamplerSpec(model, np.arange(1.0, 17.0), draws=10).weights.size == SAMPLER_CAP
+
+
+class TestFreeSetSums:
+    """Each row of the table is the running sum of the live weights of its
+    free set, the fold the draws compare against."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8).flatmap(
+        lambda m: st.lists(st.floats(1e-300, 1e300), min_size=m, max_size=m)))
+    def test_rows_equal_cumsum_of_masked_weights(self, weights):
+        w = np.array(weights)
+        table = _free_set_sums(w)
+        assert table.shape == (2**w.size, w.size) and table.dtype == np.float64
+        for code, row in enumerate(table):
+            mask = np.array([(code >> i) & 1 for i in range(w.size)], dtype=bool)
+            assert row.tobytes() == np.cumsum(w * mask).tobytes()

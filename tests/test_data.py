@@ -1,5 +1,6 @@
 """Panel ingestion, normalization, labels, windows, synthetic data."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -22,8 +23,10 @@ from listfold.data import (
     rolling_windows,
     save_panel,
     WindowPlan,
+    _write_whole,
     apply_norm_params,
 )
+from listfold.backtest import _write_table
 from listfold.metrics import spearman_ic
 
 
@@ -367,3 +370,39 @@ class TestFactorPanel:
     def test_duplicate_dates_rejected(self):
         with pytest.raises(DataError, match="duplicate dates"):
             tiny_panel(np.zeros((2, 3, 1)), np.zeros((2, 3)), dates=("W1", "W1"))
+
+
+class TestWholeWrites:
+    """A file is replaced whole or not at all."""
+
+    def test_raising_table_writer_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("old\n")
+        # enough rows that the buffer reaches the disk before the bad cell
+        rows = [[float(i)] for i in range(20_000)] + [[object()]]
+        with pytest.raises(TypeError):
+            _write_table(path, ["x"], rows)
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+    def test_raising_block_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "model.npz"
+        path.write_bytes(b"old")
+        with pytest.raises(RuntimeError):
+            with _write_whole(path, "wb") as fh:
+                fh.write(b"new" * 100_000)
+                fh.flush()
+                raise RuntimeError("interrupted")
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
+
+    def test_whole_file_replaces_with_the_mode_open_gives(self, tmp_path):
+        path, plain = tmp_path / "t.csv", tmp_path / "plain.csv"
+        path.write_text("old\n")
+        with _write_whole(path, "w", encoding="utf-8") as fh:
+            fh.write("a,b\n1,2\n")
+        with open(plain, "w", encoding="utf-8") as fh:
+            fh.write("a,b\n1,2\n")
+        assert path.read_bytes() == plain.read_bytes()
+        assert os.stat(path).st_mode == os.stat(plain).st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.csv", "t.csv"]

@@ -84,6 +84,13 @@ class TestSpearman:
     def test_constant_input_flagged(self):
         assert spearman_ic([1.0, 1.0, 1.0], [1, 2, 3]) == 0.0
 
+    def test_nan_is_not_ranked(self):
+        # argsort put the NaN last, so it took the top rank and this IC was 1.0
+        with pytest.raises(ValueError, match="NaN"):
+            spearman_ic([np.nan, 1.0, 2.0], [3.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="NaN"):
+            average_ranks([[1.0, 2.0], [np.nan, 0.0]])
+
     def test_tied_ranks_averaged(self):
         np.testing.assert_allclose(average_ranks([5.0, 1.0, 5.0]), [2.5, 1.0, 2.5])
 
