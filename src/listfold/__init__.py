@@ -75,7 +75,6 @@ from .backtest import (
     StrategyStats,
     batch_size_grid,
     book_pnl,
-    build_list2mle,
     build_long_short,
     build_short_average,
     compute_stats,

@@ -48,7 +48,6 @@ __all__ = [
     "standard_strategies",
     "build_long_short",
     "build_short_average",
-    "build_list2mle",
     "book_pnl",
     "compute_stats",
     "run_backtest",
@@ -115,8 +114,14 @@ def _check_k(k: int, n: int, sides: int = 2) -> None:
         raise ValueError(f"universe of {n} too small for {sides} x k = {sides * k}")
 
 
-def _legs(long_scores: np.ndarray, short_scores: np.ndarray, stocks,
-          k: int) -> tuple[np.ndarray, np.ndarray]:
+def build_long_short(long_scores: np.ndarray, short_scores: np.ndarray, stocks,
+                     k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top k of long_scores long, bottom k of short_scores short, 0.5/k
+    weight per name, in every row (week) of two (weeks, N) score arrays
+    whose columns follow `stocks`. A one-model book passes its scores
+    twice. Returns the non-negative (long, short) weight arrays; a name
+    picked by both legs stays in both, its signed exposure netting to
+    zero."""
     if long_scores.shape != short_scores.shape:
         raise ValueError("long and short score arrays differ in shape")
     _check_k(k, long_scores.shape[1])
@@ -125,28 +130,12 @@ def _legs(long_scores: np.ndarray, short_scores: np.ndarray, stocks,
             w * _held(_rank(-short_scores, stocks), k))
 
 
-def build_long_short(scores: np.ndarray, stocks, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top k long, bottom k short, 0.5/k weight per name, in every row (week)
-    of a (weeks, N) score array whose columns follow `stocks`. Returns the
-    non-negative (long, short) weight arrays."""
-    return _legs(scores, scores, stocks, k)
-
-
 def build_short_average(scores: np.ndarray, stocks, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top k long at 0.5/k; short every stock at 0.5/N (an index-future
     style approximation of the short leg)."""
     _check_k(k, scores.shape[1], sides=1)
     return (0.5 / k * _held(_rank(scores, stocks), k),
             np.full(scores.shape, 0.5 / scores.shape[1]))
-
-
-def build_list2mle(scores_fwd: np.ndarray, scores_rvs: np.ndarray, stocks,
-                   k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Long the forward model's top k, short the bottom k of the
-    reverse-labeled model's return-oriented scores (its own top k).
-    Overlapping picks stay in both legs so the overlap diagnostic is
-    visible; their signed exposure nets to zero."""
-    return _legs(scores_fwd, scores_rvs, stocks, k)
 
 
 def _check_held(held: np.ndarray, returns: np.ndarray, dates, stocks,
@@ -214,31 +203,29 @@ MODEL_SPECS: dict[str, tuple[LossSpec, bool, bool]] = {
 
 @dataclass(frozen=True)
 class StrategySpec:
-    """One row of the stats table: a scoring model, a portfolio mode and a
-    cutoff. mode 'list2mle' ignores `model` and always pairs the listmle
-    and listmle-rvs models. A mode other than ls, sa or list2mle, or a model
-    that is not a MODEL_SPECS key, raises ValueError naming it."""
+    """One row of the stats table: the model whose top k the book holds
+    long, the model whose bottom k it holds short (None for the
+    short-average book, which shorts every stock equally) and the cutoff
+    k. A leg that is not a MODEL_SPECS key raises ValueError naming it."""
 
     name: str
-    model: str
-    mode: str  # "ls" | "sa" | "list2mle"
+    long: str
+    short: str | None
     k: int
 
     def __post_init__(self):
-        if self.mode not in ("ls", "sa", "list2mle"):
-            raise ValueError(f"unknown portfolio mode {self.mode!r} (known: ls, sa, list2mle)")
-        if self.model not in MODEL_SPECS:
-            raise ValueError(f"unknown model {self.model!r} (known: {', '.join(MODEL_SPECS)})")
+        for model in (self.long, self.short):
+            if model is not None and model not in MODEL_SPECS:
+                raise ValueError(f"unknown model {model!r} (known: {', '.join(MODEL_SPECS)})")
 
     def required_models(self) -> tuple[str, ...]:
-        if self.mode == "list2mle":
-            return ("listmle", "listmle-rvs")
-        return (self.model,)
+        """The distinct models behind the legs, long first."""
+        return tuple(dict.fromkeys(m for m in (self.long, self.short) if m is not None))
 
     def check_universe(self, n_stocks: int) -> None:
         """ValueError unless n_stocks can hold this strategy's k-stock legs
-        (a short-average book has one; the others have two)."""
-        _check_k(self.k, n_stocks, sides=1 if self.mode == "sa" else 2)
+        (a short-average book has one; a two-leg book has two)."""
+        _check_k(self.k, n_stocks, sides=1 if self.short is None else 2)
 
 
 # strategy model key -> its name in the stats table; a short-average book
@@ -257,18 +244,19 @@ STANDARD_MODELS = ("listfold-exp", "listfold-sgm", "listmle", "list2mle", "mlp")
 
 def strategy_lineup(models, modes, k: int) -> list[StrategySpec]:
     """Model by model, its long-short strategy if modes holds "ls" and then
-    its short-average one if modes holds "sa". list2mle dictates its own
-    short leg, so it gives one strategy whatever the modes."""
+    its short-average one if modes holds "sa". list2mle is the book long
+    the listmle model's top k and short the listmle-rvs model's bottom k,
+    one strategy whatever the modes."""
     out = []
     for model in models:
         name = STRATEGY_NAMES[model]
         if model == "list2mle":
-            out.append(StrategySpec(name, "listmle", "list2mle", k))
+            out.append(StrategySpec(name, "listmle", "listmle-rvs", k))
             continue
         if "ls" in modes:
-            out.append(StrategySpec(name, model, "ls", k))
+            out.append(StrategySpec(name, model, model, k))
         if "sa" in modes:
-            out.append(StrategySpec(name + "-sa", model, "sa", k))
+            out.append(StrategySpec(name + "-sa", model, None, k))
     return out
 
 
@@ -326,7 +314,8 @@ class BacktestResult:
     rank_metrics: dict[str, dict[str, float]]  # model -> metric -> value
     scores: dict[str, dict[str, np.ndarray]]  # model -> test date -> scores
     test_dates: list[str]
-    overlap_per_week: dict[str, float]  # list2mle strategies: mean overlap count
+    # strategies whose legs come from two models: mean names held in both legs
+    overlap_per_week: dict[str, float]
 
 
 def _model_seed(base_seed: int, model: str, window_index: int) -> int:
@@ -424,14 +413,13 @@ def run_backtest(panel: FactorPanel, strategies: list[StrategySpec],
     stats: dict[str, StrategyStats] = {}
     overlap: dict[str, float] = {}
     for strat in strategies:
-        if strat.mode == "list2mle":
-            fwd, rvs = strat.required_models()
-            long, short = build_list2mle(stacked[fwd], stacked[rvs], panel.stocks, strat.k)
-            overlap[strat.name] = float(np.mean(np.sum((long > 0) & (short > 0), axis=1)))
-        elif strat.mode == "ls":
-            long, short = build_long_short(stacked[strat.model], panel.stocks, strat.k)
-        else:  # "sa"
-            long, short = build_short_average(stacked[strat.model], panel.stocks, strat.k)
+        if strat.short is None:
+            long, short = build_short_average(stacked[strat.long], panel.stocks, strat.k)
+        else:
+            long, short = build_long_short(stacked[strat.long], stacked[strat.short],
+                                           panel.stocks, strat.k)
+            if strat.short != strat.long:
+                overlap[strat.name] = float(np.mean(np.sum((long > 0) & (short > 0), axis=1)))
         pnl[strat.name] = book_pnl(long, short, returns, config.cost_bps, test_dates,
                                    panel.stocks)
         stats[strat.name] = compute_stats(pnl[strat.name], config.rf_annual)

@@ -330,7 +330,6 @@ def enumerate_report_csv(path: Path) -> None:
     _write_table(path, ["permutation", "loss", "is_minimizer"],
                  ((perm, loss, int(perm in report.minimizers))
                   for perm, loss in zip(report.permutations, report.losses)))
-    return path
 
 
 def cmd_simulate(args) -> int:

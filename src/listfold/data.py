@@ -105,13 +105,14 @@ class FactorPanel:
     def check_factor_cells(self, start: int, stop: int) -> None:
         """Raise DataError naming the week, factor and stock of the first
         missing or infinite factor cell in weeks [start, stop): a scored
-        week needs every stock's factors."""
-        bad = np.argwhere(~np.isfinite(self.factors[start:stop]))
-        if bad.size:
-            week, stock, factor = bad[0]
-            kind = "missing" if np.isnan(self.factors[start + week, stock, factor]) else "infinite"
-            raise DataError(f"week {self.dates[start + week]}: {kind} factor "
-                            f"{self.factor_names[factor]} for stock {self.stocks[stock]}")
+        week needs every stock's factors, and so does a training week."""
+        block = self.factors[start:stop]
+        if np.all(np.isfinite(block)):
+            return
+        week, stock, factor = np.argwhere(~np.isfinite(block))[0]
+        kind = "missing" if np.isnan(block[week, stock, factor]) else "infinite"
+        raise DataError(f"week {self.dates[start + week]}: {kind} factor "
+                        f"{self.factor_names[factor]} for stock {self.stocks[stock]}")
 
     def week_returns(self, date: str) -> np.ndarray:
         return self.fwd_return[self.week_index(date)]
@@ -546,14 +547,16 @@ def build_ranked_batch(panel: FactorPanel, date: str, require_even: bool = False
     """Assemble one week's cross-section sorted by realized return.
 
     With require_even set and an odd universe, the median-ranked stock (the
-    least informative for a long-short book) is dropped.
+    least informative for a long-short book) is dropped. A non-finite
+    forward return or factor cell raises DataError naming the week (and,
+    for a factor cell, the factor and stock).
     """
-    feats = panel.week_features(date)
-    rets = panel.week_returns(date)
-    for what, cells in (("forward returns", rets), ("factor cells", feats)):
-        if not np.all(np.isfinite(cells)):
-            kind = "missing" if np.any(np.isnan(cells)) else "infinite"
-            raise DataError(f"week {date}: {kind} {what}")
+    week = panel.week_index(date)
+    feats, rets = panel.factors[week], panel.fwd_return[week]
+    if not np.all(np.isfinite(rets)):
+        kind = "missing" if np.any(np.isnan(rets)) else "infinite"
+        raise DataError(f"week {date}: {kind} forward returns")
+    panel.check_factor_cells(week, week + 1)
     if require_even and rets.size % 2 != 0:
         order = np.argsort(-rets, kind="stable")
         drop = order[rets.size // 2]

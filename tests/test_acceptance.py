@@ -290,11 +290,11 @@ def test_criterion_10_tables_pipeline_on_conforming_csv(tmp_path):
     assert grid.shape == (panel.n_stocks // 2, len(result.scores))
 
     grid_strategies = [
-        StrategySpec("ListFold-exp", "listfold-exp", "ls", 2),
-        StrategySpec("ListFold-sgm", "listfold-sgm", "ls", 2),
-        StrategySpec("ListMLE", "listmle", "ls", 2),
-        StrategySpec("ListMLE-rvs", "listmle-rvs", "ls", 2),
-        StrategySpec("List2MLE", "listmle", "list2mle", 2),
+        StrategySpec("ListFold-exp", "listfold-exp", "listfold-exp", 2),
+        StrategySpec("ListFold-sgm", "listfold-sgm", "listfold-sgm", 2),
+        StrategySpec("ListMLE", "listmle", "listmle", 2),
+        StrategySpec("ListMLE-rvs", "listmle-rvs", "listmle-rvs", 2),
+        StrategySpec("List2MLE", "listmle", "listmle-rvs", 2),
     ]
     names, sizes, bgrid = batch_size_grid(panel, [2, 4, 8, 16, 32], grid_strategies, cfg)
     write_batchgrid_csv(tmp_path / "batchgrid.csv", names, sizes, bgrid)

@@ -17,7 +17,6 @@ from listfold.backtest import (
     StrategySpec,
     batch_size_grid,
     book_pnl,
-    build_list2mle,
     build_long_short,
     build_short_average,
     compute_stats,
@@ -52,9 +51,11 @@ def held(weights, stocks, row=0):
 
 
 def book(builder, scores: dict, k: int):
-    """The (long, short) {stock: weight} dicts of a one-week book."""
+    """The (long, short) {stock: weight} dicts of a one-week book; a
+    build_long_short book takes both legs from the one model's scores."""
     sc, stocks = week(scores)
-    long, short = builder(sc, stocks, k)
+    legs = (sc, sc) if builder is build_long_short else (sc,)
+    long, short = builder(*legs, stocks, k)
     return held(long, stocks), held(short, stocks)
 
 
@@ -99,25 +100,26 @@ class TestBuildLongShort:
     def test_universe_too_small(self):
         sc, stocks = week({"A": 1.0, "B": 0.0})
         with pytest.raises(ValueError):
-            build_long_short(sc, stocks, 2)
+            build_long_short(sc, sc, stocks, 2)
         with pytest.raises(ValueError):
-            build_long_short(sc, stocks, 0)
+            build_long_short(sc, sc, stocks, 0)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 6), st.integers(0, 100))
     def test_dollar_neutral(self, k, seed):
         rng = np.random.default_rng(seed)
         sc, stocks = week({f"S{i}": float(v) for i, v in enumerate(rng.normal(size=16))})
-        long, short = build_long_short(sc, stocks, k)
+        long, short = build_long_short(sc, sc, stocks, k)
         assert abs(np.sum(long - short)) < 1e-12
 
     def test_every_week_is_built_alone(self):
         rng = np.random.default_rng(3)
         scores = rng.integers(0, 4, size=(6, 10)).astype(float)
         stocks = tuple(f"S{j}" for j in rng.permutation(10))
-        long, short = build_long_short(scores, stocks, 3)
+        long, short = build_long_short(scores, scores, stocks, 3)
         for w in range(6):
-            one_long, one_short = build_long_short(scores[w:w + 1], stocks, 3)
+            one_week = scores[w:w + 1]
+            one_long, one_short = build_long_short(one_week, one_week, stocks, 3)
             np.testing.assert_array_equal(long[w], one_long[0])
             np.testing.assert_array_equal(short[w], one_short[0])
 
@@ -164,32 +166,35 @@ class TestBuildList2mle:
     def test_disjoint_tops_look_like_long_short(self):
         fwd, stocks = week({"A": 3.0, "B": 2.0, "C": 1.0, "D": 0.0})
         rvs, _ = week({"A": -0.0, "B": -1.0, "C": -2.0, "D": -3.0})
-        long, short = build_list2mle(fwd, rvs, stocks, 1)
+        long, short = build_long_short(fwd, rvs, stocks, 1)
         assert held(long, stocks) == {"A": 0.5} and held(short, stocks) == {"D": 0.5}
         assert overlap(long, short) == 0
 
     def test_identical_scores_report_overlap(self):
         sc, stocks = week({"A": 3.0, "B": 2.0, "C": 1.0, "D": 0.0})
-        long, short = build_list2mle(sc, -sc, stocks, 1)
+        long, short = build_long_short(sc, -sc, stocks, 1)
         assert overlap(long, short) == 1
         assert abs(np.sum(long - short)) < 1e-12
 
     def test_universe_mismatch(self):
         with pytest.raises(ValueError):
-            build_list2mle(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0, 2.0]]), ("A", "B"), 1)
+            build_long_short(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0, 2.0]]), ("A", "B"),
+                             1)
 
 
 class TestWeekPnl:
     def test_identical_portfolios_no_turnover_no_cost(self):
         sc, stocks = week({"A": 2.0, "B": 1.0, "C": 0.0, "D": -1.0})
-        long, short = build_long_short(np.vstack([sc, sc]), stocks, 1)
+        both = np.vstack([sc, sc])
+        long, short = build_long_short(both, both, stocks, 1)
         _, cost, _, trv = price_week(long, short, {s: 0.01 for s in "ABCD"}, 30.0, row=1)
         assert trv == 0.0 and cost == 0.0
 
     def test_disjoint_portfolios_full_turnover(self):
         a, stocks = week({"A": 2.0, "B": 1.0, "C": 0.5, "D": 0.0})
         b, _ = week({"A": 0.0, "B": 2.0, "C": 1.0, "D": 3.0})
-        long, short = build_long_short(np.vstack([a, b]), stocks, 1)
+        both = np.vstack([a, b])
+        long, short = build_long_short(both, both, stocks, 1)
         _, cost, _, trv = price_week(long, short, {s: 0.0 for s in "ABCD"}, 30.0, row=1)
         assert trv == 1.0
         # full rebuild trades 4 half-units: 2 bps at 30 bps/unit -> 0.5*4*30e-4
@@ -197,25 +202,25 @@ class TestWeekPnl:
 
     def test_first_week_trades_from_flat(self):
         sc, stocks = week({"A": 2.0, "B": 1.0, "C": 0.0, "D": -1.0})
-        long, short = build_long_short(sc, stocks, 1)
+        long, short = build_long_short(sc, sc, stocks, 1)
         _, cost, _, trv = price_week(long, short, {s: 0.0 for s in "ABCD"}, 30.0)
         assert trv == 1.0 and cost == pytest.approx(30e-4 * 1.0)
 
     def test_hand_arithmetic(self):
         sc, stocks = week({"A": 1.0, "B": 0.0})
-        long, short = build_long_short(sc, stocks, 1)
+        long, short = build_long_short(sc, sc, stocks, 1)
         net = price_week(long, short, {"A": 0.02, "B": -0.01}, 0.0)[2]
         assert net == pytest.approx(0.5 * 0.02 - 0.5 * (-0.01), abs=1e-15)
 
     def test_missing_return_rejected(self):
         sc, stocks = week({"A": 1.0, "B": 0.0})
-        long, short = build_long_short(sc, stocks, 1)
+        long, short = build_long_short(sc, sc, stocks, 1)
         with pytest.raises(DataError, match="held stock B on w0"):
             price_week(long, short, {"A": 0.01, "B": np.nan}, 0.0)
 
     def test_unheld_missing_return_is_ignored(self):
         sc, stocks = week({"A": 2.0, "B": 1.0, "C": 0.0})
-        long, short = build_long_short(sc, stocks, 1)
+        long, short = build_long_short(sc, sc, stocks, 1)
         gross = price_week(long, short, {"A": 0.02, "B": np.nan, "C": -0.01}, 0.0)[0]
         assert gross == pytest.approx(0.5 * 0.02 - 0.5 * (-0.01), abs=1e-15)
 
@@ -224,7 +229,7 @@ class TestWeekPnl:
         scores = rng.normal(size=(5, 8))
         rets = rng.uniform(-0.05, 0.05, size=(5, 8))
         stocks = tuple(f"S{j}" for j in range(8))
-        long, short = build_long_short(scores, stocks, 2)
+        long, short = build_long_short(scores, scores, stocks, 2)
         series = book_pnl(long, short, rets, 30.0, [f"w{i}" for i in range(5)], stocks)
         for gross, cost, net, trv in zip(series.gross, series.cost_paid,
                                          series.weekly_returns, series.turnover):
@@ -270,12 +275,10 @@ class TestBooksAgainstReference:
         fwd = rng.integers(0, 3, size=(weeks, n))
         rvs = rng.integers(0, 3, size=(weeks, n)) if mode == "list2mle" else fwd
         returns = rng.normal(0.0, 0.03, size=(weeks, n))
-        if mode == "ls":
-            long, short = build_long_short(fwd, ids, k)
-        elif mode == "sa":
+        if mode == "sa":
             long, short = build_short_average(fwd, ids, k)
         else:
-            long, short = build_list2mle(fwd, rvs, ids, k)
+            long, short = build_long_short(fwd, rvs, ids, k)
         for w in range(weeks):
             want_long, want_short = reference_legs(mode, fwd[w], rvs[w], ids, k)
             assert set(np.flatnonzero(long[w])) == want_long
@@ -339,7 +342,7 @@ def run_with_books(panel, monkeypatch):
     """run_backtest on the standard lineup at k = 2, and every (long, short)
     book it built, in build order."""
     books = []
-    for name in ("build_long_short", "build_short_average", "build_list2mle"):
+    for name in ("build_long_short", "build_short_average"):
         def spy(*args, _build=getattr(backtest, name), **kwargs):
             books.append(_build(*args, **kwargs))
             return books[-1]
@@ -412,13 +415,31 @@ class TestBacktestConfig:
 
 
 class TestStrategySpec:
-    def test_unknown_mode_named_when_built(self):
-        with pytest.raises(ValueError, match="unknown portfolio mode 'long-only'"):
-            StrategySpec("ListMLE", "listmle", "long-only", 2)
+    def test_unknown_short_model_named_when_built(self):
+        with pytest.raises(ValueError, match="unknown model 'listmle-fwd'"):
+            StrategySpec("ListMLE", "listmle", "listmle-fwd", 2)
 
     def test_unknown_model_named_when_built(self):
         with pytest.raises(ValueError, match="unknown model 'listfool'"):
-            StrategySpec("ListFool", "listfool", "ls", 2)
+            StrategySpec("ListFool", "listfool", None, 2)
+
+    def test_required_models_of_each_lineup_shape(self):
+        ls, sa, pair = (*strategy_lineup(["listmle"], ["ls", "sa"], 2),
+                        *strategy_lineup(["list2mle"], [], 2))
+        assert (ls.name, ls.long, ls.short) == ("ListMLE", "listmle", "listmle")
+        assert (sa.name, sa.long, sa.short) == ("ListMLE-sa", "listmle", None)
+        assert (pair.name, pair.long, pair.short) == ("List2MLE", "listmle", "listmle-rvs")
+        assert ls.required_models() == sa.required_models() == ("listmle",)
+        assert pair.required_models() == ("listmle", "listmle-rvs")
+
+    def test_check_universe_takes_one_side_only_without_a_short_model(self):
+        for spec, fits in [(StrategySpec("A", "mlp", None, 3), (3, 4, 5)),
+                           (StrategySpec("B", "mlp", "mlp", 3), (6, 7)),
+                           (StrategySpec("C", "listmle", "listmle-rvs", 3), (6, 7))]:
+            for n in fits:
+                spec.check_universe(n)
+            with pytest.raises(ValueError, match="too small"):
+                spec.check_universe(fits[0] - 1)
 
 
 class TestRunBacktest:
@@ -432,8 +453,9 @@ class TestRunBacktest:
             assert len(series.weekly_returns) == 40
             np.testing.assert_allclose(series.cumulative,
                                        np.cumsum(series.weekly_returns), atol=1e-15)
-        # the two-sided book reports its long/short overlap diagnostic
-        assert "List2MLE" in result.overlap_per_week
+        # the book whose legs come from two models reports its long/short
+        # overlap diagnostic, and no one-model book does
+        assert list(result.overlap_per_week) == ["List2MLE"]
         assert result.overlap_per_week["List2MLE"] >= 0.0
 
     def test_planted_signal_found(self, small_backtest):
@@ -459,8 +481,8 @@ class TestRunBacktest:
         series = result.pnl[name]
         # recompute the first week by legs
         date = result.test_dates[0]
-        long, short = build_long_short(result.scores["listfold-exp"][date][None, :],
-                                       panel.stocks, 2)
+        scores = result.scores["listfold-exp"][date][None, :]
+        long, short = build_long_short(scores, scores, panel.stocks, 2)
         rets = dict(zip(panel.stocks, panel.week_returns(date)))
         long_leg = sum(w * rets[s] for s, w in held(long, panel.stocks).items())
         short_leg = -sum(w * rets[s] for s, w in held(short, panel.stocks).items())
@@ -470,8 +492,8 @@ class TestRunBacktest:
         panel = generate_synthetic_panel(32, weeks=80, stocks=12, factors=6,
                                          signal_strength=0.0, noise_scale=1.0)
         cfg = BacktestConfig(train_len=50, test_len=15, batch_size=4, total_batches=1)
-        strategies = [StrategySpec("ListMLE", "listmle", "ls", 2),
-                      StrategySpec("ListMLE-sa", "listmle", "sa", 3)]
+        strategies = [StrategySpec("ListMLE", "listmle", "listmle", 2),
+                      StrategySpec("ListMLE-sa", "listmle", None, 3)]
         with pytest.raises(ValueError, match=r"\[2, 3\]"):
             run_backtest(panel, strategies, cfg)
 
@@ -502,6 +524,17 @@ class TestRunBacktest:
         returns[70, unheld] = np.nan
         with pytest.raises(DataError, match=f"unheld stock {panel.stocks[unheld]} on {date}"):
             run_backtest(replace(panel, fwd_return=returns), strategies, cfg)
+
+    def test_missing_factor_in_a_training_week_names_factor_and_stock(self):
+        panel = generate_synthetic_panel(32, weeks=60, stocks=20, factors=4,
+                                         signal_strength=0.5, noise_scale=1.0)
+        factors = panel.factors.copy()
+        factors[3, 7, 2] = np.nan  # week 3 is trained on, never tested
+        cfg = BacktestConfig(train_len=30, test_len=10, batch_size=2, total_batches=2)
+        with pytest.raises(DataError, match=f"^week {panel.dates[3]}: missing factor "
+                                            f"{panel.factor_names[2]} for stock "
+                                            f"{panel.stocks[7]}$"):
+            run_backtest(replace(panel, factors=factors), standard_strategies(k=2), cfg)
 
     def test_zero_signal_panel_runs_clean(self):
         panel = generate_synthetic_panel(32, weeks=80, stocks=12, factors=6,
@@ -573,7 +606,7 @@ class TestRankMetricsTieRule:
         assert len(seen) == 5
         tied_weeks = 0
         for scores, tops, bottoms in seen:
-            long, short = build_long_short(scores, panel.stocks, k)
+            long, short = build_long_short(scores, scores, panel.stocks, k)
             assert tops and bottoms
             for cut, leg in [(top, long) for top in tops] + [(bot, short) for bot in bottoms]:
                 for week, names in enumerate(cut):
@@ -628,7 +661,7 @@ class TestCutoffHeatmap:
         for col, model in enumerate(models):
             scores = np.stack([result.scores[model][d] for d in result.test_dates])
             for row, k in enumerate(ks):
-                long, short = build_long_short(scores, panel.stocks, k)
+                long, short = build_long_short(scores, scores, panel.stocks, k)
                 series = book_pnl(long, short, returns, 0.0, result.test_dates, panel.stocks)
                 assert grid[row, col] == pytest.approx(1e4 * np.mean(series.gross), abs=1e-9)
 
@@ -754,7 +787,7 @@ class TestBatchSizeGrid:
         # is averaged over more lists per step (same planted panel, 5 seeds)
         panel = generate_synthetic_panel(44, weeks=80, stocks=12, factors=6,
                                          signal_strength=1.0, noise_scale=0.3)
-        strategies = [StrategySpec("ListFold-exp", "listfold-exp", "ls", 2)]
+        strategies = [StrategySpec("ListFold-exp", "listfold-exp", "listfold-exp", 2)]
         dispersion = {}
         for bs in (1, 25):
             vals = []
@@ -772,8 +805,8 @@ class TestBatchSizeGrid:
         cfg = BacktestConfig(train_len=50, test_len=10, batch_size=8, total_batches=6,
                              seed=1, cost_bps=0.0, levels=5)
         strategies = [
-            StrategySpec("ListFold-exp", "listfold-exp", "ls", 2),
-            StrategySpec("ListMLE", "listmle", "ls", 2),
+            StrategySpec("ListFold-exp", "listfold-exp", "listfold-exp", 2),
+            StrategySpec("ListMLE", "listmle", "listmle", 2),
         ]
         # batch size equal to the number of training weeks is the boundary case
         names, sizes, grid = batch_size_grid(panel, [4, 50], strategies, cfg)

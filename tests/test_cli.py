@@ -419,7 +419,8 @@ class TestBacktestCommand:
         argv = ["backtest", "--config", str(base_config), "--strategies", "listfold-exp,mlp",
                 "--modes", "sa", "--out", str(tmp_path / "o")]
         assert main(argv + ["--k", "12"]) == 2
-        assert [(s.mode, s.k) for s in seen[0]] == [("sa", 12), ("sa", 12)]
+        assert [(s.long, s.short, s.k) for s in seen[0]] == [("listfold-exp", None, 12),
+                                                             ("mlp", None, 12)]
         assert main(argv + ["--k", "13"]) == 1
 
     def test_infinite_training_return_exit_two_names_week(self, base_config, panel_csv,
@@ -732,8 +733,8 @@ class TestTrainScoreCommands:
                                                          tmp_path):
         panel = load_panel(panel_csv)
         config = build_run_config(parse_config_file(base_config), {}).backtest
-        strategies = [StrategySpec("ListFold-exp", "listfold-exp", "ls", 2),
-                      StrategySpec("List2MLE", "listmle", "list2mle", 2)]
+        strategies = [StrategySpec("ListFold-exp", "listfold-exp", "listfold-exp", 2),
+                      StrategySpec("List2MLE", "listmle", "listmle-rvs", 2)]
         result = run_backtest(panel, strategies, config)
         window = 1
         plan = rolling_windows(panel.n_weeks, config.train_len, config.test_len)[window]

@@ -521,9 +521,12 @@ class TestOrderCounts:
         assert sum(counts.values()) == spec.draws
 
     def test_wide_orderings_counted_by_rows(self):
-        # 16^16 overflows int64, so 16 items take the row-wise path
+        # 16^16 overflows int64, so 16 items need the uint64 key; the
+        # descending row is the largest key, 16^16 - 1
         rng = np.random.default_rng(23)
         out = np.array([rng.permutation(16) for _ in range(50)] * 2)
+        assert _order_counts(out) == _row_loop_counts(out)
+        out = np.vstack([out, np.arange(15, -1, -1), np.arange(16)]).astype(np.uint8)
         assert _order_counts(out) == _row_loop_counts(out)
 
 

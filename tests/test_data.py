@@ -352,7 +352,8 @@ class TestRankedBatch:
         factors = np.zeros((1, 4, 2))
         factors[0, 2, 1] = cell
         panel = tiny_panel(factors, np.array([[0.1, 0.3, 0.0, 0.2]]))
-        with pytest.raises(DataError, match=f"{panel.dates[0]}: {kind} factor cells"):
+        with pytest.raises(DataError,
+                           match=f"^week {panel.dates[0]}: {kind} factor f1 for stock S2$"):
             build_ranked_batch(panel, panel.dates[0])
 
     @pytest.mark.parametrize("stocks, require_even", [(1, False), (1, True), (0, False)])
