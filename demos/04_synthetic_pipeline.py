@@ -32,7 +32,7 @@ save_panel(panel, out / "panel.csv")
 print(f"panel: {panel.n_weeks} weeks x {panel.n_stocks} stocks x {panel.n_factors} factors")
 
 config = BacktestConfig(train_len=120, test_len=30, batch_size=8, total_batches=80,
-                        seed=11, cost_bps=30.0, rf_annual=0.03, levels=10)
+                        seed=11, cost_bps=30.0, rf_annual=0.03)
 strategies = standard_strategies(k=4)
 result = run_backtest(panel, strategies, config)
 print(f"rolling windows: {(panel.n_weeks - config.train_len) // config.test_len}, "

@@ -138,12 +138,12 @@ def build_short_average(scores: np.ndarray, stocks, k: int) -> tuple[np.ndarray,
             np.full(scores.shape, 0.5 / scores.shape[1]))
 
 
-def _check_held(held: np.ndarray, returns: np.ndarray, dates, stocks,
-                what: str = "held stock") -> None:
+def _check_held(held: np.ndarray, returns: np.ndarray, dates, stocks) -> None:
     bad = np.argwhere(held & ~np.isfinite(returns))
     if bad.size:
         week, col = bad[0]
-        raise DataError(f"missing realized return for {what} {stocks[col]} "
+        kind = "missing" if np.isnan(returns[week, col]) else "infinite"
+        raise DataError(f"{kind} realized return for held stock {stocks[col]} "
                         f"on {dates[week]}")
 
 
@@ -242,28 +242,25 @@ STRATEGY_NAMES = {
 STANDARD_MODELS = ("listfold-exp", "listfold-sgm", "listmle", "list2mle", "mlp")
 
 
-def strategy_lineup(models, modes, k: int) -> list[StrategySpec]:
-    """Model by model, its long-short strategy if modes holds "ls" and then
-    its short-average one if modes holds "sa". list2mle is the book long
-    the listmle model's top k and short the listmle-rvs model's bottom k,
-    one strategy whatever the modes."""
+def strategy_lineup(models, k: int) -> list[StrategySpec]:
+    """Model by model, its long-short strategy and then its short-average
+    one. list2mle is one strategy: the book long the listmle model's top k
+    and short the listmle-rvs model's bottom k."""
     out = []
     for model in models:
         name = STRATEGY_NAMES[model]
         if model == "list2mle":
             out.append(StrategySpec(name, "listmle", "listmle-rvs", k))
-            continue
-        if "ls" in modes:
-            out.append(StrategySpec(name, model, model, k))
-        if "sa" in modes:
-            out.append(StrategySpec(name + "-sa", model, None, k))
+        else:
+            out += [StrategySpec(name, model, model, k),
+                    StrategySpec(name + "-sa", model, None, k)]
     return out
 
 
 def standard_strategies(k: int = 8) -> list[StrategySpec]:
-    """The standard lineup, the CLI's default: the STANDARD_MODELS in both
-    modes, nine strategies."""
-    return strategy_lineup(STANDARD_MODELS, ("ls", "sa"), k)
+    """The standard lineup, the CLI's default: the STANDARD_MODELS' books,
+    nine strategies."""
+    return strategy_lineup(STANDARD_MODELS, k)
 
 
 @dataclass(frozen=True)
@@ -281,7 +278,6 @@ class BacktestConfig:
     seed: int = 0
     cost_bps: float = 30.0
     rf_annual: float = 0.03
-    levels: int = 10
 
     def __post_init__(self):
         for name in ("train_len", "test_len", "batch_size"):
@@ -291,9 +287,6 @@ class BacktestConfig:
         for name in ("total_batches", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name}: must be >= 0")
-        # decile_labels needs two relevance levels
-        if self.levels < 2:
-            raise ValueError("levels: must be >= 2")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate: must be finite and > 0")
         if not (math.isfinite(self.cost_bps) and self.cost_bps >= 0):
@@ -394,15 +387,22 @@ def run_backtest(panel: FactorPanel, strategies: list[StrategySpec],
     window's training lists are held in memory. A lineup
     whose strategies carry more than one k raises ValueError, because the
     rank metrics are reported at a single k, and so does a k the panel's
-    universe cannot hold; both are checked before any training, and so is
-    every test week's factor cells (DataError names the week and stock).
+    universe cannot hold. Before any training, DataError names a run whose
+    windows test fewer than two weeks (the stats need two returns), and
+    the week, stock and kind of the first missing or infinite forward
+    return or factor cell in any week that is trained on or tested.
     """
     k = _common_k(strategies)
     for strat in strategies:
         strat.check_universe(panel.n_stocks)
     plans = rolling_windows(panel.n_weeks, config.train_len, config.test_len)
-    # the test ranges tile one span, from the first window's to the last's
-    panel.check_factor_cells(plans[0].test_range[0], plans[-1].test_range[1])
+    test_weeks = len(plans) * config.test_len
+    if test_weeks < 2:
+        raise DataError(f"insufficient data: {test_weeks} test week, the stats need at least 2")
+    # the windows train and test every week from 0 to the last test week
+    stop = plans[-1].test_range[1]
+    panel.check_returns(0, stop)
+    panel.check_factor_cells(0, stop)
     models = sorted({m for s in strategies for m in s.required_models()})
     parts = [_score_window(panel, plan, models, config, wi) for wi, plan in enumerate(plans)]
     test_dates = [d for dates, _ in parts for d in dates]
@@ -425,10 +425,7 @@ def run_backtest(panel: FactorPanel, strategies: list[StrategySpec],
         stats[strat.name] = compute_stats(pnl[strat.name], config.rf_annual)
 
     scores = {m: dict(zip(test_dates, stacked[m])) for m in models}
-    # the books priced every held stock; IC and NDCG rank the unheld ones too
-    _check_held(np.isnan(returns), returns, test_dates, panel.stocks, "unheld stock")
-    rank_metrics = {m: _model_rank_metrics(stacked[m], returns, panel.stocks, k=k,
-                                           levels=config.levels)
+    rank_metrics = {m: _model_rank_metrics(stacked[m], returns, panel.stocks, k=k)
                     for m in models}
     return BacktestResult(strategies, pnl, stats, rank_metrics, scores, test_dates, overlap)
 
@@ -442,10 +439,11 @@ def _common_k(strategies: list[StrategySpec]) -> int:
 
 
 def _model_rank_metrics(scores: np.ndarray, returns: np.ndarray, stocks, k: int,
-                        levels: int) -> dict[str, float]:
+                        levels: int = 10) -> dict[str, float]:
     """Weekly IC and NDCG family of one model's (weeks, N) scores against the
     realized (weeks, N) returns, averaged over the weeks. Scores are
-    expected return oriented (higher = better).
+    expected return oriented (higher = better); labels are deciles, or
+    `levels` relevance levels, clamped to the universe.
 
     Both ends rank as the books do: NDCG@k reads the long leg's order
     _rank(scores) and NDCG@-k the short leg's _rank(-scores), so on tied

@@ -8,7 +8,7 @@ comments) with individual flags overriding. The keys are the run keys of
 flag ``--a-b``, and its value type is the type of the field's default.
 Exit codes are fixed so CI can assert failure modes: 0 success,
 1 configuration error (a bad flag or key, or a value out of range, such as
-``levels`` below 2), 2 data error, 3 training divergence, 4 a failed
+``learning_rate`` 0), 2 data error, 3 training divergence, 4 a failed
 ``verify`` check (golden value or theorem).
 """
 
@@ -92,7 +92,6 @@ class RunConfig:
     panel: str = ""
     out: str = "out"
     strategies: str = ",".join(STANDARD_MODELS)
-    modes: str = "ls,sa"
     k: int = 8
     batch_sizes: str = ""  # e.g. "8,16,32,64,128": also emit batchgrid.csv
     backtest: BacktestConfig = field(default_factory=BacktestConfig)
@@ -102,9 +101,6 @@ class RunConfig:
             if name not in _KNOWN_MODELS:
                 raise ConfigError(f"field strategies: unknown model {name!r} "
                                   f"(known: {', '.join(_KNOWN_MODELS)})")
-        for mode in _split(self.modes):
-            if mode not in ("ls", "sa"):
-                raise ConfigError(f"field modes: unknown mode {mode!r} (known: ls, sa)")
         if self.k < 1:
             raise ConfigError("field k: must be >= 1")
         for tok in _split(self.batch_sizes):
@@ -117,7 +113,6 @@ _HELP = {
     "panel": "panel CSV path",
     "out": "output directory",
     "strategies": "comma list of models",
-    "modes": "comma list from {ls, sa}",
     "batch_sizes": "comma list; also emit batchgrid.csv (retrains per size)",
 }
 
@@ -180,7 +175,7 @@ def _split(csv_text: str) -> list[str]:
 
 
 def _strategy_list(cfg: RunConfig) -> list[StrategySpec]:
-    out = strategy_lineup(_split(cfg.strategies), _split(cfg.modes), cfg.k)
+    out = strategy_lineup(_split(cfg.strategies), cfg.k)
     if not out:
         raise ConfigError("field strategies: empty strategy list")
     return out

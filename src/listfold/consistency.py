@@ -768,11 +768,15 @@ def frequency_zscores(counts: dict[tuple[int, ...], int], draws: int,
     so a failure names the offending ordering.
 
     prob_fn maps the (m!, m) table of orderings, in lexicographic order, to
-    their m! analytic probabilities in one call. A result of another shape
-    raises ValueError, and so does a p that is not a number in [0, 1],
-    naming the first such ordering.
+    their m! analytic probabilities in one call. More than ENUMERATION_CAP
+    items raise ValueError (the table would have m! rows), and so do a
+    result of another shape and a p that is not a number in [0, 1], naming
+    the first such ordering. A key that is no ordering of range(m) is
+    ignored.
     """
     m = len(next(iter(counts))) if counts else 0
+    if m > ENUMERATION_CAP:
+        raise ValueError(f"z table capped at {ENUMERATION_CAP} items, got {m}")
     table = _perm_table(m)
     p = np.asarray(prob_fn(table), dtype=float)
     if p.shape != (len(table),):
@@ -782,20 +786,11 @@ def frequency_zscores(counts: dict[tuple[int, ...], int], draws: int,
         perm = tuple(table[bad[0]].tolist())
         raise ValueError(f"analytic probability of {perm} is {p[bad[0]].item()!r}, "
                          "not in [0, 1]")
-    # the table's base-m keys ascend, so each sampled order's key finds its
-    # row; a tuple of digits below m that is no ordering matches no row and
-    # is dropped
-    hits = np.zeros(len(table), dtype=np.int64)
-    if counts:
-        sampled = np.fromiter(itertools.chain.from_iterable(counts), np.intp, len(counts) * m)
-        table_keys, keys = table @ _place(m), sampled.reshape(-1, m) @ _place(m)
-        row = np.searchsorted(table_keys, keys).clip(max=len(table) - 1)
-        found = table_keys[row] == keys
-        hits[row[found]] = np.fromiter(counts.values(), np.int64, len(counts))[found]
+    # permutations() yields the table's rows as tuples, in the same order
+    perms = list(itertools.permutations(range(m)))
+    hits = np.fromiter((counts.get(perm, 0) for perm in perms), np.int64, len(perms))
     emp = hits / draws
     se = np.sqrt(p * (1.0 - p) / draws)
     # a p of 0 or 1, or a standard error that underflows, gives z = 0
     z = np.divide(emp - p, se, out=np.zeros_like(p), where=(p > 0.0) & (p < 1.0) & (se > 0.0))
-    # permutations() yields the table's rows as tuples, in the same order
-    perms = itertools.permutations(range(m))
     return dict(zip(perms, zip(emp.tolist(), p.tolist(), z.tolist())))

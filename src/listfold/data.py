@@ -107,12 +107,22 @@ class FactorPanel:
         missing or infinite factor cell in weeks [start, stop): a scored
         week needs every stock's factors, and so does a training week."""
         block = self.factors[start:stop]
-        if np.all(np.isfinite(block)):
-            return
-        week, stock, factor = np.argwhere(~np.isfinite(block))[0]
-        kind = "missing" if np.isnan(block[week, stock, factor]) else "infinite"
-        raise DataError(f"week {self.dates[start + week]}: {kind} factor "
-                        f"{self.factor_names[factor]} for stock {self.stocks[stock]}")
+        if not np.all(np.isfinite(block)):
+            week, stock, factor = np.argwhere(~np.isfinite(block))[0]
+            kind = "missing" if np.isnan(block[week, stock, factor]) else "infinite"
+            raise DataError(f"week {self.dates[start + week]}: {kind} factor "
+                            f"{self.factor_names[factor]} for stock {self.stocks[stock]}")
+
+    def check_returns(self, start: int, stop: int) -> None:
+        """Raise DataError naming the week and stock of the first missing or
+        infinite forward return in weeks [start, stop): a training week
+        ranks every stock by its return, and so do a test week's metrics."""
+        block = self.fwd_return[start:stop]
+        if not np.all(np.isfinite(block)):
+            week, stock = np.argwhere(~np.isfinite(block))[0]
+            kind = "missing" if np.isnan(block[week, stock]) else "infinite"
+            raise DataError(f"week {self.dates[start + week]}: {kind} forward return "
+                            f"for stock {self.stocks[stock]}")
 
     def week_returns(self, date: str) -> np.ndarray:
         return self.fwd_return[self.week_index(date)]
@@ -548,14 +558,12 @@ def build_ranked_batch(panel: FactorPanel, date: str, require_even: bool = False
 
     With require_even set and an odd universe, the median-ranked stock (the
     least informative for a long-short book) is dropped. A non-finite
-    forward return or factor cell raises DataError naming the week (and,
-    for a factor cell, the factor and stock).
+    forward return or factor cell raises DataError naming the week and the
+    stock (and, for a factor cell, the factor).
     """
     week = panel.week_index(date)
     feats, rets = panel.factors[week], panel.fwd_return[week]
-    if not np.all(np.isfinite(rets)):
-        kind = "missing" if np.any(np.isnan(rets)) else "infinite"
-        raise DataError(f"week {date}: {kind} forward returns")
+    panel.check_returns(week, week + 1)
     panel.check_factor_cells(week, week + 1)
     if require_even and rets.size % 2 != 0:
         order = np.argsort(-rets, kind="stable")

@@ -241,10 +241,11 @@ def _batch_loss_and_grad(scores: np.ndarray, batch: list[RankedBatch], spec: Los
 
 @dataclass
 class AdamState:
+    # Kingma & Ba's defaults, not fields: no run sets them
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)

@@ -215,7 +215,7 @@ def planted_run(tmp_path_factory):
     panel = generate_synthetic_panel(SYNTH_SEED, weeks=631, stocks=80, factors=68,
                                      signal_strength=1.0, noise_scale=0.25)
     cfg = BacktestConfig(train_len=331, test_len=50, batch_size=8, total_batches=60,
-                         seed=7, cost_bps=30.0, levels=10)
+                         seed=7, cost_bps=30.0)
     # the five models plus their short-average books: the full two-mode table
     strategies = standard_strategies(k=8)
     first = run_backtest(panel, strategies, cfg)
@@ -273,7 +273,7 @@ def test_criterion_10_tables_pipeline_on_conforming_csv(tmp_path):
     panel = load_panel(path)
 
     cfg = BacktestConfig(train_len=40, test_len=15, batch_size=4, total_batches=8,
-                         seed=3, cost_bps=30.0, levels=6)
+                         seed=3, cost_bps=30.0)
     strategies = standard_strategies(k=2)  # 5 long-short rows + 4 short-average rows
     result = run_backtest(panel, strategies, cfg)
     write_stats_csv(tmp_path / "stats.csv", result.stats)

@@ -218,6 +218,13 @@ class TestWeekPnl:
         with pytest.raises(DataError, match="held stock B on w0"):
             price_week(long, short, {"A": 0.01, "B": np.nan}, 0.0)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_return_is_not_called_missing(self, value):
+        sc, stocks = week({"A": 1.0, "B": 0.0})
+        long, short = build_long_short(sc, sc, stocks, 1)
+        with pytest.raises(DataError, match="^infinite realized return for held stock B on w0$"):
+            price_week(long, short, {"A": 0.01, "B": value}, 0.0)
+
     def test_unheld_missing_return_is_ignored(self):
         sc, stocks = week({"A": 2.0, "B": 1.0, "C": 0.0})
         long, short = build_long_short(sc, sc, stocks, 1)
@@ -328,7 +335,7 @@ def small_backtest():
     panel = generate_synthetic_panel(31, weeks=100, stocks=16, factors=8,
                                      signal_strength=1.0, noise_scale=0.3)
     cfg = BacktestConfig(train_len=60, test_len=20, batch_size=8, total_batches=30,
-                         seed=2, cost_bps=30.0, levels=8)
+                         seed=2, cost_bps=30.0)
     strategies = standard_strategies(k=2)
     return panel, cfg, strategies, run_backtest(panel, strategies, cfg)
 
@@ -393,7 +400,6 @@ class TestBacktestConfig:
         ("test_len", 0, "test_len: must be >= 1"),
         ("batch_size", 0, "batch_size: must be >= 1"),
         ("total_batches", -1, "total_batches: must be >= 0"),
-        ("levels", 1, "levels: must be >= 2"),
         ("learning_rate", float("nan"), "learning_rate: must be finite and > 0"),
         ("learning_rate", float("inf"), "learning_rate: must be finite and > 0"),
         ("learning_rate", 0.0, "learning_rate: must be finite and > 0"),
@@ -410,8 +416,7 @@ class TestBacktestConfig:
 
     def test_edge_values_accepted(self):
         BacktestConfig(train_len=1, test_len=1, batch_size=1, total_batches=0,
-                       levels=2, learning_rate=1e-12, cost_bps=0.0,
-                       rf_annual=-0.01)
+                       learning_rate=1e-12, cost_bps=0.0, rf_annual=-0.01)
 
 
 class TestStrategySpec:
@@ -424,8 +429,7 @@ class TestStrategySpec:
             StrategySpec("ListFool", "listfool", None, 2)
 
     def test_required_models_of_each_lineup_shape(self):
-        ls, sa, pair = (*strategy_lineup(["listmle"], ["ls", "sa"], 2),
-                        *strategy_lineup(["list2mle"], [], 2))
+        ls, sa, pair = strategy_lineup(["listmle", "list2mle"], 2)
         assert (ls.name, ls.long, ls.short) == ("ListMLE", "listmle", "listmle")
         assert (sa.name, sa.long, sa.short) == ("ListMLE-sa", "listmle", None)
         assert (pair.name, pair.long, pair.short) == ("List2MLE", "listmle", "listmle-rvs")
@@ -515,15 +519,47 @@ class TestRunBacktest:
         panel = generate_synthetic_panel(32, weeks=80, stocks=12, factors=6,
                                          signal_strength=0.5, noise_scale=1.0)
         cfg = BacktestConfig(train_len=50, test_len=15, batch_size=4, total_batches=2,
-                             seed=5, levels=6)
-        strategies = strategy_lineup(["listfold-exp"], ["ls"], 2)
+                             seed=5)
+        strategies = [StrategySpec("ListFold-exp", "listfold-exp", "listfold-exp", 2)]
         date = panel.dates[70]
         order = np.argsort(run_backtest(panel, strategies, cfg).scores["listfold-exp"][date])
         unheld = order[6]  # a middle rank: no top 2 or bottom 2 book holds it
         returns = panel.fwd_return.copy()
         returns[70, unheld] = np.nan
-        with pytest.raises(DataError, match=f"unheld stock {panel.stocks[unheld]} on {date}"):
+        with pytest.raises(DataError, match=f"^week {date}: missing forward return for "
+                                            f"stock {panel.stocks[unheld]}$"):
             run_backtest(replace(panel, fwd_return=returns), strategies, cfg)
+
+    @pytest.mark.parametrize("week,value,kind", [
+        (35, np.inf, "infinite"),  # a test week, on a stock no book holds
+        (35, -np.inf, "infinite"),
+        (39, np.nan, "missing"),  # the last test week
+        (3, np.inf, "infinite"),  # a training week
+    ])
+    def test_non_finite_return_named_before_training(self, week, value, kind, monkeypatch):
+        # an infinite unheld return once passed and moved ndcg; a held one
+        # was called missing, after all the training
+        panel = generate_synthetic_panel(0, weeks=40, stocks=12, factors=4,
+                                         signal_strength=0.5, noise_scale=1.0)
+        returns = panel.fwd_return.copy()
+        returns[week, 2] = value
+        monkeypatch.setattr(backtest, "_score_window",
+                            lambda *args: pytest.fail("a window was scored"))
+        cfg = BacktestConfig(train_len=24, test_len=8, batch_size=4, total_batches=2)
+        strategies = [StrategySpec("ListFold-exp", "listfold-exp", "listfold-exp", 2)]
+        with pytest.raises(DataError, match=f"^week {panel.dates[week]}: {kind} forward "
+                                            f"return for stock S0002$"):
+            run_backtest(replace(panel, fwd_return=returns), strategies, cfg)
+
+    def test_one_test_week_is_a_data_error_before_training(self, monkeypatch):
+        # compute_stats needs two returns; its ValueError came after training
+        panel = generate_synthetic_panel(1, weeks=21, stocks=6, factors=3,
+                                         signal_strength=0.5, noise_scale=1.0)
+        monkeypatch.setattr(backtest, "_score_window",
+                            lambda *args: pytest.fail("a window was scored"))
+        cfg = BacktestConfig(train_len=20, test_len=1, batch_size=2, total_batches=1)
+        with pytest.raises(DataError, match="^insufficient data: 1 test week"):
+            run_backtest(panel, standard_strategies(k=1), cfg)
 
     def test_missing_factor_in_a_training_week_names_factor_and_stock(self):
         panel = generate_synthetic_panel(32, weeks=60, stocks=20, factors=4,
@@ -540,7 +576,7 @@ class TestRunBacktest:
         panel = generate_synthetic_panel(32, weeks=80, stocks=12, factors=6,
                                          signal_strength=0.0, noise_scale=1.0)
         cfg = BacktestConfig(train_len=50, test_len=15, batch_size=4, total_batches=10,
-                             seed=5, cost_bps=30.0, levels=6)
+                             seed=5, cost_bps=30.0)
         result = run_backtest(panel, standard_strategies(k=2), cfg)
         assert len(result.test_dates) == 30
         for stats in result.stats.values():
@@ -682,6 +718,15 @@ class TestCutoffHeatmap:
         with pytest.raises(DataError, match="S1 on 2020-01-03"):
             cutoff_heatmap(scores, panel, [1, 2], panel.dates)
 
+    def test_held_infinite_return_is_not_called_missing(self):
+        fwd = np.array([[0.03, 0.01, np.inf, -0.02]])
+        panel = FactorPanel(("2020-01-03",), ("S2", "S10", "S1", "S3"), ("f",),
+                            np.zeros((1, 4, 1)), fwd)
+        scores = {"m": {"2020-01-03": np.array([3.0, 2.0, 1.0, 0.0])}}
+        with pytest.raises(DataError, match="^infinite realized return for held stock S1 on "
+                                            "2020-01-03$"):
+            cutoff_heatmap(scores, panel, [2], panel.dates)
+
 
 class TestTrainWindow:
     MODELS = sorted(MODEL_SPECS)
@@ -697,7 +742,7 @@ class TestTrainWindow:
         factors[60:, :, 1] *= 4.0
         panel = replace(panel, factors=factors)
         cfg = BacktestConfig(train_len=50, test_len=10, batch_size=4, total_batches=6,
-                             seed=2, levels=5)
+                             seed=2)
         return panel, cfg, rolling_windows(panel.n_weeks, 50, 10)[1]
 
     @pytest.mark.parametrize("stocks", [10, 11])
@@ -766,7 +811,7 @@ class TestScoreWindow:
         panel = generate_synthetic_panel(35, weeks=80, stocks=12, factors=6,
                                          signal_strength=0.9, noise_scale=0.4)
         config = BacktestConfig(train_len=50, test_len=15, batch_size=4, total_batches=5,
-                                seed=4, levels=6)
+                                seed=4)
         plan = rolling_windows(80, 50, 15)[0]
         models = sorted(backtest.MODEL_SPECS)
         dates, scores = backtest._score_window(panel, plan, models, config, 0)
@@ -793,7 +838,7 @@ class TestBatchSizeGrid:
             vals = []
             for seed in range(5):
                 cfg = BacktestConfig(train_len=50, test_len=15, batch_size=bs,
-                                     total_batches=150, seed=seed, cost_bps=0.0, levels=6)
+                                     total_batches=150, seed=seed, cost_bps=0.0)
                 res = run_backtest(panel, strategies, cfg)
                 vals.append(1e4 * float(np.mean(res.pnl["ListFold-exp"].gross)))
             dispersion[bs] = float(np.std(vals, ddof=1))
@@ -803,7 +848,7 @@ class TestBatchSizeGrid:
         panel = generate_synthetic_panel(33, weeks=70, stocks=10, factors=5,
                                          signal_strength=0.8, noise_scale=0.4)
         cfg = BacktestConfig(train_len=50, test_len=10, batch_size=8, total_batches=6,
-                             seed=1, cost_bps=0.0, levels=5)
+                             seed=1, cost_bps=0.0)
         strategies = [
             StrategySpec("ListFold-exp", "listfold-exp", "listfold-exp", 2),
             StrategySpec("ListMLE", "listmle", "listmle", 2),

@@ -39,7 +39,6 @@ def base_config(panel_csv, tmp_path_factory):
         "k = 2\n"
         "batch_size = 8\n"
         "total_batches = 15\n"
-        "levels = 6\n"
         "cost_bps = 30\n"
         "# comment line\n"
         "seed = 3\n"
@@ -79,8 +78,9 @@ class TestConfig:
 
     def test_unknown_field_named(self, panel_csv, tmp_path, capsys):
         # threads and optimizer were BacktestConfig fields: serial training
-        # is the one path, and Adam the one optimizer
-        for key in ("wibble", "threads", "optimizer"):
+        # is the one path, and Adam the one optimizer; every run reports
+        # both books of each model (modes) and ranks on deciles (levels)
+        for key in ("wibble", "threads", "optimizer", "modes", "levels"):
             with pytest.raises(ConfigError, match=key):
                 build_run_config({key: "1"}, {})
             cfg = tmp_path / "run.cfg"
@@ -383,13 +383,29 @@ class TestBacktestCommand:
         assert rc == 1
         assert "field learning_rate: cannot parse 'fast'" in capsys.readouterr().err
 
-    def test_levels_below_two_is_a_config_error_before_training(self, base_config, tmp_path,
-                                                                capsys, monkeypatch):
-        monkeypatch.setattr(cli, "run_backtest", lambda *args: pytest.fail("trained"))
-        rc = main(["backtest", "--config", str(base_config), "--levels", "1",
-                   "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert "config error: field levels: must be >= 2" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", ["--modes", "--levels"])
+    def test_removed_setting_flag_is_unrecognized(self, flag, base_config, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["backtest", "--config", str(base_config), flag, "6",
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 1
+        assert f"error: unrecognized arguments: {flag} 6" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["backtest", "--help"])
+        assert flag not in capsys.readouterr().out
+
+    def test_one_test_week_exit_two_before_training(self, tmp_path, monkeypatch, capsys):
+        # compute_stats raised "need at least two weekly returns" after
+        # training, and the run ended in a traceback
+        path = tmp_path / "p.csv"
+        assert main(["synth", "--out", str(path), "--seed", "1", "--weeks", "21",
+                     "--stocks", "6", "--factors", "3"]) == 0
+        monkeypatch.setattr(backtest, "train_window", lambda *a: pytest.fail("trained"))
+        rc = main(["backtest", "--panel", str(path), "--out", str(tmp_path / "o"),
+                   "--train-len", "20", "--test-len", "1", "--k", "1", "--batch-size", "2",
+                   "--total-batches", "1"])
+        assert rc == 2
+        assert "data error: insufficient data: 1 test week" in capsys.readouterr().err
 
     def test_nan_learning_rate_is_a_config_error_before_training(self, base_config, tmp_path,
                                                                 capsys, monkeypatch):
@@ -408,21 +424,6 @@ class TestBacktestCommand:
         assert ("config error: field k: universe of 12 too small for 2 x k = 14"
                 in capsys.readouterr().err)
 
-    def test_short_average_k_may_fill_the_universe(self, base_config, tmp_path, monkeypatch):
-        seen = []
-
-        def stop(panel, strategies, config):
-            seen.append(strategies)
-            raise DataError("stopped before training")
-
-        monkeypatch.setattr(cli, "run_backtest", stop)
-        argv = ["backtest", "--config", str(base_config), "--strategies", "listfold-exp,mlp",
-                "--modes", "sa", "--out", str(tmp_path / "o")]
-        assert main(argv + ["--k", "12"]) == 2
-        assert [(s.long, s.short, s.k) for s in seen[0]] == [("listfold-exp", None, 12),
-                                                             ("mlp", None, 12)]
-        assert main(argv + ["--k", "13"]) == 1
-
     def test_infinite_training_return_exit_two_names_week(self, base_config, panel_csv,
                                                           tmp_path, capsys):
         # it once reached the mse model and the run exited 3 (diverged)
@@ -435,7 +436,8 @@ class TestBacktestCommand:
         rc = main(["backtest", "--config", str(base_config), "--panel", str(bad),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert f"week {fields[0]}: infinite forward returns" in capsys.readouterr().err
+        assert (f"week {fields[0]}: infinite forward return for stock {fields[1]}"
+                in capsys.readouterr().err)
 
     def test_missing_test_week_factor_exit_two_before_training(self, tmp_path, monkeypatch,
                                                               capsys):
@@ -506,12 +508,13 @@ class TestBacktestCommand:
     def test_batch_sizes_flag_emits_batchgrid(self, base_config, tmp_path):
         out = tmp_path / "grid"
         rc = main(["backtest", "--config", str(base_config), "--out", str(out),
-                   "--strategies", "listfold-exp,listmle", "--modes", "ls",
+                   "--strategies", "listfold-exp,listmle",
                    "--total-batches", "5", "--batch-sizes", "2,8"])
         assert rc == 0
         with open(out / "batchgrid.csv") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["batch_size", "ListFold-exp", "ListMLE"]
+        assert rows[0] == ["batch_size", "ListFold-exp", "ListFold-exp-sa", "ListMLE",
+                           "ListMLE-sa"]
         assert [r[0] for r in rows[1:]] == ["2", "8"]
 
     def test_window_out_of_range_exit_two(self, base_config, tmp_path):

@@ -620,6 +620,18 @@ class TestPlankSampler:
         with pytest.raises(ValueError, match=r"shape"):
             frequency_zscores({(0, 1): 3, (1, 0): 1}, 4, prob)
 
+    def test_zscores_refuse_more_items_than_the_enumeration_cap(self):
+        # the table lists all m! orderings: SamplerSpec takes 16 weights,
+        # whose 16! rows no machine holds
+        counts = {tuple(range(ENUMERATION_CAP + 1)): 1}
+        with pytest.raises(ValueError, match=f"capped at {ENUMERATION_CAP} items, got 9"):
+            frequency_zscores(counts, 1, lambda perms: pytest.fail("enumerated"))
+
+    def test_zscores_ignore_a_key_that_is_no_ordering(self):
+        counts = {(0, 1): 3, (1, 0): 1, (1, 1): 5, (0, 2): 2}
+        table = frequency_zscores(counts, 4, lambda perms: np.full(len(perms), 0.5))
+        assert table == {(0, 1): (0.75, 0.5, 1.0), (1, 0): (0.25, 0.5, -1.0)}
+
     def test_zscores_call_prob_fn_once_and_return_python_floats(self):
         w = np.array([1.5, 1.0, 0.7, 0.4])
         calls = []

@@ -335,13 +335,14 @@ class TestRankedBatch:
         factors = np.zeros((1, 4, 2))
         fwd = np.array([[0.1, np.nan, 0.0, 0.2]])
         panel = tiny_panel(factors, fwd)
-        with pytest.raises(DataError, match="missing forward returns"):
+        with pytest.raises(DataError, match="^week W00000: missing forward return for stock S1$"):
             build_ranked_batch(panel, panel.dates[0])
 
     @pytest.mark.parametrize("ret", [np.inf, -np.inf])
     def test_infinite_returns_rejected(self, ret):
         panel = tiny_panel(np.zeros((1, 4, 2)), np.array([[0.1, ret, 0.0, 0.2]]))
-        with pytest.raises(DataError, match=f"{panel.dates[0]}: infinite forward returns"):
+        with pytest.raises(DataError,
+                           match=f"^week {panel.dates[0]}: infinite forward return for stock S1$"):
             build_ranked_batch(panel, panel.dates[0])
 
     @pytest.mark.parametrize("cell, kind", [(np.nan, "missing"), (np.inf, "infinite"),
