@@ -226,16 +226,33 @@ def _fill_gaps(line: str) -> str:
     return line
 
 
-def _parse_lines(lines, rows, cols, names):
-    """_parse_cells of comma-separated lines without csv quoting, through
-    one np.loadtxt call unless it refuses a cell."""
-    if lines:
+def _loadtxt(lines, cols):
+    return np.loadtxt(lines, delimiter=",", comments=None, usecols=cols, ndmin=2)
+
+
+def _parse_lines(lines, di, si, cols):
+    """The dates, stocks and (len(lines), len(cols)) float values of
+    columns cols of comma-separated lines without csv quoting, or None if
+    a line has too few fields to hold its date and stock (a blank line
+    has one) or np.loadtxt refuses a cell even with the gaps filled.
+
+    The values are one np.loadtxt call, or a second with _fill_gaps on
+    every line when the first refuses. No line's fields are counted: a row
+    shorter than the header lacks the header's last column, which is the
+    date or the stock, or a column of cols that np.loadtxt finds missing.
+    """
+    last = max(di, si)
+    fields = [line.rstrip("\r\n").split(",", last + 1) for line in lines]
+    if min(map(len, fields)) <= last:
+        return None
+    try:
+        values = _loadtxt(lines, cols)
+    except ValueError:
         try:
-            return np.loadtxt([_fill_gaps(line) for line in lines], delimiter=",",
-                              comments=None, usecols=cols, ndmin=2), None
+            values = _loadtxt([_fill_gaps(line.rstrip("\r\n")) for line in lines], cols)
         except ValueError:
-            pass
-    return _parse_cells([line.split(",") for line in lines], rows, cols, names)
+            return None
+    return [f[di] for f in fields], [f[si] for f in fields], values
 
 
 def _needs_csv(lines) -> bool:
@@ -252,6 +269,14 @@ def _csv_records(lines, source):
         yield next(reader)
 
 
+def _split_records(lines):
+    """The records of lines that hold no quote, as _csv_records gives them
+    but without the csv module's field size limit."""
+    for line in lines:
+        line = line.rstrip("\r\n")
+        yield line.split(",") if line else []
+
+
 def _read_rows(path, source, header, di, si, cols, names):
     """Read the data rows from the line iterator source of file path, which
     has passed the header, in chunks of _CHUNK_ROWS lines.
@@ -259,49 +284,46 @@ def _read_rows(path, source, header, di, si, cols, names):
     Returns each row's date, stock and row number, the (rows, len(cols))
     float values of columns cols, and the first short row, bad cell or csv
     module error as (row number, ParseError), or None; reading stops at
-    that row. Values and errors are those of _parse_cell on every cell.
+    that row. Values and errors are those of _parse_cell on every cell: a
+    chunk is read by _parse_lines unless it holds a _PER_CELL_CHARS
+    character or _parse_lines gives None, and then record by record with
+    _parse_cells, the records of _csv_records or, with no _PER_CELL_CHARS
+    character, of _split_records.
     """
     dates, stocks, rows, blocks = [], [], [], []
     error = None
     row = 1
-    split = max(di, si) + 1
     while error is None:
         lines = list(itertools.islice(source, _CHUNK_ROWS))
         if not lines:
             break
+        needs_csv = _needs_csv(lines)
+        parsed = None if needs_csv else _parse_lines(lines, di, si, cols)
+        if parsed is not None:
+            chunk_dates, chunk_stocks, block = parsed
+            dates += chunk_dates
+            stocks += chunk_stocks
+            rows += range(row + 1, row + 1 + len(lines))
+            blocks.append(block)
+            row += len(lines)
+            continue
+        records = _csv_records(lines, source) if needs_csv else _split_records(lines)
         kept, kept_rows = [], []
-        if _needs_csv(lines):
-            try:
-                for rec in _csv_records(lines, source):
-                    row += 1
-                    if not rec:
-                        continue
-                    if len(rec) < len(header):
-                        error = (row, _short_row(row, len(rec), len(header)))
-                        break
-                    dates.append(rec[di])
-                    stocks.append(rec[si])
-                    kept.append(rec)
-                    kept_rows.append(row)
-            except csv.Error as exc:
-                error = (row + 1, ParseError(f"{path}: row {row + 1}: {exc}"))
-            block, bad = _parse_cells(kept, kept_rows, cols, names)
-        else:
-            for line in lines:
+        try:
+            for rec in records:
                 row += 1
-                line = line.rstrip("\r\n")
-                if not line:
+                if not rec:
                     continue
-                n_fields = line.count(",") + 1
-                if n_fields < len(header):
-                    error = (row, _short_row(row, n_fields, len(header)))
+                if len(rec) < len(header):
+                    error = (row, _short_row(row, len(rec), len(header)))
                     break
-                fields = line.split(",", split)
-                dates.append(fields[di])
-                stocks.append(fields[si])
-                kept.append(line)
+                dates.append(rec[di])
+                stocks.append(rec[si])
+                kept.append(rec)
                 kept_rows.append(row)
-            block, bad = _parse_lines(kept, kept_rows, cols, names)
+        except csv.Error as exc:
+            error = (row + 1, ParseError(f"{path}: row {row + 1}: {exc}"))
+        block, bad = _parse_cells(kept, kept_rows, cols, names)
         rows += kept_rows
         blocks.append(block)
         if bad is not None:
@@ -336,6 +358,14 @@ def _is_utf8(line: bytes) -> bool:
     return True
 
 
+def _ids(names):
+    """The sorted distinct strings of names and the index of each name in
+    them, as np.unique(..., return_inverse=True) gives them."""
+    ids = sorted(set(names))
+    index = {name: i for i, name in enumerate(ids)}
+    return ids, np.fromiter(map(index.__getitem__, names), np.intp, len(names))
+
+
 def load_panel(path) -> FactorPanel:
     """Read a CSV into a FactorPanel, grouping rows into weekly cross-sections.
 
@@ -346,6 +376,11 @@ def load_panel(path) -> FactorPanel:
     bytes and fields over the csv module's field size limit raise
     ParseError naming the first offending row. A UTF-8 byte order mark
     before the header is skipped.
+
+    Rows are read in chunks of _CHUNK_ROWS lines. A chunk without quotes
+    or "\\x1c".."\\x1f" is one np.loadtxt call, or two if it has empty
+    cells; the rest, and a chunk np.loadtxt refuses, are parsed cell by
+    cell with float. Every value and error is the one float gives.
     """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
@@ -378,8 +413,8 @@ def load_panel(path) -> FactorPanel:
             path, source, header, di, si, cols, ["fwd_ret", *factor_names])
 
     if rows:
-        date_ids, d_inv = np.unique(np.array(dates, dtype=object), return_inverse=True)
-        stock_ids, s_inv = np.unique(np.array(stocks, dtype=object), return_inverse=True)
+        date_ids, d_inv = _ids(dates)
+        stock_ids, s_inv = _ids(stocks)
         key = d_inv * len(stock_ids) + s_inv
         first = np.zeros(key.size, dtype=bool)
         first[np.unique(key, return_index=True)[1]] = True
@@ -395,8 +430,7 @@ def load_panel(path) -> FactorPanel:
     fwd = np.full((len(date_ids), len(stock_ids)), np.nan)
     factors[d_inv, s_inv] = values[:, 1:]
     fwd[d_inv, s_inv] = values[:, 0]
-    return FactorPanel(tuple(date_ids.tolist()), tuple(stock_ids.tolist()),
-                       tuple(factor_names), factors, fwd)
+    return FactorPanel(tuple(date_ids), tuple(stock_ids), tuple(factor_names), factors, fwd)
 
 
 class _Missing:

@@ -184,6 +184,96 @@ class TestMalformedAsOracle:
         same_as_oracle(write(tmp_path, text))
 
 
+def edge_rows(chunk):
+    """Rows of the chunk-edge files: three small chunks, or one full and a bit."""
+    return 3 * chunk if chunk < data._CHUNK_ROWS else chunk + 6
+
+
+def edge_body(chunk, defect):
+    """A file of edge_rows(chunk) rows whose one defect sits in the last
+    row of a chunk: the second chunk's if it is full, else the first's."""
+    last = 2 * chunk - 1 if chunk < data._CHUNK_ROWS else chunk - 1
+    lines = body(edge_rows(chunk)).splitlines()
+    fields = lines[last + 1].split(",")
+    lines[last + 1] = {
+        "empty cell": ",".join(fields[:-1]) + ",",
+        "short row": ",".join(fields[:-1]),
+        "blank line": "",
+        "1_0 cell": ",".join(fields[:-1]) + ",1_0",
+        "quoted stock": ",".join([fields[0], f'"{fields[1]}"', *fields[2:]]),
+    }[defect]
+    return "\n".join(lines) + "\n"
+
+
+class TestChunkEdges:
+    """A defect in the last row of a chunk reads as the oracle reads it, and
+    a chunk without quotes costs one np.loadtxt call, or two with gaps."""
+
+    @pytest.mark.parametrize("chunk", [1, 4, data._CHUNK_ROWS])
+    @pytest.mark.parametrize("defect", ["empty cell", "short row", "blank line", "1_0 cell",
+                                        "quoted stock"])
+    def test_defect_in_the_last_row_of_a_chunk(self, tmp_path, chunk, defect):
+        got = same_as_oracle(write(tmp_path, edge_body(chunk, defect)), chunk)
+        row = 2 * chunk + 1 if chunk < data._CHUNK_ROWS else chunk + 1
+        if defect == "short row":
+            assert got == ("ParseError", f"row {row}: 3 fields, the header has 4")
+        else:
+            assert got[0] != "ParseError"
+
+    def loadtxt_calls(self, path, chunk, monkeypatch):
+        spy = mock.Mock(wraps=np.loadtxt)
+        monkeypatch.setattr(np, "loadtxt", spy)
+        monkeypatch.setattr(data, "_parse_cells", lambda *a: pytest.fail("per-cell path"))
+        with mock.patch.object(data, "_CHUNK_ROWS", chunk):
+            load_panel(path)
+        monkeypatch.undo()
+        same_as_oracle(path, chunk)
+        return spy.call_count
+
+    @pytest.mark.parametrize("chunk", [1, 4, data._CHUNK_ROWS])
+    def test_clean_chunk_is_one_loadtxt_call(self, tmp_path, chunk, monkeypatch):
+        path = write(tmp_path, body(edge_rows(chunk)))
+        assert self.loadtxt_calls(path, chunk, monkeypatch) == -(-edge_rows(chunk) // chunk)
+
+    @pytest.mark.parametrize("chunk", [1, 4, data._CHUNK_ROWS])
+    def test_chunk_with_gaps_is_at_most_two_loadtxt_calls(self, tmp_path, chunk, monkeypatch):
+        path = write(tmp_path, edge_body(chunk, "empty cell"))
+        # one gappy chunk among -(-rows // chunk)
+        assert self.loadtxt_calls(path, chunk, monkeypatch) <= -(-edge_rows(chunk) // chunk) + 1
+
+
+# cells of the short-row test: fine, empty, or refused by both readers
+ROW_CELLS = st.sampled_from(["0.5", "-2e3", "", "inf", "x"])
+
+
+@st.composite
+def short_row_files(draw):
+    """A header whose last column is the date or the stock, and rows with
+    one or two trailing fields missing, one extra, or the header's count."""
+    last = draw(st.sampled_from(["date", "stock"]))
+    rest = ["date", "stock", "fwd_ret", *[f"f{k}" for k in range(draw(st.integers(1, 2)))]]
+    rest.remove(last)
+    header = [*draw(st.permutations(rest)), last]
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(1, 8))):
+        cells = {"date": draw(st.sampled_from(["d1", "d2", "d3"])),
+                 "stock": draw(st.sampled_from(["A", "B", "C", "D"]))}
+        fields = [cells.get(name) or draw(ROW_CELLS) for name in header]
+        extra = draw(st.sampled_from([-2, -1, 0, 0, 1]))
+        fields = fields[:len(fields) + extra] if extra < 0 else fields + ["7"] * extra
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+class TestShortRows:
+    @settings(max_examples=200, deadline=None)
+    @given(text=short_row_files(), chunk=CHUNKS)
+    def test_short_and_long_rows_read_as_the_oracle(self, tmp_path_factory, text, chunk):
+        path = tmp_path_factory.mktemp("sr") / "p.csv"
+        path.write_bytes(text.encode())
+        same_as_oracle(path, chunk)
+
+
 class TestEncoding:
     def test_not_utf8_names_file_and_row(self, tmp_path):
         path = tmp_path / "latin1.csv"
@@ -222,6 +312,12 @@ class TestFieldSizeLimit:
     def test_same_field_unquoted_loads(self, tmp_path):
         panel = load_panel(self.with_id(tmp_path, self.BIG))
         assert self.BIG in panel.stocks
+
+    def test_same_field_unquoted_loads_in_a_chunk_read_cell_by_cell(self, tmp_path):
+        # np.loadtxt refuses 1_0, so the chunk goes through _parse_cells
+        text = self.with_id(tmp_path, self.BIG).read_text().replace(",0.5\n", ",1_0\n", 1)
+        panel = load_panel(write(tmp_path, text))
+        assert self.BIG in panel.stocks and 10.0 in panel.factors
 
     def test_header_field_over_the_limit(self, tmp_path):
         path = write(tmp_path, body(3).replace("alpha", f'"{self.BIG}"', 1))
