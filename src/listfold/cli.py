@@ -181,11 +181,15 @@ def _strategy_list(cfg: RunConfig) -> list[StrategySpec]:
     return out
 
 
-def _run_config(args) -> RunConfig:
-    """The config file, if any, with the command's flags on top."""
+def _run_config(args, unread=()) -> RunConfig:
+    """The config file, if any, with the command's flags on top. The run
+    keys in unread, which the command never reads, keep their defaults
+    whatever their values, so a config shared with another command
+    cannot stop this one."""
+    file_values = parse_config_file(args.config) if args.config else {}
     cfg = build_run_config(
-        parse_config_file(args.config) if args.config else {},
-        {name: getattr(args, name) for name in _keys()},
+        {key: value for key, value in file_values.items() if key not in unread},
+        {name: getattr(args, name) for name in _keys() if name not in unread},
     )
     if not cfg.panel:
         raise ConfigError("field panel: a panel CSV path is required")
@@ -374,7 +378,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _run_config(args)
+    cfg = _run_config(args, unread=("out", "strategies", "k", "batch_sizes"))
     model = args.model
     if model not in MODEL_SPECS:
         raise ConfigError(f"unknown model {model!r} (known: {', '.join(MODEL_SPECS)})")

@@ -16,6 +16,7 @@ same schema, and floats round-trip bit identically through ``repr``.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import csv
 import io
@@ -186,7 +187,9 @@ class WindowPlan:
         return self.test_range[1] - self.test_range[0]
 
 
-# Rows per chunk, read or written: bounds the memory the CSV I/O holds at once.
+# Rows per chunk, read or written: a load holds one chunk's lines and
+# parsed block beside its row buffers (see load_panel), a save one
+# chunk's text.
 _CHUNK_ROWS = 1024
 # np.loadtxt splits at every comma, so it cannot take csv quoting; and it
 # strips "\x1c".."\x1f" around a number, which Python's float rejects. A
@@ -205,14 +208,15 @@ def _parse_cell(text: str, row_num: int, col: str) -> float:
 
 def _parse_cells(records, rows, cols, names):
     """Columns cols of each record, one _parse_cell per cell. Returns the
-    (records, cols) values and None, or on the first bad cell the values of
-    the records before it and (its row number, the ParseError)."""
+    (records, cols) values and None, or on the first bad cell the values,
+    set for the records before it only, and (its row number, the
+    ParseError)."""
     out = np.empty((len(records), len(cols)))
     for n, (rec, row) in enumerate(zip(records, rows)):
         try:
             out[n] = [_parse_cell(rec[j], row, name) for j, name in zip(cols, names)]
         except ParseError as exc:
-            return out[:n], (row, exc)
+            return out, (row, exc)
     return out, None
 
 
@@ -231,19 +235,23 @@ def _loadtxt(lines, cols):
 
 
 def _parse_lines(lines, di, si, cols):
-    """The dates, stocks and (len(lines), len(cols)) float values of
-    columns cols of comma-separated lines without csv quoting, or None if
-    a line has too few fields to hold its date and stock (a blank line
+    """The (date, stock) of each comma-separated line without csv quoting
+    and the (len(lines), len(cols)) float values of columns cols, or None
+    if a line has too few fields to hold its date and stock (a blank line
     has one) or np.loadtxt refuses a cell even with the gaps filled.
 
-    The values are one np.loadtxt call, or a second with _fill_gaps on
-    every line when the first refuses. No line's fields are counted: a row
-    shorter than the header lacks the header's last column, which is the
-    date or the stock, or a column of cols that np.loadtxt finds missing.
+    Each line's split is dropped once its date and stock are taken, so
+    none of it is held while np.loadtxt runs. The values are one
+    np.loadtxt call, or a second with _fill_gaps on every line when the
+    first refuses. No line's fields are counted: a row shorter than the
+    header lacks the header's last column, which is the date or the
+    stock, or a column of cols that np.loadtxt finds missing.
     """
     last = max(di, si)
-    fields = [line.rstrip("\r\n").split(",", last + 1) for line in lines]
-    if min(map(len, fields)) <= last:
+    try:
+        keys = [(f[di], f[si]) for f in (line.rstrip("\r\n").split(",", last + 1)
+                                         for line in lines)]
+    except IndexError:
         return None
     try:
         values = _loadtxt(lines, cols)
@@ -252,7 +260,7 @@ def _parse_lines(lines, di, si, cols):
             values = _loadtxt([_fill_gaps(line.rstrip("\r\n")) for line in lines], cols)
         except ValueError:
             return None
-    return [f[di] for f in fields], [f[si] for f in fields], values
+    return keys, values
 
 
 def _needs_csv(lines) -> bool:
@@ -277,34 +285,108 @@ def _split_records(lines):
         yield line.split(",") if line else []
 
 
-def _read_rows(path, source, header, di, si, cols, names):
-    """Read the data rows from the line iterator source of file path, which
-    has passed the header, in chunks of _CHUNK_ROWS lines.
+def _capacity(need: int, chars: int, size: int, fields: int) -> int:
+    """Rows to make room for once need lines have been read in chars
+    characters of a size-byte file whose rows have fields fields: the
+    lines the file holds at that mean line length, but no more rows than
+    fit at one comma or line end per field, with 1/64 to spare; or twice
+    need when the size is unknown (0, as for a pipe)."""
+    if not size:
+        return 2 * need
+    guess = min(need * size // chars, size // fields)
+    return max(need, guess + guess // 64)
 
-    Returns each row's date, stock and row number, the (rows, len(cols))
-    float values of columns cols, and the first short row, bad cell or csv
-    module error as (row number, ParseError), or None; reading stops at
-    that row. Values and errors are those of _parse_cell on every cell: a
-    chunk is read by _parse_lines unless it holds a _PER_CELL_CHARS
-    character or _parse_lines gives None, and then record by record with
-    _parse_cells, the records of _csv_records or, with no _PER_CELL_CHARS
-    character, of _split_records.
+
+class _Rows:
+    """The data rows read so far, each value held once: rows [0, n) of a
+    (cap, F) factor buffer, a (cap,) fwd_ret buffer and a (cap, 2) buffer
+    of date and stock codes. Codes number the dates, and the stocks, in
+    the order first seen. blanks holds n at each blank record skipped."""
+
+    def __init__(self, n_factors: int):
+        self.factors = np.empty((0, n_factors))
+        self.fwd = np.empty(0)
+        self.codes = np.empty((0, 2), np.intp)
+        self.dates: dict[str, int] = {}
+        self.stocks: dict[str, int] = {}
+        self.blanks: list[int] = []
+        self.n = 0
+
+    def reserve(self, need: int, chars: int, size: int, fields: int) -> None:
+        """Room for need rows, sized by _capacity if there is none."""
+        if need <= self.fwd.size:
+            return
+        cap = _capacity(need, chars, size, fields)
+        if self.n == 0:
+            # fresh pages: none is touched before its row is written
+            self.factors = np.empty((cap, self.factors.shape[1]))
+            self.fwd = np.empty(cap)
+            self.codes = np.empty((cap, 2), np.intp)
+        else:
+            self.resize(cap)
+
+    def resize(self, cap: int) -> None:
+        """Resize the buffers to cap rows by realloc, which copies the
+        rows kept only if it has to move them. No view of a buffer may
+        be alive."""
+        for buf in (self.factors, self.fwd, self.codes):
+            buf.resize((cap, *buf.shape[1:]), refcheck=False)
+
+    def add(self, keys, block) -> None:
+        """Append rows: their (date, stock) keys and their values, fwd_ret
+        first and then the factors."""
+        if not keys:
+            return
+        end = self.n + len(keys)
+        dates, stocks = self.dates, self.stocks
+        self.codes[self.n:end, 0] = [dates.setdefault(d, len(dates)) for d, _ in keys]
+        self.codes[self.n:end, 1] = [stocks.setdefault(s, len(stocks)) for _, s in keys]
+        self.fwd[self.n:end] = block[:, 0]
+        self.factors[self.n:end] = block[:, 1:]
+        self.n = end
+
+    def grid(self):
+        """The sorted distinct dates and stocks, and each row's key: its
+        index date * n_stocks + stock in the flattened (date, stock) grid."""
+        date_ids, stock_ids = sorted(self.dates), sorted(self.stocks)
+        codes = self.codes[:self.n]
+        key = (_ranks(self.dates, date_ids)[codes[:, 0]] * len(stock_ids)
+               + _ranks(self.stocks, stock_ids)[codes[:, 1]])
+        return date_ids, stock_ids, key
+
+    def row_number(self, i: int) -> int:
+        """The file row of data row i, the header being row 1."""
+        return i + 2 + bisect.bisect_right(self.blanks, i)
+
+
+def _read_rows(path, source, size, header, di, si, cols, names):
+    """Read the data rows from the line iterator source of the size-byte
+    file path (0 if unknown), which has passed the header, in chunks of
+    _CHUNK_ROWS lines.
+
+    Returns the _Rows read and the first short row, bad cell or csv module
+    error as (row number, ParseError), or None; reading stops at that row.
+    The buffers are sized by the first chunk's mean line length and grow
+    only when that estimate falls short. Values and errors are those of
+    _parse_cell on every cell: a chunk is read by _parse_lines unless it
+    holds a _PER_CELL_CHARS character or _parse_lines gives None, and then
+    record by record with _parse_cells, the records of _csv_records or,
+    with no _PER_CELL_CHARS character, of _split_records.
     """
-    dates, stocks, rows, blocks = [], [], [], []
+    rows = _Rows(len(cols) - 1)
+    chars = 0
     error = None
     row = 1
     while error is None:
         lines = list(itertools.islice(source, _CHUNK_ROWS))
         if not lines:
             break
+        chars += sum(map(len, lines))
+        rows.reserve(rows.n + len(lines), chars, size, len(header))
         needs_csv = _needs_csv(lines)
         parsed = None if needs_csv else _parse_lines(lines, di, si, cols)
         if parsed is not None:
-            chunk_dates, chunk_stocks, block = parsed
-            dates += chunk_dates
-            stocks += chunk_stocks
-            rows += range(row + 1, row + 1 + len(lines))
-            blocks.append(block)
+            rows.add(*parsed)
             row += len(lines)
             continue
         records = _csv_records(lines, source) if needs_csv else _split_records(lines)
@@ -313,23 +395,22 @@ def _read_rows(path, source, header, di, si, cols, names):
             for rec in records:
                 row += 1
                 if not rec:
+                    rows.blanks.append(rows.n + len(kept))
                     continue
                 if len(rec) < len(header):
                     error = (row, _short_row(row, len(rec), len(header)))
                     break
-                dates.append(rec[di])
-                stocks.append(rec[si])
                 kept.append(rec)
                 kept_rows.append(row)
         except csv.Error as exc:
             error = (row + 1, ParseError(f"{path}: row {row + 1}: {exc}"))
         block, bad = _parse_cells(kept, kept_rows, cols, names)
-        rows += kept_rows
-        blocks.append(block)
+        # the rows from a bad cell's on keep their keys, so that a duplicate
+        # (date, stock) in or before its row is still the error reported
+        rows.add([(rec[di], rec[si]) for rec in kept], block)
         if bad is not None:
             error = bad  # it precedes the short row, if the chunk has one
-    values = np.concatenate(blocks) if blocks else np.empty((0, len(cols)))
-    return dates, stocks, rows, values, error
+    return rows, error
 
 
 def _short_row(row: int, n_fields: int, n_header: int) -> ParseError:
@@ -358,12 +439,11 @@ def _is_utf8(line: bytes) -> bool:
     return True
 
 
-def _ids(names):
-    """The sorted distinct strings of names and the index of each name in
-    them, as np.unique(..., return_inverse=True) gives them."""
-    ids = sorted(set(names))
-    index = {name: i for i, name in enumerate(ids)}
-    return ids, np.fromiter(map(index.__getitem__, names), np.intp, len(names))
+def _ranks(codes: dict[str, int], ids: list[str]) -> np.ndarray:
+    """The position in the sorted ids of each code's name."""
+    rank = np.empty(len(ids), np.intp)
+    rank[[codes[name] for name in ids]] = np.arange(len(ids))
+    return rank
 
 
 def load_panel(path) -> FactorPanel:
@@ -381,6 +461,13 @@ def load_panel(path) -> FactorPanel:
     or "\\x1c".."\\x1f" is one np.loadtxt call, or two if it has empty
     cells; the rest, and a chunk np.loadtxt refuses, are parsed cell by
     cell with float. Every value and error is the one float gives.
+
+    Each chunk's values are copied into one pair of row buffers. When the
+    file holds every (date, stock) once in (date, stock) order, as
+    save_panel writes it, those buffers are the panel's arrays, so the
+    load holds the values once plus one chunk. Any other file is
+    scattered into NaN-filled arrays, and the buffers are freed before
+    the panel is returned.
     """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
@@ -409,27 +496,36 @@ def load_panel(path) -> FactorPanel:
             raise ParseError(f"{path}: no factor columns found")
         di, si, ri = (col_pos[k] for k in required)
         cols = [ri, *(col_pos[c] for c in factor_names)]
-        dates, stocks, rows, values, error = _read_rows(
-            path, source, header, di, si, cols, ["fwd_ret", *factor_names])
+        # st_size is 0 where the size is unknown, as for a pipe
+        rows, error = _read_rows(path, source, os.fstat(fh.fileno()).st_size, header,
+                                 di, si, cols, ["fwd_ret", *factor_names])
 
-    if rows:
-        date_ids, d_inv = _ids(dates)
-        stock_ids, s_inv = _ids(stocks)
-        key = d_inv * len(stock_ids) + s_inv
-        first = np.zeros(key.size, dtype=bool)
-        first[np.unique(key, return_index=True)[1]] = True
-        n = int(np.argmin(first))  # the first row whose key came before
-        if not first[n] and (error is None or rows[n] <= error[0]):
-            error = (rows[n], ParseError(
-                f"row {rows[n]}: duplicate (date, stock) = {(dates[n], stocks[n])}"))
+    in_order = False
+    if rows.n:
+        date_ids, stock_ids, key = rows.grid()
+        # every (date, stock) once, in (date, stock) order
+        in_order = (key.size == len(date_ids) * len(stock_ids)
+                    and np.array_equal(key, np.arange(key.size)))
+        if not in_order:
+            first = np.zeros(key.size, dtype=bool)
+            first[np.unique(key, return_index=True)[1]] = True
+            n = int(np.argmin(first))  # the first row whose key came before
+            row = rows.row_number(n)
+            if not first[n] and (error is None or row <= error[0]):
+                dup = (date_ids[key[n] // len(stock_ids)], stock_ids[key[n] % len(stock_ids)])
+                error = (row, ParseError(f"row {row}: duplicate (date, stock) = {dup}"))
     if error is not None:
         raise error[1]
-    if not rows:
+    if not rows.n:
         raise ParseError(f"{path}: no data rows")
-    factors = np.full((len(date_ids), len(stock_ids), len(factor_names)), np.nan)
-    fwd = np.full((len(date_ids), len(stock_ids)), np.nan)
-    factors[d_inv, s_inv] = values[:, 1:]
-    fwd[d_inv, s_inv] = values[:, 0]
+    shape = (len(date_ids), len(stock_ids), len(factor_names))
+    if in_order:
+        rows.resize(rows.n)
+        factors, fwd = rows.factors.reshape(shape), rows.fwd.reshape(shape[:2])
+    else:
+        factors, fwd = np.full(shape, np.nan), np.full(shape[:2], np.nan)
+        factors.reshape(-1, shape[2])[key] = rows.factors[:rows.n]
+        fwd.reshape(-1)[key] = rows.fwd[:rows.n]
     return FactorPanel(tuple(date_ids), tuple(stock_ids), tuple(factor_names), factors, fwd)
 
 

@@ -814,6 +814,30 @@ class TestTrainScoreCommands:
                    "--week", "1999-01-01", "--out", str(tmp_path / "s.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag, value", [("--strategies", "listfool"),
+                                             ("--batch-sizes", "0"), ("--k", "0"),
+                                             ("--out", "")])
+    def test_run_keys_train_never_reads_are_not_checked(self, base_config, tmp_path, flag,
+                                                        value):
+        # these exited 1 ("field strategies: unknown model 'listfool'", ...)
+        plain, flagged = tmp_path / "plain.npz", tmp_path / "flagged.npz"
+        argv = ["train", "--config", str(base_config), "--model", "mlp"]
+        assert main([*argv, "--checkpoint", str(plain)]) == 0
+        assert main([*argv, flag, value, "--checkpoint", str(flagged)]) == 0
+        assert flagged.read_bytes() == plain.read_bytes()
+
+    def test_config_shared_with_backtest_trains(self, base_config, tmp_path):
+        shared = tmp_path / "shared.cfg"
+        shared.write_text(base_config.read_text()
+                          + "strategies = listfool\nbatch_sizes = 0,x\nk = 0\n")
+        plain, flagged = tmp_path / "plain.npz", tmp_path / "shared.npz"
+        assert main(["train", "--config", str(base_config), "--model", "mlp",
+                     "--checkpoint", str(plain)]) == 0
+        assert main(["train", "--config", str(shared), "--model", "mlp",
+                     "--checkpoint", str(flagged)]) == 0
+        assert flagged.read_bytes() == plain.read_bytes()
+        assert main(["backtest", "--config", str(shared), "--out", str(tmp_path / "o")]) == 1
+
     def test_unknown_model_exit_one(self, base_config, tmp_path):
         rc = main(["train", "--config", str(base_config), "--model", "gru",
                    "--checkpoint", str(tmp_path / "c.npz")])

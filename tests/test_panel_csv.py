@@ -2,6 +2,8 @@
 same bytes written, bit-identical panels read, the same ParseError messages."""
 
 import csv
+import os
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -363,3 +365,130 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.05 * peaks[0]
+
+
+def saved_lines(tmp_path, weeks, stocks, factors=3):
+    """The header and the data lines of a complete panel as save_panel
+    writes it: every (date, stock) once, in (date, stock) order."""
+    path = tmp_path / "saved.csv"
+    save_panel(generate_synthetic_panel(3, weeks=weeks, stocks=stocks, factors=factors,
+                                        signal_strength=0.5), path)
+    header, *lines = path.read_text().splitlines(keepends=True)
+    return header, lines
+
+
+def no_scatter(monkeypatch):
+    """Fail the test if load_panel builds a NaN-filled panel to scatter into."""
+    full = np.full
+    monkeypatch.setattr(np, "full", lambda shape, fill, *a, **k: pytest.fail("scattered")
+                        if np.isnan(fill) else full(shape, fill, *a, **k))
+
+
+class TestRowBuffers:
+    """A complete file in (date, stock) order loads into the row buffers
+    themselves; any other order, missing rows and a first chunk that
+    undersizes the buffers read as the oracle reads them."""
+
+    @pytest.mark.parametrize("chunk", [1, 4, data._CHUNK_ROWS])
+    def test_file_in_panel_order_is_not_scattered(self, tmp_path, chunk, monkeypatch):
+        header, lines = saved_lines(tmp_path, weeks=30, stocks=50)
+        path = write(tmp_path, header + "".join(lines))
+        no_scatter(monkeypatch)
+        with mock.patch.object(data, "_CHUNK_ROWS", chunk):
+            panel = load_panel(path)
+        monkeypatch.undo()
+        assert panel.factors.flags.c_contiguous and panel.fwd_return.flags.c_contiguous
+        same_as_oracle(path, chunk)
+
+    @pytest.mark.parametrize("chunk", [1, 4, data._CHUNK_ROWS])
+    def test_shuffled_rows(self, tmp_path, chunk):
+        header, lines = saved_lines(tmp_path, weeks=30, stocks=50)
+        np.random.default_rng(chunk).shuffle(lines)
+        got = same_as_oracle(write(tmp_path, header + "".join(lines)), chunk)
+        assert len(got[0]) == 30 and len(got[1]) == 50
+
+    @pytest.mark.parametrize("chunk", [1, 4, data._CHUNK_ROWS])
+    @pytest.mark.parametrize("gone", [[0], [7, 8, 1499], list(range(50, 100))],
+                             ids=["first", "scattered", "a-week"])
+    def test_missing_rows(self, tmp_path, chunk, gone):
+        header, lines = saved_lines(tmp_path, weeks=30, stocks=50)
+        kept = [line for i, line in enumerate(lines) if i not in gone]
+        got = same_as_oracle(write(tmp_path, header + "".join(kept)), chunk)
+        assert np.isnan(np.array(got[4], dtype=np.uint64).view(float)).sum() == (
+            len(gone) if len(gone) < 50 else 0)
+
+    def grown(self, path, chunk):
+        """Whether loading path sized its buffers more than once."""
+        spy = mock.Mock(wraps=data._capacity)
+        with mock.patch.object(data, "_capacity", spy), \
+                mock.patch.object(data, "_CHUNK_ROWS", chunk):
+            load_panel(path)
+        return spy.call_count > 1
+
+    @pytest.mark.parametrize("chunk", [1, 4, data._CHUNK_ROWS])
+    def test_long_first_chunk_grows_the_buffers(self, tmp_path, chunk):
+        # rows in (stock, date) order; the first 35 stocks' ids are 500
+        # characters long, so the first chunk's mean line length sizes
+        # the buffers for about 1110 of the 1500 rows
+        header, lines = saved_lines(tmp_path, weeks=30, stocks=50)
+        rows = sorted((line.split(",", 2) for line in lines), key=lambda row: row[1])
+        path = write(tmp_path, header + "".join(
+            ",".join([date, "L" * 500 + stock if stock < "S0035" else stock, rest])
+            for date, stock, rest in rows))
+        assert self.grown(path, chunk)
+        same_as_oracle(path, chunk)
+
+    @pytest.mark.parametrize("chunk", [1, 4, data._CHUNK_ROWS])
+    def test_long_first_chunk_in_panel_order(self, tmp_path, chunk, monkeypatch):
+        # the first 21 weeks' cells are 17-digit floats, the rest 1.0
+        header, lines = saved_lines(tmp_path, weeks=30, stocks=50)
+        lines[21 * 50:] = [",".join([*line.split(",")[:2], "1.0", "1.0", "1.0", "1.0"]) + "\n"
+                           for line in lines[21 * 50:]]
+        path = write(tmp_path, header + "".join(lines))
+        no_scatter(monkeypatch)
+        assert self.grown(path, chunk)
+        monkeypatch.undo()
+        same_as_oracle(path, chunk)
+
+    def test_blank_lines_first_do_not_oversize_the_buffers(self, tmp_path, monkeypatch):
+        # a first chunk of one-character lines would size them for a row a byte
+        header, lines = saved_lines(tmp_path, weeks=30, stocks=50)
+        path = write(tmp_path, header + "\n" * 1500 + "".join(lines))
+        capacity, caps = data._capacity, []
+        monkeypatch.setattr(data, "_capacity", lambda *a: caps.append(capacity(*a)) or caps[-1])
+        load_panel(path)
+        monkeypatch.undo()
+        fields = len(header.split(","))
+        assert max(caps) <= path.stat().st_size // fields * 65 // 64
+        same_as_oracle(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_of_unknown_size(self, tmp_path):
+        header, lines = saved_lines(tmp_path, weeks=30, stocks=50)
+        text = header + "".join(lines)
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,))
+        writer.start()
+        try:
+            got = outcome(load_panel, fifo)
+        finally:
+            writer.join()
+        assert got == outcome(load_panel, write(tmp_path, text))
+
+    def test_load_peak_under_2_1_panels(self, tmp_path):
+        # tables-book panel in save_panel's order: the reader that kept
+        # every chunk's block and concatenated them before scattering
+        # peaked at 2.36 times the panel's bytes; this one at about 1.9
+        panel = generate_synthetic_panel(7, weeks=104, stocks=80, factors=68,
+                                         signal_strength=0.8, noise_scale=0.5)
+        path = tmp_path / "tb.csv"
+        save_panel(panel, path)
+        del panel
+        tracemalloc.start()
+        try:
+            back = load_panel(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.1 * (back.factors.nbytes + back.fwd_return.nbytes)
