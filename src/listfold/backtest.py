@@ -155,8 +155,12 @@ def book_pnl(long: np.ndarray, short: np.ndarray, returns: np.ndarray, cost_bps:
     cost_bps * 1e-4 times the L1 change of the signed weights, from a flat
     start; turnover is the per-leg fraction of names not carried over from
     the previous week (all of them on the first week), averaged over the
-    two legs. A held stock without a finite return raises DataError.
+    two legs. A held stock without a finite return raises DataError; ValueError
+    names weights, returns and dates that do not match.
     """
+    if not long.shape == short.shape == returns.shape or len(dates) != len(returns):
+        raise ValueError(f"long {long.shape}, short {short.shape}, returns {returns.shape} "
+                         f"and {len(dates)} dates do not match")
     legs = np.stack([long > 0, short > 0])
     held = legs[0] | legs[1]
     _check_held(held, returns, dates, stocks)
@@ -201,6 +205,12 @@ MODEL_SPECS: dict[str, tuple[LossSpec, bool, bool]] = {
 }
 
 
+def _model_spec(model: str) -> tuple[LossSpec, bool, bool]:
+    if model not in MODEL_SPECS:
+        raise ValueError(f"unknown model {model!r} (known: {', '.join(MODEL_SPECS)})")
+    return MODEL_SPECS[model]
+
+
 @dataclass(frozen=True)
 class StrategySpec:
     """One row of the stats table: the model whose top k the book holds
@@ -215,8 +225,8 @@ class StrategySpec:
 
     def __post_init__(self):
         for model in (self.long, self.short):
-            if model is not None and model not in MODEL_SPECS:
-                raise ValueError(f"unknown model {model!r} (known: {', '.join(MODEL_SPECS)})")
+            if model is not None:
+                _model_spec(model)
 
     def required_models(self) -> tuple[str, ...]:
         """The distinct models behind the legs, long first."""
@@ -243,17 +253,22 @@ STANDARD_MODELS = ("listfold-exp", "listfold-sgm", "listmle", "list2mle", "mlp")
 
 
 def strategy_lineup(models, k: int) -> list[StrategySpec]:
-    """Model by model, its long-short strategy and then its short-average
-    one. list2mle is one strategy: the book long the listmle model's top k
-    and short the listmle-rvs model's bottom k."""
+    """Model by model, its long-short strategy, then its short-average one;
+    list2mle is one book, long listmle's top k and short listmle-rvs's bottom
+    k. ValueError names the field: strategies (unknown or none) or k (< 1)."""
     out = []
     for model in models:
-        name = STRATEGY_NAMES[model]
+        if (name := STRATEGY_NAMES.get(model)) is None:
+            raise ValueError(f"strategies: unknown model {model!r} "
+                             f"(known: {', '.join(STRATEGY_NAMES)})")
         if model == "list2mle":
             out.append(StrategySpec(name, "listmle", "listmle-rvs", k))
         else:
             out += [StrategySpec(name, model, model, k),
                     StrategySpec(name + "-sa", model, None, k)]
+    if k < 1:
+        raise ValueError("k: must be >= 1")
+    _common_k(out)  # refuses an empty lineup
     return out
 
 
@@ -319,8 +334,9 @@ def _model_seed(base_seed: int, model: str, window_index: int) -> int:
 
 def model_train_config(config: BacktestConfig, model: str, window_index: int) -> TrainConfig:
     """The TrainConfig of one (model, window): MODEL_SPECS' loss, label
-    direction and final ReLU, seeded per (config.seed, model, window)."""
-    spec, reverse, final_relu = MODEL_SPECS[model]
+    direction and final ReLU, seeded per (config.seed, model, window); an
+    unknown model raises ValueError."""
+    spec, reverse, final_relu = _model_spec(model)
     return TrainConfig(
         loss=spec,
         batch_size=config.batch_size,
@@ -384,8 +400,8 @@ def run_backtest(panel: FactorPanel, strategies: list[StrategySpec],
     Scoring models are deduplicated across strategies and seeded per
     (model, window), so results do not depend on the strategy list's
     composition. Windows are trained and scored one at a time, so only one
-    window's training lists are held in memory. A lineup
-    whose strategies carry more than one k raises ValueError, because the
+    window's training lists are held in memory. An empty lineup and one
+    whose strategies carry more than one k raise ValueError, because the
     rank metrics are reported at a single k, and so does a k the panel's
     universe cannot hold. Before any training, DataError names a run whose
     windows test fewer than two weeks (the stats need two returns), and
@@ -433,9 +449,11 @@ def run_backtest(panel: FactorPanel, strategies: list[StrategySpec],
 def _common_k(strategies: list[StrategySpec]) -> int:
     """The one cutoff of the lineup, which the NDCG@k family uses."""
     ks = sorted({s.k for s in strategies})
+    if not ks:
+        raise ValueError("strategies: empty strategy list")
     if len(ks) > 1:
         raise ValueError(f"strategies carry more than one k {ks}; the rank metrics need one")
-    return ks[0] if ks else 8
+    return ks[0]
 
 
 def _model_rank_metrics(scores: np.ndarray, returns: np.ndarray, stocks, k: int,

@@ -26,7 +26,6 @@ from .backtest import (
     BacktestConfig,
     MODEL_SPECS,
     STANDARD_MODELS,
-    STRATEGY_NAMES,
     StrategySpec,
     _write_table,
     cutoff_heatmap,
@@ -82,12 +81,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-_KNOWN_MODELS = tuple(STRATEGY_NAMES)
-
-
 @dataclass
 class RunConfig:
-    """The run-level keys; every backtest setting lives in `backtest`."""
+    """Run-level keys, checked by the commands that read them; settings live in `backtest`."""
 
     panel: str = ""
     out: str = "out"
@@ -95,18 +91,6 @@ class RunConfig:
     k: int = 8
     batch_sizes: str = ""  # e.g. "8,16,32,64,128": also emit batchgrid.csv
     backtest: BacktestConfig = field(default_factory=BacktestConfig)
-
-    def __post_init__(self):
-        for name in _split(self.strategies):
-            if name not in _KNOWN_MODELS:
-                raise ConfigError(f"field strategies: unknown model {name!r} "
-                                  f"(known: {', '.join(_KNOWN_MODELS)})")
-        if self.k < 1:
-            raise ConfigError("field k: must be >= 1")
-        for tok in _split(self.batch_sizes):
-            # isdigit also holds for digits int refuses, such as '²'
-            if not tok.isdecimal() or int(tok) < 1:
-                raise ConfigError(f"field batch_sizes: bad entry {tok!r}")
 
 
 _HELP = {
@@ -175,22 +159,17 @@ def _split(csv_text: str) -> list[str]:
 
 
 def _strategy_list(cfg: RunConfig) -> list[StrategySpec]:
-    out = strategy_lineup(_split(cfg.strategies), cfg.k)
-    if not out:
-        raise ConfigError("field strategies: empty strategy list")
-    return out
+    try:
+        return strategy_lineup(_split(cfg.strategies), cfg.k)
+    except ValueError as exc:
+        raise ConfigError(f"field {exc}") from None
 
 
-def _run_config(args, unread=()) -> RunConfig:
-    """The config file, if any, with the command's flags on top. The run
-    keys in unread, which the command never reads, keep their defaults
-    whatever their values, so a config shared with another command
-    cannot stop this one."""
+def _run_config(args) -> RunConfig:
+    """The config file, if any, with the command's flags on top, each value
+    parsed to its key's type."""
     file_values = parse_config_file(args.config) if args.config else {}
-    cfg = build_run_config(
-        {key: value for key, value in file_values.items() if key not in unread},
-        {name: getattr(args, name) for name in _keys() if name not in unread},
-    )
+    cfg = build_run_config(file_values, {name: getattr(args, name) for name in _keys()})
     if not cfg.panel:
         raise ConfigError("field panel: a panel CSV path is required")
     return cfg
@@ -219,9 +198,14 @@ def _output_file(path) -> Path:
 def cmd_backtest(args) -> int:
     cfg = _run_config(args)
     strategies = _strategy_list(cfg)
+    tokens = _split(cfg.batch_sizes)
+    # isdigit also holds for digits int refuses, such as '²'
+    if bad := [tok for tok in tokens if not tok.isdecimal() or int(tok) < 1]:
+        raise ConfigError(f"field batch_sizes: bad entry {bad[0]!r}")
+    sizes = [int(tok) for tok in tokens]
     table_names = ["stats.csv", "rankmetrics.csv", "heatmap.csv",
                    *(f"pnl_{strat.name}.csv" for strat in strategies)]
-    if cfg.batch_sizes:
+    if sizes:
         table_names.append("batchgrid.csv")
     tables = {name: _output_file(Path(cfg.out) / name) for name in table_names}
     panel = load_panel(cfg.panel)
@@ -239,8 +223,7 @@ def cmd_backtest(args) -> int:
     ks = list(range(1, panel.n_stocks // 2 + 1))
     models, kvals, grid = cutoff_heatmap(result.scores, panel, ks, result.test_dates)
     write_heatmap_csv(tables["heatmap.csv"], models, kvals, grid)
-    if cfg.batch_sizes:
-        sizes = [int(tok) for tok in _split(cfg.batch_sizes)]
+    if sizes:
         names, sz, bgrid = batch_size_grid(panel, sizes, strategies, cfg.backtest)
         write_batchgrid_csv(tables["batchgrid.csv"], names, sz, bgrid)
 
@@ -378,10 +361,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _run_config(args, unread=("out", "strategies", "k", "batch_sizes"))
-    model = args.model
-    if model not in MODEL_SPECS:
-        raise ConfigError(f"unknown model {model!r} (known: {', '.join(MODEL_SPECS)})")
+    cfg = _run_config(args)
+    if args.model not in MODEL_SPECS:
+        raise ConfigError(f"unknown model {args.model!r} (known: {', '.join(MODEL_SPECS)})")
     out = _output_file(args.checkpoint)
     panel = load_panel(cfg.panel)
     config = cfg.backtest
@@ -389,7 +371,7 @@ def cmd_train(args) -> int:
     if not 0 <= args.window < len(plans):
         raise DataError(f"window {args.window} out of range (0..{len(plans) - 1})")
     # the same per-window training, seed, data and input map the backtest uses
-    net = train_window(panel, plans[args.window], [model], config, args.window)[model]
+    net = train_window(panel, plans[args.window], [args.model], config, args.window)[args.model]
     save_checkpoint(net, out)
     print(f"checkpoint written to {out}")
     return EXIT_OK

@@ -231,6 +231,18 @@ class TestWeekPnl:
         gross = price_week(long, short, {"A": 0.02, "B": np.nan, "C": -0.01}, 0.0)[0]
         assert gross == pytest.approx(0.5 * 0.02 - 0.5 * (-0.01), abs=1e-15)
 
+    @pytest.mark.parametrize("shapes, n_dates", [
+        (((3, 8), (3, 8), (3, 8)), 2),  # once priced 3 weeks under 2 dates
+        (((3, 8), (3, 8), (3, 8)), 4),
+        (((3, 8), (2, 8), (3, 8)), 3),
+        (((3, 8), (3, 8), (3, 7)), 3),
+    ])
+    def test_weights_returns_and_dates_that_do_not_match(self, shapes, n_dates):
+        long, short, rets = (np.zeros(shape) for shape in shapes)
+        with pytest.raises(ValueError, match="do not match"):
+            book_pnl(long, short, rets, 30.0, [f"w{i}" for i in range(n_dates)],
+                     tuple(f"S{j}" for j in range(8)))
+
     def test_cost_never_helps(self):
         rng = np.random.default_rng(2)
         scores = rng.normal(size=(5, 8))
@@ -428,6 +440,13 @@ class TestStrategySpec:
         with pytest.raises(ValueError, match="unknown model 'listfool'"):
             StrategySpec("ListFool", "listfool", None, 2)
 
+    def test_model_train_config_names_an_unknown_model_as_the_spec_does(self):
+        with pytest.raises(ValueError) as from_spec:
+            StrategySpec("ListFool", "listfool", None, 2)
+        with pytest.raises(ValueError) as from_config:
+            model_train_config(BacktestConfig(), "listfool", 0)
+        assert str(from_config.value) == str(from_spec.value)
+
     def test_required_models_of_each_lineup_shape(self):
         ls, sa, pair = strategy_lineup(["listmle", "list2mle"], 2)
         assert (ls.name, ls.long, ls.short) == ("ListMLE", "listmle", "listmle")
@@ -444,6 +463,27 @@ class TestStrategySpec:
                 spec.check_universe(n)
             with pytest.raises(ValueError, match="too small"):
                 spec.check_universe(fits[0] - 1)
+
+
+class TestStrategyLineup:
+    def test_unknown_key_names_the_field_and_the_key(self):
+        # a bare KeyError 'listfool' once
+        with pytest.raises(ValueError, match=r"^strategies: unknown model 'listfool' "
+                                             r"\(known: listfold-exp, .*list2mle\)$"):
+            strategy_lineup(["listfool"], 8)
+
+    def test_unknown_key_after_known_ones(self):
+        with pytest.raises(ValueError, match="unknown model 'listmle-fwd'"):
+            strategy_lineup(["mlp", "listmle-fwd"], 2)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one_names_k(self, k):
+        with pytest.raises(ValueError, match="^k: must be >= 1$"):
+            strategy_lineup(["mlp"], k)
+
+    def test_empty_lineup_names_strategies(self):
+        with pytest.raises(ValueError, match="^strategies: empty strategy list$"):
+            strategy_lineup([], 8)
 
 
 class TestRunBacktest:
@@ -500,6 +540,18 @@ class TestRunBacktest:
                       StrategySpec("ListMLE-sa", "listmle", None, 3)]
         with pytest.raises(ValueError, match=r"\[2, 3\]"):
             run_backtest(panel, strategies, cfg)
+
+    def test_empty_lineup_rejected_before_any_week_is_checked(self, monkeypatch):
+        # it checked every week, then returned a result of no strategies
+        panel = generate_synthetic_panel(32, weeks=80, stocks=12, factors=6,
+                                         signal_strength=0.0, noise_scale=1.0)
+        cfg = BacktestConfig(train_len=50, test_len=15, batch_size=4, total_batches=1)
+        for name in ("check_returns", "check_factor_cells"):
+            monkeypatch.setattr(FactorPanel, name, lambda *a: pytest.fail("a week was checked"))
+        monkeypatch.setattr(backtest, "_score_window",
+                            lambda *a: pytest.fail("a window was scored"))
+        with pytest.raises(ValueError, match="^strategies: empty strategy list$"):
+            run_backtest(panel, [], cfg)
 
     def test_k_too_large_for_universe_rejected_before_training(self, monkeypatch):
         panel = generate_synthetic_panel(32, weeks=80, stocks=6, factors=6,
@@ -784,6 +836,12 @@ class TestTrainWindow:
         alone = train_window(panel, plan, ["listmle"], cfg, 1)
         for p, q in zip(together["listmle"].parameters(), alone["listmle"].parameters()):
             assert p.tobytes() == q.tobytes()
+
+    def test_unknown_model_is_a_value_error_naming_it(self):
+        # a bare KeyError 'listfool' once
+        panel, cfg, plan = self._setup(10)
+        with pytest.raises(ValueError, match="^unknown model 'listfool' \\(known: "):
+            train_window(panel, plan, ["mlp", "listfool"], cfg, 1)
 
     def test_training_and_scoring_hold_no_copy_of_the_window(self):
         # 400 training weeks of 40 stocks x 32 factors: the window's factors

@@ -93,9 +93,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="train_len"):
             build_run_config({"train_len": "soon"}, {})
 
-    def test_unknown_strategy_named(self):
-        with pytest.raises(ConfigError, match="strategies"):
-            build_run_config({"strategies": "listfool"}, {})
+    def test_unknown_strategy_named(self, panel_csv, tmp_path, capsys):
+        # the lineup is checked by strategy_lineup, not by build_run_config
+        with pytest.raises(ValueError, match="strategies"):
+            backtest.strategy_lineup(["listfool"], 8)
+        rc = main(["backtest", "--panel", str(panel_csv), "--out", str(tmp_path / "o"),
+                   "--k", "2", "--strategies", "listfool"])
+        assert rc == 1
+        assert re.search("strategies", capsys.readouterr().err)
 
     @pytest.mark.parametrize("field", fields(BacktestConfig), ids=lambda f: f.name)
     def test_backtest_field_is_a_config_key_and_a_flag(self, field, panel_csv, tmp_path,
@@ -146,6 +151,41 @@ class TestConfig:
         err = capsys.readouterr().err
         assert f"config error: cannot read config file {cfg}" in err
         assert "can't decode byte 0xe9" in err
+
+    def test_config_line_without_equals_names_file_and_line(self, panel_csv, tmp_path,
+                                                            capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"panel = {panel_csv}\ntrain_len 60\n")
+        assert main(["backtest", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert (f"config error: {cfg}:2: expected 'key = value', got 'train_len 60'"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["backtest", "train"])
+    def test_run_without_a_panel_is_a_config_error(self, command, tmp_path, capsys):
+        argv = [command, "--out", str(tmp_path / "o")]
+        if command == "train":
+            argv += ["--model", "mlp", "--checkpoint", str(tmp_path / "c.npz")]
+        assert main(argv) == 1
+        assert ("config error: field panel: a panel CSV path is required"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("k", "0", "field k: must be >= 1"),
+        ("strategies", ",", "field strategies: empty strategy list"),
+        ("strategies", "mlp,listfool",
+         "field strategies: unknown model 'listfool' (known: listfold-exp, "),
+    ])
+    def test_bad_lineup_is_a_config_error_before_any_work(self, key, value, message,
+                                                          panel_csv, tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.setattr(cli, "load_panel", lambda *a: pytest.fail("read the panel"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in
+                               {"panel": panel_csv, "k": 2, key: value}.items()))
+        assert main(["backtest", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_flag_value_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -330,6 +370,45 @@ class TestBacktestCommand:
         assert main(["backtest", "--config", str(base_config), "--out", str(b)]) == 0
         assert (a / "stats.csv").read_bytes() == (b / "stats.csv").read_bytes()
         assert (a / "rankmetrics.csv").read_bytes() == (b / "rankmetrics.csv").read_bytes()
+
+    def test_zero_spread_book_has_an_empty_sharpe_cell(self, tmp_path, capsys):
+        # forward returns equal within every week: every book's weekly return
+        # is 0, so sigma is 0 and the Sharpe undefined; dyadic returns keep
+        # the long and short legs' products exact, so the 0 is exact
+        panel = generate_synthetic_panel(3, weeks=40, stocks=8, factors=3,
+                                         signal_strength=0.5, noise_scale=0.5)
+        week_ret = (np.arange(40) % 5 - 2) / 64.0
+        flat = tmp_path / "flat.csv"
+        save_panel(replace(panel, fwd_return=np.repeat(week_ret[:, None], 8, axis=1)), flat)
+        out = tmp_path / "o"
+        rc = main(["backtest", "--panel", str(flat), "--out", str(out), "--train-len", "20",
+                   "--test-len", "10", "--k", "2", "--batch-size", "4", "--total-batches", "2",
+                   "--cost-bps", "0"])
+        assert rc == 0
+        with open(out / "stats.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 9
+        assert all(r["sigma"] == "0.0" and r["sharpe"] == "" for r in rows)
+        printed = capsys.readouterr().out.splitlines()[1:10]
+        assert [line.split()[3] for line in printed] == ["n/a"] * 9
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("date,stock,fwd_ret\n2020-01-03,S0,0.1\n", "no factor columns found"),
+    ])
+    def test_panel_without_factors_exit_two(self, text, message, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        rc = main(["backtest", "--panel", str(path), "--k", "1", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"data error: {path}: {message}" in capsys.readouterr().err
+
+    def test_batch_sizes_without_an_entry_writes_no_batchgrid(self, base_config, tmp_path):
+        out = tmp_path / "o"
+        assert main(["backtest", "--config", str(base_config), "--out", str(out),
+                     "--strategies", "mlp", "--total-batches", "1",
+                     "--batch-sizes", ","]) == 0
+        assert (out / "stats.csv").exists() and not (out / "batchgrid.csv").exists()
 
     def test_missing_panel_exit_two_names_path(self, base_config, tmp_path, capsys):
         rc = main(["backtest", "--config", str(base_config),
@@ -534,6 +613,13 @@ class TestVerifyCommand:
             assert token in text
         assert (out / "enumeration_5410.csv").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--budget", "-1")])
+    def test_no_trials_or_a_negative_budget_is_a_config_error(self, flag, value, tmp_path,
+                                                              capsys):
+        assert main(["verify", flag, value, "--out", str(tmp_path / "v")]) == 1
+        assert "config error: trials must be >= 1 and budget >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
+
     def test_oversized_list_exit_one(self, tmp_path):
         assert main(["verify", "--sizes", "16", "--out", str(tmp_path / "v")]) == 1
 
@@ -638,6 +724,11 @@ class TestSimulateCommand:
     def test_zero_draws_exit_one(self, tmp_path):
         assert main(["simulate", "--model", "vase", "--weights", "1,1",
                      "--draws", "0", "--out", str(tmp_path / "s")]) == 1
+
+    def test_weight_that_is_not_a_number_is_a_config_error(self, tmp_path, capsys):
+        assert main(["simulate", "--model", "vase", "--weights", "2,x",
+                     "--out", str(tmp_path / "s")]) == 1
+        assert "config error: bad weights '2,x'" in capsys.readouterr().err
 
     def test_negative_weight_exit_one(self, tmp_path):
         assert main(["simulate", "--model", "vase", "--weights", "1,-1",
@@ -806,6 +897,22 @@ class TestTrainScoreCommands:
         assert (f"week {week}: missing factor {panel.factor_names[2]} for stock {stock}"
                 in capsys.readouterr().err)
 
+    def test_checkpoint_of_another_factor_count_exit_two(self, base_config, tmp_path,
+                                                         capsys):
+        ck = tmp_path / "model.npz"
+        assert main(["train", "--config", str(base_config), "--model", "mlp",
+                     "--checkpoint", str(ck)]) == 0
+        narrow = tmp_path / "narrow.csv"
+        assert main(["synth", "--out", str(narrow), "--seed", "5", "--weeks", "90",
+                     "--stocks", "12", "--factors", "3"]) == 0
+        out = tmp_path / "s.csv"
+        rc = main(["score", "--checkpoint", str(ck), "--panel", str(narrow),
+                   "--week", load_panel(narrow).dates[65], "--out", str(out)])
+        assert rc == 2
+        assert ("data error: feature dimension 3 does not match network input 6"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_unknown_week_exit_two(self, base_config, panel_csv, tmp_path):
         ck = tmp_path / "model.npz"
         assert main(["train", "--config", str(base_config), "--model", "mlp",
@@ -837,6 +944,16 @@ class TestTrainScoreCommands:
                      "--checkpoint", str(flagged)]) == 0
         assert flagged.read_bytes() == plain.read_bytes()
         assert main(["backtest", "--config", str(shared), "--out", str(tmp_path / "o")]) == 1
+
+    def test_run_key_that_does_not_parse_stops_train(self, base_config, tmp_path, capsys):
+        # train checks no run key's range, but parses every value's type
+        shared = tmp_path / "shared.cfg"
+        shared.write_text(base_config.read_text() + "k = abc\n")
+        ck = tmp_path / "c.npz"
+        assert main(["train", "--config", str(shared), "--model", "mlp",
+                     "--checkpoint", str(ck)]) == 1
+        assert "config error: field k: cannot parse 'abc'" in capsys.readouterr().err
+        assert not ck.exists()
 
     def test_unknown_model_exit_one(self, base_config, tmp_path):
         rc = main(["train", "--config", str(base_config), "--model", "gru",

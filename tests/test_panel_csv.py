@@ -142,6 +142,14 @@ class TestMalformedAsOracle:
         text = body(10) + "2020-01-03,S0,0.5,x\n"
         assert same_as_oracle(write(tmp_path, text), chunk)[1].startswith("row 12: duplicate")
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("date,stock,fwd_ret\n2020-01-03,S0,0.1\n", "no factor columns found"),
+    ])
+    def test_file_without_factor_columns(self, tmp_path, text, message):
+        path = write(tmp_path, text)
+        assert same_as_oracle(path) == ("ParseError", f"{path}: {message}")
+
     def test_blank_lines_are_skipped_and_counted(self, tmp_path):
         text = body(5).replace("\n", "\n\n", 3) + "\n\n2020-02-01,S9,1,x\n"
         got = same_as_oracle(write(tmp_path, text))
